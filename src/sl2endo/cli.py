@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -40,7 +41,7 @@ from .endoscopy import (
     transfer_factor,
     verify_identity,
 )
-from .errors import SamplingBudgetExceeded
+from .errors import SamplingBudgetExceeded, Sl2EndoError
 from .cyclotomic import CycNumber
 from .localfield import FieldConfig
 from .packets import (
@@ -117,6 +118,28 @@ class SweepConfig:
             raise ValueError(
                 "no stable comparison is defined for the regular packet; use --s s1"
             )
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        for p in self.primes:
+            FieldConfig(p, self.precision)  # fail fast on bad primes/precision
+            if digits and self.precision > _max_precision(p, digits):
+                raise ValueError(
+                    f"--precision {self.precision} is too large for p={p}: residues mod"
+                    f" p^N must print within Python's {digits}-digit int-to-str limit,"
+                    f" so N <= {_max_precision(p, digits)}"
+                )
+
+
+@functools.lru_cache(maxsize=None)
+def _max_precision(p: int, digits: int) -> int:
+    """Largest N with p^N <= 10^digits.
+
+    Report records print residues mod p^N, which then have at most
+    ``digits`` digits.
+    """
+    n, power, ceiling = 0, p, 10**digits
+    while power <= ceiling:
+        n, power = n + 1, power * p
+    return n
 
 
 def _sample_plan(sweep: SweepConfig) -> list[tuple[Classification, int]]:
@@ -476,8 +499,6 @@ def sweep_from_args(args: argparse.Namespace) -> SweepConfig:
 def run(sweep: SweepConfig, out, err) -> int:
     """Dispatch one sweep; returns the process exit code."""
     sweep.validate()
-    for p in sweep.primes:
-        FieldConfig(p, sweep.precision)  # fail fast on bad primes/precision
     runner = {
         "verify": run_verify,
         "falsify": run_falsify,
@@ -492,22 +513,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         sweep = sweep_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sweep.validate()  # before the output file is created
+        if not sweep.out:
+            return run(sweep, sys.stdout, sys.stderr)
+        with open(sweep.out, "w", encoding="utf-8", newline="") as out:
+            return run(sweep, out, sys.stderr)
+    except (ValueError, OSError, Sl2EndoError) as exc:
+        # usage, I/O and leaked internal errors all exit 2; 1 means a bad verdict
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    opened = None
-    out = sys.stdout
-    if sweep.out:
-        opened = open(sweep.out, "w", encoding="utf-8", newline="")
-        out = opened
-    try:
-        return run(sweep, out, sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 def console_main() -> None:

@@ -1,25 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Values are represented by their coefficient vector in the power basis of
-Q[x]/(Phi_m(x)), with Fraction coefficients, so equality of character
-values is exact coefficient comparison.  Working modulo the cyclotomic
-polynomial (rather than x^m - 1) keeps the representation faithful.
+A value is an integer coefficient vector in the power basis of
+Q[x]/(Phi_m(x)) over one positive common denominator.  The pair is kept
+canonical (the gcd of the denominator and all numerators is 1), so
+equality of character values is exact tuple comparison.  Working modulo
+the cyclotomic polynomial (rather than x^m - 1) keeps the representation
+faithful; reduction walks only the nonzero coefficients of Phi_m.
 
 Mixed conductors are supported by embedding both operands into the lcm
 conductor (zeta_m -> zeta_L^{L/m}); rationals live at conductor 1 and
-embed everywhere.  The functional API can disable embedding, in which
-case mixing conductors raises ConductorMismatch.
+embed everywhere.  Embedding into a conductor that m does not divide
+raises ConductorMismatch.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatch
 
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
+# m -> (deg Phi_m, ((j - deg, c_j) for each nonzero non-leading coefficient c_j))
+_REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -70,6 +75,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         for d in _divisors(m)[:-1]:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
         poly = tuple(_poly_div_exact(num, den))
+    deg = len(poly) - 1
+    _REDUCERS[m] = (deg, tuple((j - deg, c) for j, c in enumerate(poly[:-1]) if c))
     _CYCLO_CACHE[m] = poly
     return poly
 
@@ -78,30 +85,47 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
 
 
-def _reduce(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    c = list(coeffs)
+def _reduce(c: list[int], m: int) -> tuple[int, ...]:
+    """Remainder of c (ascending, reduced in place) modulo the monic Phi_m."""
+    cyclotomic_poly(m)  # fills _REDUCERS[m] on first use
+    deg, terms = _REDUCERS[m]
     for i in range(len(c) - 1, deg - 1, -1):
         top = c[i]
         if top:
-            for j, pj in enumerate(phi):
-                c[i - deg + j] -= top * pj
-    c = c[:deg]
-    c += [Fraction(0)] * (deg - len(c))
-    return tuple(c)
+            for offset, pj in terms:
+                c[i + offset] -= top * pj
+    if len(c) < deg:
+        c += [0] * (deg - len(c))
+    return tuple(c[:deg])
+
+
+def _canonical(m: int, num: tuple[int, ...], den: int) -> "CycNumber":
+    """The value num/den at conductor m, with the common factor removed."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    return CycNumber(m, num, den)
 
 
 @dataclass(frozen=True, eq=False)
 class CycNumber:
-    """An element of Q(zeta_m) in the reduced power basis."""
+    """An element num/den of Q(zeta_m) in the reduced power basis.
+
+    num holds integer coefficients and den > 0; gcd(den, *num) == 1.
+    """
 
     m: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def from_rational(r, m: int = 1) -> "CycNumber":
-        return CycNumber(m, _reduce([Fraction(r)], m))
+        r = Fraction(r)
+        num = [0] * euler_phi(m)
+        num[0] = r.numerator
+        return CycNumber(m, tuple(num), r.denominator)
 
     @staticmethod
     def zero(m: int = 1) -> "CycNumber":
@@ -113,16 +137,26 @@ class CycNumber:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    def _values(self):
+        """Power-basis coefficients: ints when den == 1, else Fractions."""
+        if self.den == 1:
+            return self.num
+        return [Fraction(c, self.den) for c in self.num]
+
+    def coefficient_strings(self) -> list[str]:
+        """The coefficients as report strings ("3", "-1/2", ...)."""
+        return list(map(str, self._values()))
 
     def promote(self, L: int) -> "CycNumber":
         """Embed into Q(zeta_L) via zeta_m -> zeta_L^{L/m} (m must divide L)."""
@@ -131,51 +165,56 @@ class CycNumber:
         if L % self.m:
             raise ConductorMismatch(f"{self.m} does not divide {L}")
         step = L // self.m
-        lifted = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            lifted[i * step] = c
-        return CycNumber(L, _reduce(lifted, L))
+        lifted = [0] * (step * (len(self.num) - 1) + 1)
+        lifted[::step] = self.num
+        return _canonical(L, _reduce(lifted, L), self.den)
 
-    def _pair(self, other: "CycNumber | int | Fraction", embed: bool = True):
+    def _pair(self, other: "CycNumber | int | Fraction"):
         if not isinstance(other, CycNumber):
             other = CycNumber.from_rational(other)
         if self.m == other.m:
             return self, other
-        if not embed:
-            raise ConductorMismatch(f"conductors {self.m} and {other.m} differ")
         L = math.lcm(self.m, other.m)
         return self.promote(L), other.promote(L)
 
     def __add__(self, other) -> "CycNumber":
         a, b = self._pair(other)
-        return CycNumber(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _canonical(a.m, tuple(map(operator.add, a.num, b.num)), a.den)
+        da, db = a.den, b.den
+        return _canonical(a.m, tuple(x * db + y * da for x, y in zip(a.num, b.num)), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycNumber":
         a, b = self._pair(other)
-        return CycNumber(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _canonical(a.m, tuple(map(operator.sub, a.num, b.num)), a.den)
+        da, db = a.den, b.den
+        return _canonical(a.m, tuple(x * db - y * da for x, y in zip(a.num, b.num)), da * db)
 
     def __rsub__(self, other) -> "CycNumber":
         return CycNumber.from_rational(other) - self
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.m, tuple(-c for c in self.coeffs))
+        return CycNumber(self.m, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other) -> "CycNumber":
         a, b = self._pair(other)
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        nonzero_b = [(j, y) for j, y in enumerate(b.num) if y]
+        prod = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in nonzero_b:
                     prod[i + j] += x * y
-        return CycNumber(a.m, _reduce(prod, a.m))
+        return _canonical(a.m, _reduce(prod, a.m), a.den * b.den)
 
     __rmul__ = __mul__
 
     def scale(self, r) -> "CycNumber":
         r = Fraction(r)
-        return CycNumber(self.m, tuple(c * r for c in self.coeffs))
+        n = r.numerator
+        return _canonical(self.m, tuple(c * n for c in self.num), self.den * r.denominator)
 
     def __pow__(self, n: int) -> "CycNumber":
         if n < 0:
@@ -191,16 +230,16 @@ class CycNumber:
 
     def conjugate(self) -> "CycNumber":
         """Image under zeta_m -> zeta_m^{-1} (complex conjugation on values)."""
-        flipped = [Fraction(0)] * self.m
-        for i, c in enumerate(self.coeffs):
+        flipped = [0] * self.m
+        for i, c in enumerate(self.num):
             flipped[(self.m - i) % self.m] += c
-        return CycNumber(self.m, _reduce(flipped, self.m))
+        return _canonical(self.m, _reduce(flipped, self.m), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (CycNumber, int, Fraction)):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # equality crosses conductors; not intended as a dict key
 
@@ -208,7 +247,7 @@ class CycNumber:
         if self.is_zero:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._values()):
             if c == 0:
                 continue
             if i == 0:
@@ -235,28 +274,6 @@ def root_of_unity(m: int, k: int) -> CycNumber:
     if m < 1:
         raise ValueError("conductor must be >= 1")
     k %= m
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
     return CycNumber(m, _reduce(coeffs, m))
-
-
-def conjugate(z: CycNumber) -> CycNumber:
-    return z.conjugate()
-
-
-def add(z: CycNumber, w: CycNumber, embed: bool = True) -> CycNumber:
-    a, b = z._pair(w, embed=embed)
-    return a + b
-
-
-def mul(z: CycNumber, w: CycNumber, embed: bool = True) -> CycNumber:
-    a, b = z._pair(w, embed=embed)
-    return a * b
-
-
-def negate(z: CycNumber) -> CycNumber:
-    return -z
-
-
-def scale(z: CycNumber, r) -> CycNumber:
-    return z.scale(r)

@@ -172,7 +172,7 @@ class VerificationReport:
                 return None
             return {
                 "conductor": value.m,
-                "coeffs": [str(c) for c in value.coeffs],
+                "coeffs": value.coefficient_strings(),
                 "text": str(value),
             }
 

@@ -23,7 +23,7 @@ class NotASquare(Sl2EndoError):
 
 
 class ConductorMismatch(Sl2EndoError):
-    """Cyclotomic operands live at different conductors and embedding is off."""
+    """A cyclotomic value was embedded into a conductor its own does not divide."""
 
 
 class PrecisionExhausted(Sl2EndoError):

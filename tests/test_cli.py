@@ -1,12 +1,26 @@
 """Tests for the sweep driver: determinism, exit codes, formats, schema."""
 
+import hashlib
 import io
 import json
+import sys
 
 import pytest
 
 from sl2endo.cli import SweepConfig, build_parser, main, run, sweep_from_args
 from sl2endo.endoscopy import REPORT_FIELDS
+from sl2endo.errors import PrecisionExhausted
+
+
+INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def largest_printable_precision(p):
+    """Largest N with p^N <= 10^INT_STR_DIGITS, so residues mod p^N print."""
+    n, power = 0, p
+    while power <= 10**INT_STR_DIGITS:
+        n, power = n + 1, power * p
+    return n
 
 
 def run_capture(sweep):
@@ -123,6 +137,33 @@ class TestDeterminism:
         assert f1.read_bytes() == f2.read_bytes()
         assert f1.read_bytes()  # non-empty
 
+    # Digests of streams written by the Fraction-coefficient implementation:
+    # a change of value representation must leave every stream byte-identical
+    # (acceptance criterion 10 across versions).
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["verify", "--packet", "regular", "--primes", "101", "--samples", "4", "--seed", "5"],
+                "ac79706b0c3ed08febcc853d02fc88fc37d475d4de3d43f5d91a8b55f9a0f438",
+            ),
+            (
+                ["verify", "--packet", "nonregular", "--s", "s1", "--primes", "3,5,7,11,13",
+                 "--samples", "40", "--seed", "5"],
+                "9bdd03765ecc47c219f72a4101789c429d113ffd9c4ff55899088b1230bdbaeb",
+            ),
+            (
+                ["falsify", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
+                "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
+            ),
+        ],
+        ids=["regular-p101", "nonregular-s1", "falsify"],
+    )
+    def test_stream_digest_pinned(self, argv, digest):
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_different_seed_changes_stream(self, tmp_path):
         base = ["verify", "--primes", "3", "--samples", "8"]
         f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -187,6 +228,40 @@ class TestUsageErrors:
 
     def test_near_valuations_exceeding_precision(self):
         code, _, _ = run_cli(["verify", "--precision", "5", "--near-valuations", "1:3"])
+        assert code == 2
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        target = tmp_path / "missing" / "reports.jsonl"
+        code, out, err = run_cli(["verify", "--primes", "3", "--out", str(target)])
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+
+    def test_leaked_internal_error_exits_2(self, monkeypatch):
+        import sl2endo.cli as cli_mod
+
+        def fail(packet, s, gamma):
+            raise PrecisionExhausted("valuation undefined at precision")
+
+        monkeypatch.setattr(cli_mod, "verify_identity", fail)
+        code, _, err = run_cli(["verify", "--primes", "3", "--samples", "2"])
+        assert code == 2
+        assert err == "error: valuation undefined at precision\n"
+
+    @pytest.mark.skipif(not INT_STR_DIGITS, reason="no int-to-str digit limit")
+    def test_precision_beyond_int_str_limit_rejected_up_front(self, tmp_path):
+        target = tmp_path / "reports.jsonl"
+        code, out, err = run_cli(["verify", "--precision", "100000", "--out", str(target)])
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert f"N <= {largest_printable_precision(3)}" in err and err.count("\n") == 1
+
+    @pytest.mark.skipif(not INT_STR_DIGITS, reason="no int-to-str digit limit")
+    def test_precision_bound_is_exact(self):
+        limit = largest_printable_precision(3)
+        code, _, _ = run_cli(["verify", "--primes", "3", "--precision", str(limit), "--samples", "2"])
+        assert code == 0
+        code, _, _ = run_cli(["verify", "--primes", "3", "--precision", str(limit + 1)])
         assert code == 2
 
     def test_unknown_mode_exits_2(self):

@@ -1,20 +1,14 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2endo.cyclotomic import (
-    CycNumber,
-    add,
-    conjugate,
-    cyclotomic_poly,
-    euler_phi,
-    mul,
-    root_of_unity,
-)
+from sl2endo.cyclotomic import CycNumber, cyclotomic_poly, euler_phi, root_of_unity
 from sl2endo.errors import ConductorMismatch
 
 
@@ -79,15 +73,15 @@ class TestRootOfUnity:
 class TestConjugate:
     def test_i(self):
         z4 = root_of_unity(4, 1)
-        assert conjugate(z4) == -z4
+        assert z4.conjugate() == -z4
 
     def test_rational_fixed(self):
         r = CycNumber.from_rational(Fraction(5, 3))
-        assert conjugate(r) == r
+        assert r.conjugate() == r
 
     def test_sixth_root(self):
         z6 = root_of_unity(6, 1)
-        assert conjugate(z6) == 1 - z6
+        assert z6.conjugate() == 1 - z6
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -98,25 +92,25 @@ class TestConjugate:
     def test_involutive_ring_homomorphism(self, m, ce, cf):
         z = sum((root_of_unity(m, k).scale(c) for k, c in enumerate(ce)), CycNumber.zero(m))
         w = sum((root_of_unity(m, k).scale(c) for k, c in enumerate(cf)), CycNumber.zero(m))
-        assert conjugate(conjugate(z)) == z
-        assert conjugate(z + w) == conjugate(z) + conjugate(w)
-        assert conjugate(z * w) == conjugate(z) * conjugate(w)
+        assert z.conjugate().conjugate() == z
+        assert (z + w).conjugate() == z.conjugate() + w.conjugate()
+        assert (z * w).conjugate() == z.conjugate() * w.conjugate()
 
     def test_trace_is_conjugation_fixed(self):
         z = root_of_unity(14, 3) + root_of_unity(14, 5).scale(2)
-        tr = z + conjugate(z)
-        assert conjugate(tr) == tr
+        tr = z + z.conjugate()
+        assert tr.conjugate() == tr
 
 
 class TestRingOps:
     def test_i_times_i(self):
         z4 = root_of_unity(4, 1)
-        assert mul(z4, z4) == -1
+        assert z4 * z4 == -1
 
     def test_phi5_relation(self):
         total = CycNumber.one(5)
         for k in range(1, 5):
-            total = add(total, root_of_unity(5, k))
+            total = total + root_of_unity(5, k)
         assert total == 0
 
     def test_rational_scalars_embed(self):
@@ -133,11 +127,11 @@ class TestRingOps:
         z = root_of_unity(4, 1) * root_of_unity(6, 1)
         assert z == root_of_unity(12, 5)
 
-    def test_conductor_mismatch_when_embedding_disabled(self):
+    def test_promote_to_non_multiple_conductor_rejected(self):
         with pytest.raises(ConductorMismatch):
-            add(root_of_unity(4, 1), root_of_unity(6, 1), embed=False)
+            root_of_unity(4, 1).promote(6)
         with pytest.raises(ConductorMismatch):
-            mul(root_of_unity(4, 1), CycNumber.one(3), embed=False)
+            CycNumber.one(3).promote(4)
 
     def test_zero_and_is_rational(self):
         z = root_of_unity(8, 1)
@@ -151,3 +145,160 @@ class TestRingOps:
         half = CycNumber.from_rational(Fraction(1, 2))
         assert half + half == 1
         assert half.scale(3).as_fraction() == Fraction(3, 2)
+
+    def test_coefficient_strings(self):
+        assert CycNumber.from_rational(Fraction(-3, 2), 4).coefficient_strings() == ["-3/2", "0"]
+        assert root_of_unity(6, 2).coefficient_strings() == ["-1", "1"]
+        assert (root_of_unity(6, 1).scale(Fraction(1, 2)) + Fraction(1, 2)).coefficient_strings() == [
+            "1/2",
+            "1/2",
+        ]
+
+
+# A dense Fraction reference with the semantics CycNumber had before it moved to
+# integer numerators over one common denominator: one Fraction per power-basis
+# coefficient, reduced against every coefficient of Phi_m, rendered with str().
+
+
+def ref_reduce(coeffs, m):
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    c = list(coeffs)
+    for i in range(len(c) - 1, deg - 1, -1):
+        top = c[i]
+        if top:
+            for j, pj in enumerate(phi):
+                c[i - deg + j] -= top * pj
+    c = c[:deg]
+    return tuple(c + [Fraction(0)] * (deg - len(c)))
+
+
+@dataclass(frozen=True)
+class Ref:
+    m: int
+    coeffs: tuple
+
+    @staticmethod
+    def root(m, k):
+        k %= m
+        c = [Fraction(0)] * (k + 1)
+        c[k] = Fraction(1)
+        return Ref(m, ref_reduce(c, m))
+
+    def promote(self, L):
+        step = L // self.m
+        lifted = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
+        for i, c in enumerate(self.coeffs):
+            lifted[i * step] = c
+        return Ref(L, ref_reduce(lifted, L))
+
+    def pair(self, other):
+        L = math.lcm(self.m, other.m)
+        return self.promote(L), other.promote(L)
+
+    def __add__(self, other):
+        a, b = self.pair(other)
+        return Ref(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __sub__(self, other):
+        a, b = self.pair(other)
+        return Ref(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __neg__(self):
+        return Ref(self.m, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        a, b = self.pair(other)
+        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                if x and y:
+                    prod[i + j] += x * y
+        return Ref(a.m, ref_reduce(prod, a.m))
+
+    def scale(self, r):
+        return Ref(self.m, tuple(c * r for c in self.coeffs))
+
+    def conjugate(self):
+        flipped = [Fraction(0)] * self.m
+        for i, c in enumerate(self.coeffs):
+            flipped[(self.m - i) % self.m] += c
+        return Ref(self.m, ref_reduce(flipped, self.m))
+
+    def equals(self, other):
+        a, b = self.pair(other)
+        return a.coeffs == b.coeffs
+
+    def __str__(self):
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                z = f"z{self.m}" if i == 1 else f"z{self.m}^{i}"
+                parts.append(z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
+        if not parts:
+            return "0"
+        out = parts[0]
+        for part in parts[1:]:
+            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        return out
+
+
+def assert_matches(value, ref):
+    assert value.m == ref.m
+    assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+    assert value.coefficient_strings() == [str(c) for c in ref.coeffs]
+    assert str(value) == str(ref)
+    if all(c == 0 for c in ref.coeffs[1:]):
+        assert value.as_fraction() == ref.coeffs[0]
+    else:
+        with pytest.raises(ValueError):
+            value.as_fraction()
+
+
+FAMILIES = (1, 4, 6, 12, 102, 1010)
+rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3])
+)
+
+
+@st.composite
+def elements(draw, family):
+    """A CycNumber and its reference, built alike at a conductor dividing family."""
+    m = draw(st.sampled_from([d for d in range(1, family + 1) if family % d == 0]))
+    terms = draw(
+        st.lists(st.tuples(st.integers(0, m - 1), rationals), min_size=1, max_size=3)
+    )
+    value, ref = CycNumber.zero(m), Ref(m, (Fraction(0),) * euler_phi(m))
+    for k, c in terms:
+        value = value + root_of_unity(m, k).scale(c)
+        ref = ref + Ref.root(m, k).scale(c)
+    return value, ref
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ops_match_dense_fraction_reference(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        (z, zr), (w, wr) = data.draw(elements(family)), data.draw(elements(family))
+        r = data.draw(rationals)
+        assert_matches(z + w, zr + wr)
+        assert_matches(z - w, zr - wr)
+        assert_matches(-z, -zr)
+        assert_matches(z * w, zr * wr)
+        assert_matches(z.scale(r), zr.scale(r))
+        assert_matches(z.promote(family), zr.promote(family))
+        assert_matches(z.conjugate(), zr.conjugate())
+        assert (z == w) == zr.equals(wr)
+        assert z == z.promote(family) and z - z == 0
+        if z.is_rational:
+            assert z == z.as_fraction()
+
+    @pytest.mark.parametrize("m,stride", [(1, 1), (4, 1), (6, 1), (12, 1), (102, 1), (1010, 23)])
+    def test_roots_of_unity_match(self, m, stride):
+        for k in range(0, m, stride):
+            assert_matches(root_of_unity(m, k), Ref.root(m, k))
