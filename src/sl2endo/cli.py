@@ -59,7 +59,6 @@ from .packets import (
 )
 from .residue import (
     CharacterLevel,
-    enumerate_norm_one,
     norm_one_group,
     quadratic_level,
     regular_levels,
@@ -249,7 +248,7 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
-    n_unexpected = n_total = 0
+    n_unexpected = n_total = n_budget = 0
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
@@ -259,6 +258,7 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
             try:
                 gamma = _sample(config, Classification.NEAR, v, key)
             except SamplingBudgetExceeded:
+                n_budget += 1
                 continue
             for report in falsify_adss152(gamma):
                 emitter.emit(report.to_record())
@@ -266,6 +266,8 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
                 if report.verdict != "unequal":
                     n_unexpected += 1
     emitter.close()
+    if n_budget:
+        err.write(f"warning: {n_budget} sample(s) skipped (sampling budget exceeded)\n")
     err.write(
         f"falsify: {n_total} checks, {n_total - n_unexpected} unequal as expected,"
         f" {n_unexpected} unexpectedly equal\n"
@@ -406,7 +408,7 @@ def run_table(sweep: SweepConfig, out, err) -> int:
         )
         out.write(f"character level shown: k={lv.k} mod {lv.modulus}\n")
         out.write("  point      dlog  psi0  chi_k\n")
-        for pt in enumerate_norm_one(config):
+        for pt in group.points:
             val = group.character_value(lv, pt)
             out.write(
                 f"  ({pt.a:>2},{pt.b:>2})   {group.dlog(pt):>3}"

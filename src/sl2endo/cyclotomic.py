@@ -27,54 +27,54 @@ _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
 _REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending (trial division)."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; the division is exact over the integers.
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact cyclotomic division"
-    return quot
-
-
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+def _divide_by_x_e_minus_1(poly: list[int], e: int) -> list[int]:
+    """The quotient poly / (x^e - 1), which must be exact over the integers."""
+    n = len(poly) - e
+    quot = [0] * e  # quot[e + i] is the coefficient of x^i
+    for i in range(n):
+        quot.append(quot[i] - poly[i])
+    if quot[n:] != poly[n:]:
+        raise ArithmeticError(f"x^{e} - 1 does not divide the polynomial")
+    return quot[e:]
 
 
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
 
-    Computed once per m by exact division of x^m - 1 by the product of the
-    cyclotomic polynomials of the proper divisors of m.
+    Computed once per m as the Moebius product
+    Phi_m = prod over squarefree d | m of (x^{m/d} - 1)^{mu(d)}: the factors
+    with mu(d) = 1 are multiplied in first, then the others are divided out
+    exactly, each step a linear pass over the coefficients.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
     cached = _CYCLO_CACHE.get(m)
     if cached is not None:
         return cached
-    if m == 1:
-        poly = (-1, 1)
-    else:
-        num = [-1] + [0] * (m - 1) + [1]
-        den = [1]
-        for d in _divisors(m)[:-1]:
-            den = _poly_mul(den, list(cyclotomic_poly(d)))
-        poly = tuple(_poly_div_exact(num, den))
+    mobius = [(1, 1)]  # (d, mu(d)) for the squarefree divisors d of m
+    for r in prime_divisors(m):
+        mobius += [(d * r, -mu) for d, mu in mobius]
+    poly = [1]
+    for e in (m // d for d, mu in mobius if mu == 1):
+        poly = list(map(operator.sub, [0] * e + poly, poly + [0] * e))
+    for e in (m // d for d, mu in mobius if mu == -1):
+        poly = _divide_by_x_e_minus_1(poly, e)
+    poly = tuple(poly)
     deg = len(poly) - 1
     _REDUCERS[m] = (deg, tuple((j - deg, c) for j, c in enumerate(poly[:-1]) if c))
     _CYCLO_CACHE[m] = poly

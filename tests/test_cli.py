@@ -9,7 +9,7 @@ import pytest
 
 from sl2endo.cli import SweepConfig, build_parser, main, run, sweep_from_args
 from sl2endo.endoscopy import REPORT_FIELDS
-from sl2endo.errors import PrecisionExhausted
+from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
 
 
 INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -105,6 +105,26 @@ class TestFalsifyMode:
         assert all(rec["verdict"] == "unequal" for rec in recs)
         assert "20 unequal as expected" in err
 
+    def test_budget_exceeded_samples_are_counted(self, monkeypatch):
+        import sl2endo.cli as cli_mod
+
+        real = cli_mod._sample
+
+        def flaky(config, cls, v, key):
+            if key.endswith(("|1", "|4")):  # sample indices 1 and 4
+                raise SamplingBudgetExceeded(key)
+            return real(config, cls, v, key)
+
+        monkeypatch.setattr(cli_mod, "_sample", flaky)
+        sweep = SweepConfig(mode="falsify", primes=[3], samples=6, seed=11)
+        code, out, err = run_capture(sweep)
+        assert code == 0
+        assert len(out.splitlines()) == 8  # two reports for each of 4 samples
+        assert err.splitlines() == [
+            "warning: 2 sample(s) skipped (sampling budget exceeded)",
+            "falsify: 8 checks, 8 unequal as expected, 0 unexpectedly equal",
+        ]
+
 
 class TestPropertiesMode:
     def test_battery_passes(self):
@@ -137,9 +157,11 @@ class TestDeterminism:
         assert f1.read_bytes() == f2.read_bytes()
         assert f1.read_bytes()  # non-empty
 
-    # Digests of streams written by the Fraction-coefficient implementation:
-    # a change of value representation must leave every stream byte-identical
-    # (acceptance criterion 10 across versions).
+    # Digests of streams written by earlier implementations (the verify and
+    # falsify streams by the Fraction-coefficient core, the table by the
+    # O(p^2) norm-one group): a change of representation or algorithm must
+    # leave every stream byte-identical (acceptance criterion 10 across
+    # versions).
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -156,8 +178,13 @@ class TestDeterminism:
                 ["falsify", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
                 "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
             ),
+            (
+                # pins the residue point order, the generator and the dlogs
+                ["table", "--primes", "3,5,7,11,13,101"],
+                "d06a5d56a301432fd7137db5d076046956d5a0b937f392938a25b6bc5d3cda58",
+            ),
         ],
-        ids=["regular-p101", "nonregular-s1", "falsify"],
+        ids=["regular-p101", "nonregular-s1", "falsify", "table"],
     )
     def test_stream_digest_pinned(self, argv, digest):
         code, out, _ = run_cli(argv)

@@ -1,5 +1,6 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2endo.cyclotomic import CycNumber, cyclotomic_poly, euler_phi, root_of_unity
+from sl2endo.cyclotomic import (
+    CycNumber,
+    _divide_by_x_e_minus_1,
+    cyclotomic_poly,
+    euler_phi,
+    prime_divisors,
+    root_of_unity,
+)
 from sl2endo.errors import ConductorMismatch
 
 
@@ -20,6 +28,32 @@ def poly_mul(a, b):
     return out
 
 
+def poly_div_exact(num, den):
+    # den is monic; the division must be exact over the integers
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        quot[i - dd] = c
+        for j, dj in enumerate(den):
+            num[i - dd + j] -= c * dj
+    assert not any(num)
+    return quot
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cyclotomic_poly(m):
+    """The original construction: x^m - 1 divided by the product of Phi_d, d | m, d < m."""
+    if m == 1:
+        return (-1, 1)
+    den = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = poly_mul(den, list(reference_cyclotomic_poly(d)))
+    return tuple(poly_div_exact([-1] + [0] * (m - 1) + [1], den))
+
+
 class TestCyclotomicPoly:
     @pytest.mark.parametrize("m", range(1, 31))
     def test_product_over_divisors_is_x_m_minus_1(self, m):
@@ -29,6 +63,21 @@ class TestCyclotomicPoly:
             if m % d == 0:
                 prod = poly_mul(prod, list(cyclotomic_poly(d)))
         assert prod == [-1] + [0] * (m - 1) + [1]
+
+    @pytest.mark.parametrize("m", [*range(1, 301), 1010, 2004])
+    def test_matches_divisor_product_reference(self, m):
+        assert cyclotomic_poly(m) == reference_cyclotomic_poly(m)
+
+    def test_inexact_division_raises(self):
+        # x^2 + 1 is not a multiple of x - 1; this must raise even under python -O
+        with pytest.raises(ArithmeticError):
+            _divide_by_x_e_minus_1([1, 0, 1], 1)
+        assert _divide_by_x_e_minus_1([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
+
+    def test_prime_divisors(self):
+        assert [prime_divisors(n) for n in (1, 2, 12, 1010, 2004, 10008)] == [
+            [], [2], [2, 3], [2, 5, 101], [2, 3, 167], [2, 3, 139],
+        ]
 
     def test_known_small_cases(self):
         assert cyclotomic_poly(1) == (-1, 1)

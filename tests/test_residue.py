@@ -4,16 +4,12 @@ import random
 
 import pytest
 
-from sl2endo.cyclotomic import CycNumber, root_of_unity
-from sl2endo.localfield import FieldConfig
+from sl2endo.cyclotomic import CycNumber, prime_divisors, root_of_unity
+from sl2endo.localfield import FieldConfig, is_odd_prime
 from sl2endo.residue import (
     CharacterLevel,
     ResTorusPoint,
     character_level,
-    dlog,
-    enumerate_norm_one,
-    eval_character,
-    find_generator,
     norm_one_group,
     quadratic_level,
     regular_levels,
@@ -22,9 +18,56 @@ from sl2endo.residue import (
 PRIMES = [3, 5, 7, 11, 13]
 
 
+def brute_force_group(config):
+    """The original O(p^2) construction, kept as a reference.
+
+    Returns the points of a^2 - eps*b^2 = 1 from a scan of all p^2 pairs, the
+    first of them whose orbit has length q+1, and the dlog map built by
+    walking the powers of that generator, all as plain (a, b) pairs.
+    """
+    p, eps = config.p, config.eps
+    points = [(a, b) for a in range(p) for b in range(p) if (a * a - eps * b * b) % p == 1]
+
+    def mul(x, y):
+        return ((x[0] * y[0] + eps * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def order(x):
+        n, pt = 1, x
+        while pt != (1, 0):
+            pt = mul(pt, x)
+            n += 1
+        return n
+
+    generator = next(pt for pt in points if order(pt) == len(points))
+    dlog, pt = {}, (1, 0)
+    for e in range(len(points)):
+        dlog[pt] = e
+        pt = mul(pt, generator)
+    return points, generator, dlog
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("p", [p for p in range(3, 200) if is_odd_prime(p)] + [1009])
+    def test_points_generator_and_dlog_match(self, p):
+        config = FieldConfig(p)
+        group = norm_one_group(config)
+        points, generator, dlog = brute_force_group(config)
+        assert [(pt.a, pt.b) for pt in group.points] == points
+        assert (group.generator.a, group.generator.b) == generator
+        assert {pt: group.dlog(ResTorusPoint(*pt)) for pt in points} == dlog
+
+    def test_large_prime(self):
+        group = norm_one_group(FieldConfig(10007))
+        assert group.order == 10008
+        g = group.generator
+        assert group.power(g, 10008) == group.identity
+        assert all(group.power(g, 10008 // r) != group.identity for r in prime_divisors(10008))
+        assert sorted(group.dlog(pt) for pt in group.points) == list(range(10008))
+
+
 class TestEnumeration:
     def test_p3_points(self):
-        pts = set(enumerate_norm_one(FieldConfig(3)))
+        pts = set(norm_one_group(FieldConfig(3)).points)
         assert pts == {
             ResTorusPoint(1, 0),
             ResTorusPoint(2, 0),
@@ -33,7 +76,7 @@ class TestEnumeration:
         }
 
     def test_p5_count(self):
-        assert len(enumerate_norm_one(FieldConfig(5))) == 6
+        assert len(norm_one_group(FieldConfig(5)).points) == 6
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_count_is_q_plus_1_by_brute_force(self, p):
@@ -45,11 +88,11 @@ class TestEnumeration:
             if (a * a - cfg.eps * b * b) % p == 1
         )
         assert count == p + 1
-        assert len(enumerate_norm_one(cfg)) == p + 1
+        assert len(norm_one_group(cfg).points) == p + 1
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_contains_both_central_points(self, p):
-        pts = enumerate_norm_one(FieldConfig(p))
+        pts = norm_one_group(FieldConfig(p)).points
         assert ResTorusPoint(1, 0) in pts
         assert ResTorusPoint(p - 1, 0) in pts
 
@@ -64,16 +107,15 @@ class TestEnumeration:
 
 class TestGenerator:
     def test_p3(self):
-        assert find_generator(FieldConfig(3)) == ResTorusPoint(0, 1)
+        assert norm_one_group(FieldConfig(3)).generator == ResTorusPoint(0, 1)
 
     def test_p5(self):
-        cfg = FieldConfig(5)
-        g = find_generator(cfg)
+        group = norm_one_group(FieldConfig(5))
+        g = group.generator
         assert g == ResTorusPoint(3, 2)
-        group = norm_one_group(cfg)
         sq = group.mul(g, g)
         assert sq == ResTorusPoint(2, 2)
-        assert group.element_order(sq) == 3
+        assert sq != group.identity and group.power(sq, 3) == group.identity  # order 3
         cube = group.mul(sq, g)
         assert cube == ResTorusPoint(4, 0)
 
@@ -87,17 +129,17 @@ class TestGenerator:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_deterministic(self, p):
-        assert find_generator(FieldConfig(p)) == find_generator(FieldConfig(p, 10))
+        assert norm_one_group(FieldConfig(p)).generator == norm_one_group(FieldConfig(p, 10)).generator
 
 
 class TestDlog:
     def test_identity(self):
-        assert dlog(FieldConfig(3), ResTorusPoint(1, 0)) == 0
+        assert norm_one_group(FieldConfig(3)).dlog(ResTorusPoint(1, 0)) == 0
 
     def test_p5_examples(self):
-        cfg = FieldConfig(5)
-        assert dlog(cfg, ResTorusPoint(4, 0)) == 3
-        assert dlog(cfg, ResTorusPoint(2, 2)) == 2
+        group = norm_one_group(FieldConfig(5))
+        assert group.dlog(ResTorusPoint(4, 0)) == 3
+        assert group.dlog(ResTorusPoint(2, 2)) == 2
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_bijection_and_generator_dlog(self, p):
@@ -125,17 +167,19 @@ class TestCharacterLevel:
 class TestEvalCharacter:
     def test_trivial_level(self):
         cfg = FieldConfig(5)
-        for pt in enumerate_norm_one(cfg):
-            assert eval_character(cfg, character_level(cfg, 0), pt) == 1
+        group = norm_one_group(cfg)
+        for pt in group.points:
+            assert group.character_value(character_level(cfg, 0), pt) == 1
 
     def test_quadratic_level_p3(self):
-        cfg = FieldConfig(3)
-        assert eval_character(cfg, CharacterLevel(2, 4), ResTorusPoint(0, 1)) == -1
+        group = norm_one_group(FieldConfig(3))
+        assert group.character_value(CharacterLevel(2, 4), ResTorusPoint(0, 1)) == -1
 
     def test_identity_point(self):
         cfg = FieldConfig(7)
+        group = norm_one_group(cfg)
         for k in range(8):
-            assert eval_character(cfg, character_level(cfg, k), ResTorusPoint(1, 0)) == 1
+            assert group.character_value(character_level(cfg, k), ResTorusPoint(1, 0)) == 1
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_homomorphism_on_random_triples(self, p):
@@ -146,8 +190,8 @@ class TestEvalCharacter:
             k = character_level(cfg, rng.randrange(p + 1))
             x = group.points[rng.randrange(len(group.points))]
             y = group.points[rng.randrange(len(group.points))]
-            lhs = eval_character(cfg, k, group.mul(x, y))
-            rhs = eval_character(cfg, k, x) * eval_character(cfg, k, y)
+            lhs = group.character_value(k, group.mul(x, y))
+            rhs = group.character_value(k, x) * group.character_value(k, y)
             assert lhs == rhs
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -157,8 +201,8 @@ class TestEvalCharacter:
         for k in range(p + 1):
             level = character_level(cfg, k)
             for pt in group.points:
-                lhs = eval_character(cfg, level, group.inverse(pt))
-                assert lhs == eval_character(cfg, level, pt).conjugate()
+                lhs = group.character_value(level, group.inverse(pt))
+                assert lhs == group.character_value(level, pt).conjugate()
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_unique_quadratic_character(self, p):
@@ -169,7 +213,7 @@ class TestEvalCharacter:
         quadratic = []
         for k in range(p + 1):
             level = character_level(cfg, k)
-            values = [eval_character(cfg, level, pt) for pt in group.points]
+            values = [group.character_value(level, pt) for pt in group.points]
             if all(v * v == one for v in values) and any(v != one for v in values):
                 quadratic.append(k)
         assert quadratic == [(p + 1) // 2]
@@ -180,5 +224,5 @@ class TestEvalCharacter:
         cfg = FieldConfig(p)
         group = norm_one_group(cfg)
         for pt in group.points:
-            v = eval_character(cfg, character_level(cfg, 1), pt)
+            v = group.character_value(character_level(cfg, 1), pt)
             assert v == root_of_unity(p + 1, group.dlog(pt))
