@@ -10,7 +10,7 @@ elements.
 
 from .charformulas import PacketKind, PacketSpec
 from .cyclotomic import CycNumber, root_of_unity
-from .endoscopy import EndoscopicDatum, VerificationReport, verify_identity
+from .endoscopy import VerificationReport, verify_identity
 from .localfield import FieldConfig, PadicNumber
 from .residue import CharacterLevel
 from .torus import Classification, TorusElement, TorusVariant
@@ -21,7 +21,6 @@ __all__ = [
     "CharacterLevel",
     "Classification",
     "CycNumber",
-    "EndoscopicDatum",
     "FieldConfig",
     "PacketKind",
     "PacketSpec",

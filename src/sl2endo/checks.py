@@ -1,0 +1,182 @@
+"""The algebraic side checks, one function per property.
+
+Each check takes a field configuration and already-sampled torus elements,
+keeps the far or near ones itself where it needs them, and returns whether
+every identity it tests holds exactly.  ``sl2endo properties`` runs the
+checks in ``PROPERTIES`` order; the acceptance suite calls the same
+functions for criteria 3 and 5-9.  The independent routes (two to f, two
+to psi0, the orbital integral against the near sums, the inner form
+against the stable sum) are compared here, never merged.
+"""
+
+from __future__ import annotations
+
+from .charformulas import (
+    b_eps_coefficient,
+    kottwitz_stable,
+    mu_hat_orbital,
+    psi0,
+    psi0_on_residue_point,
+    psi0_via_level,
+    theta5,
+    theta_nonregular_far,
+    theta_nonregular_near_sums,
+)
+from .cyclotomic import CycNumber
+from .endoscopy import related_elements, transfer_factor
+from .localfield import FieldConfig
+from .packets import (
+    PROJ_S1,
+    PROJ_S2,
+    PROJ_S3,
+    centralizes,
+    component_group,
+    nonregular_image,
+    regular_image_generators,
+    row_orthogonality,
+)
+from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
+from .torus import (
+    Classification,
+    cayley,
+    cayley_inverse,
+    classify,
+    f_direct,
+    f_via_disc,
+    g_conjugate,
+    invert,
+    weyl_DG,
+    weyl_D_lie,
+)
+
+
+def _far(gammas) -> list:
+    return [g for g in gammas if classify(g) is Classification.FAR]
+
+
+def _near(gammas) -> list:
+    return [g for g in gammas if classify(g) is Classification.NEAR]
+
+
+def f_and_discriminant_identities(config: FieldConfig, gammas) -> bool:
+    """The two routes to f agree, f is invariant under inversion and
+    g-conjugation, v(D_G) = 2 v(b), and f = 1 far from the identity."""
+    return all(
+        f_direct(g) == f_via_disc(g)
+        and f_direct(invert(g)) == f_direct(g)
+        and f_direct(g_conjugate(g)) == f_direct(g)
+        and weyl_DG(g).valuation() == 2 * g.b.valuation()
+        and (classify(g) is not Classification.FAR or f_direct(g) == 1)
+        for g in gammas
+    )
+
+
+def transfer_factor_equals_minus_f(config: FieldConfig, gammas) -> bool:
+    """The constituent-built transfer factor at both related elements is -f."""
+    return all(
+        transfer_factor(delta) == -f_direct(g)
+        for g in gammas
+        for delta in related_elements(g)
+    )
+
+
+def psi0_dual_route_and_uniqueness(config: FieldConfig, gammas) -> bool:
+    """psi0 through sgn_pi equals psi0 through the quadratic level, on the far
+    elements and on every residue point, and brute force over all levels
+    finds that level as the only character of order two."""
+    if not all(psi0(g) == psi0_via_level(g) for g in _far(gammas)):
+        return False
+    group = norm_one_group(config)
+    quadratic = quadratic_level(config)
+    if not all(
+        psi0_on_residue_point(config, pt)
+        == int(group.character_value(quadratic, pt).as_fraction())
+        for pt in group.points
+    ):
+        return False
+    one = CycNumber.one()
+    order_two = []
+    for k in range(config.q + 1):
+        values = [
+            group.character_value(CharacterLevel(k, config.q + 1), pt)
+            for pt in group.points
+        ]
+        if all(v * v == one for v in values) and any(v != one for v in values):
+            order_two.append(k)
+    return order_two == [quadratic.k]
+
+
+def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:
+    """On near elements the orbital-integral route gives the member sums
+    -1 - f and -1 + f, the Lie discriminant has the group's valuation, and
+    the Cayley transform inverts the inverse Cayley transform."""
+    b_eps = b_eps_coefficient(config)
+    for g in _near(gammas):
+        f, Y = f_direct(g), cayley_inverse(g)
+        if not (
+            mu_hat_orbital(Y, -1, b_eps, 1) == CycNumber.from_rational(-1 - f)
+            and mu_hat_orbital(Y, -1, b_eps, config.pi) == CycNumber.from_rational(-1 + f)
+            and weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
+            and cayley(Y) == g
+        ):
+            return False
+    return True
+
+
+def inner_form_stability(config: FieldConfig, gammas) -> bool:
+    """The Kottwitz-signed stable characters of the two inner forms agree, and
+    the doubled inner-form character is minus the four-member sum."""
+    for g in gammas:
+        side0, side1 = kottwitz_stable(g)
+        if side0 != side1:
+            return False
+        if classify(g) is Classification.FAR:
+            member_sum = sum(
+                (theta_nonregular_far(j, g) for j in (1, 2, 3, 4)), CycNumber.zero()
+            )
+        else:
+            s12, s34 = theta_nonregular_near_sums(g)
+            member_sum = s12 + s34
+        if theta5(g).scale(2) != -member_sum:
+            return False
+    return True
+
+
+def structure_tables(config: FieldConfig, gammas) -> bool:
+    """Character tables are orthogonal with sum of squared dimensions equal
+    to the order; s1 s2 = s3 and the Klein-four image is abelian mod scalars;
+    s1 centralizes every regular image at this prime and s2 none of them.
+    The elements are not used."""
+    for kind in ("Z2", "Klein4", "Q8"):
+        group = component_group(kind)
+        if not row_orthogonality(group):
+            return False
+        if sum(row[0] ** 2 for row in group.table.values()) != group.order:
+            return False
+    if (PROJ_S1 @ PROJ_S2) != PROJ_S3:
+        return False
+    image = nonregular_image()
+    if not all(centralizes(x, image) for x in image):
+        return False
+    for level in regular_levels(config):
+        gens = regular_image_generators(level)
+        if not centralizes(PROJ_S1, gens) or centralizes(PROJ_S2, gens):
+            return False
+    return True
+
+
+# (name, check, detail): the order and the strings of the properties stream.
+PROPERTIES = (
+    ("f-and-discriminant-identities", f_and_discriminant_identities,
+     lambda gammas: f"{len(gammas)} elements"),
+    ("transfer-factor-equals-minus-f", transfer_factor_equals_minus_f,
+     lambda gammas: f"{len(gammas)} elements"),
+    ("psi0-dual-route-and-uniqueness", psi0_dual_route_and_uniqueness,
+     lambda gammas: f"{len(_far(gammas))} far elements"),
+    ("orbital-cayley-consistency", orbital_cayley_consistency,
+     lambda gammas: f"{len(_near(gammas))} near elements"),
+    ("inner-form-stability", inner_form_stability,
+     lambda gammas: f"{len(gammas)} elements"),
+    ("structure-tables", structure_tables,
+     lambda gammas: "exact matrix checks"),
+)

@@ -1,9 +1,10 @@
-"""Endoscopic data, transfer factors, and the identity verifier.
+"""Transfer factors, the endoscopic right-hand side, and the identity verifier.
 
 The endoscopic group for both packet shapes is the norm-one unramified
 torus itself, attached to the diagonal order-2 element of the component
 group; only the transported character differs (a regular level for the
-two-member packet, the quadratic level for the four-member one).
+two-member packet, the quadratic level for the four-member one), and it
+is the packet's own level.
 
 The transfer factor is assembled from its constituents (the local epsilon
 factor of the unramified quadratic character, the kappa term, and the
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .localfield import FieldConfig, sgn_eps
 from .packets import virtual_coeffs
-from .residue import CharacterLevel
 from .torus import (
     Classification,
     TorusElement,
@@ -48,36 +48,10 @@ from .torus import (
     invert,
 )
 
-RELATED_TAGS = ("gamma_h", "inv_gamma_h")
-
 REPORT_FIELDS = (
     "p", "N", "eps", "packet", "level", "s",
     "a", "b", "valuation_b", "classification", "lhs", "rhs", "verdict",
 )
-
-
-@dataclass(frozen=True)
-class EndoscopicDatum:
-    """Bookkeeping for the endoscopic datum shared by both packet shapes."""
-
-    endoscopic_group: str
-    s_label: str
-    kind: PacketKind
-    transfer_level_k: int
-
-    @staticmethod
-    def for_packet(packet: PacketSpec) -> "EndoscopicDatum":
-        return EndoscopicDatum(
-            endoscopic_group="norm-one unramified torus",
-            s_label="s1",
-            kind=packet.kind,
-            transfer_level_k=packet.level.k,
-        )
-
-    @property
-    def fingerprint(self) -> tuple[str, str]:
-        """(group, s) pair; identical for both packet shapes by design."""
-        return (self.endoscopic_group, self.s_label)
 
 
 def epsilon_factor(config: FieldConfig) -> int:
@@ -103,15 +77,12 @@ def related_elements(gamma: TorusElement) -> tuple[TorusElement, TorusElement]:
     return (gamma, invert(gamma))
 
 
-def transfer_factor(related_tag: str, gamma: TorusElement) -> int:
+def transfer_factor(gamma: TorusElement) -> int:
     """The normalized transfer factor at (delta, gamma), constituent by constituent.
 
     epsilon factor times kappa term times the inverted discriminant norm
-    q^{v(b)}; independent of which related element is meant, since both
-    share v(b).
+    q^{v(b)}; the same for both related elements, since they share v(b).
     """
-    if related_tag not in RELATED_TAGS:
-        raise ValueError(f"related_tag must be one of {RELATED_TAGS}")
     try:
         vb = im_eps(gamma).valuation()
     except IndistinguishableFromZero as exc:
@@ -120,21 +91,20 @@ def transfer_factor(related_tag: str, gamma: TorusElement) -> int:
     return epsilon_factor(cfg) * kappa_term(gamma) * cfg.q**vb
 
 
-def rhs_endoscopic(datum: EndoscopicDatum, gamma: TorusElement) -> CycNumber:
+def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
     """The literal two-term sum over related elements of factor times character.
 
-    The transported stable character is evaluated through the residue dlog
-    route, independently of the member formulas on the left-hand side.
+    The transported stable character is evaluated at the packet's level
+    through the residue dlog route, independently of the member formulas on
+    the left-hand side.
     """
     cls = classify(gamma)
     if cls is Classification.ANTI_NEAR:
         raise AntiNearUnsupported("right-hand side undefined on anti-near elements")
-    cfg = gamma.config
-    level = CharacterLevel(datum.transfer_level_k, cfg.q + 1)
-    total = CycNumber.zero(cfg.q + 1)
-    for tag, delta in zip(RELATED_TAGS, related_elements(gamma)):
-        factor = transfer_factor(tag, gamma)
-        total = total + character_value_on(delta, level).scale(factor)
+    factor = transfer_factor(gamma)
+    total = CycNumber.zero(gamma.config.q + 1)
+    for delta in related_elements(gamma):
+        total = total + character_value_on(delta, packet.level).scale(factor)
     return total
 
 
@@ -243,8 +213,7 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
         return report
 
     if s == "s1":
-        datum = EndoscopicDatum.for_packet(packet)
-        report.rhs = rhs_endoscopic(datum, gamma)
+        report.rhs = rhs_endoscopic(packet, gamma)
     elif s == "1" and packet.kind is PacketKind.NONREGULAR:
         report.rhs = theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
     else:
@@ -273,7 +242,7 @@ def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, Verificati
     lhs1 = CycNumber.zero()
     for c, j in zip(coeffs, (1, 2, 3, 4)):
         lhs1 = lhs1 + adss152_theta(j, gamma).scale(c)
-    rhs1 = rhs_endoscopic(EndoscopicDatum.for_packet(packet), gamma)
+    rhs1 = rhs_endoscopic(packet, gamma)
     report1 = _report_shell(packet, "s1", gamma)
     report1.lhs, report1.rhs = lhs1, rhs1
     report1.verdict = "equal" if lhs1 == rhs1 else "unequal"

@@ -241,10 +241,6 @@ class SquareClass(enum.Enum):
         }[(parity % 2, nonres % 2)]
 
 
-def valuation(x: PadicNumber) -> int:
-    return x.valuation()
-
-
 def sgn_eps(x: PadicNumber) -> int:
     """The unramified quadratic character: (-1)^{v(x)}."""
     return -1 if x.valuation() % 2 else 1

@@ -3,7 +3,7 @@
 The two depth-zero supercuspidal packet shapes of SL(2) have component
 groups Z/2 (regular character level) and Klein four (quadratic level);
 the quaternion group appears as the pull-back of the Klein-four group to
-the simply connected dual and only its dimension bookkeeping is used.
+the simply connected dual and only its character table is used.
 
 Parameter images are handled as exact 2x2 matrices over cyclotomic
 numbers considered modulo nonzero scalars; the testable content of the
@@ -46,7 +46,6 @@ Q8_TABLE: dict[int, tuple[int, ...]] = {
     4: (1, 1, -1, -1, 1),
     5: (2, -2, 0, 0, 0),
 }
-Q8_DIMS = (1, 1, 1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ class ComponentGroup:
     kind: str                      # "Z2" | "Klein4" | "Q8"
     elements: tuple[str, ...]
     class_sizes: tuple[int, ...]
-    table: dict[int, tuple[int, ...]]
-    dims: tuple[int, ...]
+    table: dict[int, tuple[int, ...]]  # rows; column 0 is the identity, i.e. the dimension
 
     @property
     def order(self) -> int:
@@ -64,17 +62,12 @@ class ComponentGroup:
 
 def component_group(kind: str) -> ComponentGroup:
     if kind == "Z2":
-        return ComponentGroup("Z2", Z2_ELEMENTS, (1, 1), Z2_TABLE, (1, 1))
+        return ComponentGroup("Z2", Z2_ELEMENTS, (1, 1), Z2_TABLE)
     if kind == "Klein4":
-        return ComponentGroup("Klein4", KLEIN4_ELEMENTS, (1, 1, 1, 1), KLEIN4_TABLE, (1, 1, 1, 1))
+        return ComponentGroup("Klein4", KLEIN4_ELEMENTS, (1, 1, 1, 1), KLEIN4_TABLE)
     if kind == "Q8":
-        return ComponentGroup("Q8", Q8_CLASSES, Q8_CLASS_SIZES, Q8_TABLE, Q8_DIMS)
+        return ComponentGroup("Q8", Q8_CLASSES, Q8_CLASS_SIZES, Q8_TABLE)
     raise ValueError(f"unknown component group kind {kind!r}")
-
-
-def klein4_char(j: int, s: str) -> int:
-    """Value of the j-th Klein-four character at element s."""
-    return KLEIN4_TABLE[j][KLEIN4_ELEMENTS.index(s)]
 
 
 def virtual_coeffs(s: str) -> tuple[int, int, int, int]:
@@ -181,22 +174,3 @@ def regular_image_generators(level: CharacterLevel) -> tuple[ProjMatrix, ProjMat
 def centralizes(x: ProjMatrix, gens) -> bool:
     return all((x @ g).proportional(g @ x) for g in gens)
 
-
-def iota_nonregular(j: int) -> int:
-    """Packet member j of the quadratic-level packet carries character rho_j.
-
-    The generic member (j = 1) carries the trivial character; the identity
-    checks downstream pin the rest of the assignment.
-    """
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"member index must be 1..4, got {j}")
-    return j
-
-
-def iota_regular(member: str) -> int:
-    """Generic member -> trivial character, the other -> sign character."""
-    if member == "plus":
-        return 0
-    if member == "minus":
-        return 1
-    raise ValueError(f"member must be 'plus' or 'minus', got {member!r}")

@@ -126,10 +126,6 @@ def norm_one_group(config: FieldConfig) -> NormOneGroup:
     return NormOneGroup(config)
 
 
-def character_level(config: FieldConfig, k: int) -> CharacterLevel:
-    return CharacterLevel(k, config.q + 1)
-
-
 def quadratic_level(config: FieldConfig) -> CharacterLevel:
     """The level of the unique order-2 character (q+1 is even for odd q)."""
     return CharacterLevel((config.q + 1) // 2, config.q + 1)

@@ -88,10 +88,6 @@ def im_eps(gamma: TorusElement) -> PadicNumber:
     return gamma.b
 
 
-def is_regular(gamma: TorusElement) -> bool:
-    return not gamma.b.is_zero_at_precision
-
-
 def classify(gamma: TorusElement) -> Classification:
     """Near / anti-near / far trichotomy for regular elements.
 
@@ -160,10 +156,6 @@ def weyl_D_lie(Y: LieElement) -> PadicNumber:
 def invert(gamma: TorusElement) -> TorusElement:
     """Inverse = Galois conjugate for norm-one elements: (a, -b)."""
     return TorusElement(gamma.a, -gamma.b, gamma.variant)
-
-
-def galois_conj(gamma: TorusElement) -> TorusElement:
-    return invert(gamma)
 
 
 def g_conjugate(gamma: TorusElement) -> TorusElement:

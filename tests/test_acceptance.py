@@ -9,51 +9,14 @@ N = 8, with deterministic seeds.
 import random
 import time
 
-from sl2endo.charformulas import (
-    PacketSpec,
-    b_eps_coefficient,
-    kottwitz_stable,
-    mu_hat_orbital,
-    psi0,
-    psi0_on_residue_point,
-    psi0_via_level,
-    theta5,
-    theta_nonregular_far,
-    theta_nonregular_near_sums,
-)
+from sl2endo import checks
+from sl2endo.charformulas import PacketSpec, psi0
 from sl2endo.cli import main
 from sl2endo.cyclotomic import CycNumber, root_of_unity
-from sl2endo.endoscopy import (
-    EndoscopicDatum,
-    falsify_adss152,
-    rhs_endoscopic,
-    transfer_factor,
-    verify_identity,
-)
+from sl2endo.endoscopy import falsify_adss152, rhs_endoscopic, verify_identity
 from sl2endo.localfield import FieldConfig
-from sl2endo.packets import (
-    PROJ_S1,
-    PROJ_S2,
-    PROJ_S3,
-    centralizes,
-    component_group,
-    nonregular_image,
-    regular_image_generators,
-    row_orthogonality,
-)
-from sl2endo.residue import character_level, norm_one_group, regular_levels
-from sl2endo.torus import (
-    Classification,
-    cayley_inverse,
-    classify,
-    f_direct,
-    f_via_disc,
-    g_conjugate,
-    galois_conj,
-    sample_regular,
-    weyl_DG,
-    weyl_D_lie,
-)
+from sl2endo.residue import norm_one_group, regular_levels
+from sl2endo.torus import Classification, classify, f_direct, sample_regular
 
 PRIMES = (3, 5, 7, 11, 13)
 PRECISION = 8
@@ -83,14 +46,13 @@ def test_criterion_01_quadratic_packet_identity():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         packet = PacketSpec.nonregular(config)
-        datum = EndoscopicDatum.for_packet(packet)
         rng = random.Random(f"acc1:{p}")
         for gamma in split_samples(config, 200, rng):
             report = verify_identity(packet, "s1", gamma)
             assert not report.is_skipped
             assert report.verdict == "equal", report.to_record()
             closed_form = CycNumber.from_rational(-2 * f_direct(gamma) * psi0(gamma))
-            assert rhs_endoscopic(datum, gamma) == closed_form
+            assert rhs_endoscopic(packet, gamma) == closed_form
             checked += 1
     elapsed = time.monotonic() - start
     _passed(1, "quadratic-packet identity", f"{checked} checks in {elapsed:.1f}s")
@@ -123,19 +85,14 @@ def test_criterion_02_regular_packet_identity():
 
 
 def test_criterion_03_transfer_factor_equals_minus_f():
-    mismatches = 0
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         rng = random.Random(f"acc3:{p}")
-        for gamma in split_samples(config, 200, rng):
-            expected = -f_direct(gamma)
-            for tag in ("gamma_h", "inv_gamma_h"):
-                if transfer_factor(tag, gamma) != expected:
-                    mismatches += 1
-            total += 1
+        gammas = split_samples(config, 200, rng)
+        assert checks.transfer_factor_equals_minus_f(config, gammas)
+        total += len(gammas)
     assert total == 1000
-    assert mismatches == 0
     _passed(3, "transfer factor equals -f", f"{total} elements, 0 mismatches")
 
 
@@ -161,48 +118,22 @@ def test_criterion_04_adss152_falsification():
 
 
 def test_criterion_05_f_equivalence_and_discriminants():
-    failures = 0
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         rng = random.Random(f"acc5:{p}")
-        for gamma in split_samples(config, 60, rng):
-            total += 1
-            ok = (
-                f_direct(gamma) == f_via_disc(gamma)
-                and weyl_DG(gamma).valuation() == 2 * gamma.b.valuation()
-                and f_direct(galois_conj(gamma)) == f_direct(gamma)
-                and f_direct(g_conjugate(gamma)) == f_direct(gamma)
-            )
-            if classify(gamma) is Classification.FAR:
-                ok = ok and f_direct(gamma) == 1
-            if not ok:
-                failures += 1
-    assert failures == 0
+        gammas = split_samples(config, 60, rng)
+        assert checks.f_and_discriminant_identities(config, gammas)
+        total += len(gammas)
     _passed(5, "f routes and discriminant identities", f"{total} elements, 0 failures")
 
 
 def test_criterion_06_psi0_dual_route():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        group = norm_one_group(config)
         rng = random.Random(f"acc6:{p}")
-        for _ in range(50):
-            gamma = sample_regular(config, Classification.FAR, 0, rng)
-            assert psi0(gamma) == psi0_via_level(gamma)
-        level = character_level(config, (p + 1) // 2)
-        for pt in group.points:
-            via_level = int(group.character_value(level, pt).as_fraction())
-            assert psi0_on_residue_point(config, pt) == via_level
-        # brute force over all levels: exactly one order-two character
-        one = CycNumber.one()
-        quadratic = []
-        for k in range(p + 1):
-            lv = character_level(config, k)
-            values = [group.character_value(lv, pt) for pt in group.points]
-            if all(v * v == one for v in values) and any(v != one for v in values):
-                quadratic.append(k)
-        assert quadratic == [(p + 1) // 2]
+        gammas = [sample_regular(config, Classification.FAR, 0, rng) for _ in range(50)]
+        assert checks.psi0_dual_route_and_uniqueness(config, gammas)
     _passed(6, "quadratic character dual route and uniqueness", f"primes {PRIMES}")
 
 
@@ -210,17 +141,13 @@ def test_criterion_07_orbital_cayley_consistency():
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        b_eps = b_eps_coefficient(config)
         rng = random.Random(f"acc7:{p}")
-        for i in range(200):
-            v = NEAR_VALUATIONS[i % len(NEAR_VALUATIONS)]
-            gamma = sample_regular(config, Classification.NEAR, v, rng)
-            f = f_direct(gamma)
-            Y = cayley_inverse(gamma)
-            assert mu_hat_orbital(Y, -1, b_eps, 1) == CycNumber.from_rational(-1 - f)
-            assert mu_hat_orbital(Y, -1, b_eps, config.pi) == CycNumber.from_rational(-1 + f)
-            assert weyl_D_lie(Y).valuation() == weyl_DG(gamma).valuation()
-            total += 1
+        gammas = [
+            sample_regular(config, Classification.NEAR, NEAR_VALUATIONS[i % len(NEAR_VALUATIONS)], rng)
+            for i in range(200)
+        ]
+        assert checks.orbital_cayley_consistency(config, gammas)
+        total += len(gammas)
     _passed(7, "orbital route matches near sums", f"{total} near elements")
 
 
@@ -228,37 +155,16 @@ def test_criterion_08_inner_form_stability():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         rng = random.Random(f"acc8:{p}")
-        for gamma in split_samples(config, 60, rng):
-            if classify(gamma) is Classification.FAR:
-                member_sum = sum(
-                    (theta_nonregular_far(j, gamma) for j in (1, 2, 3, 4)),
-                    CycNumber.zero(),
-                )
-            else:
-                s12, s34 = theta_nonregular_near_sums(gamma)
-                member_sum = s12 + s34
-            assert theta5(gamma).scale(2) == -member_sum
-            side0, side1 = kottwitz_stable(gamma)
-            assert side0 == side1
+        assert checks.inner_form_stability(config, split_samples(config, 60, rng))
     _passed(8, "stability across inner forms", f"primes {PRIMES}")
 
 
 def test_criterion_09_structure_tables():
-    assert row_orthogonality(component_group("Klein4"))
-    assert row_orthogonality(component_group("Q8"))
-    q8 = component_group("Q8")
-    assert sum(d * d for d in q8.dims) == 8
-    assert (PROJ_S1 @ PROJ_S2) == PROJ_S3
-    image = nonregular_image()
-    assert centralizes(PROJ_S1, image)
     levels_checked = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        for level in regular_levels(config):
-            gens = regular_image_generators(level)
-            assert centralizes(PROJ_S1, gens)
-            assert not centralizes(PROJ_S2, gens)
-            levels_checked += 1
+        assert checks.structure_tables(config, ())
+        levels_checked += len(regular_levels(config))
     _passed(9, "component-group structure tables", f"{levels_checked} regular levels")
 
 

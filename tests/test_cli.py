@@ -125,6 +125,25 @@ class TestFalsifyMode:
             "falsify: 8 checks, 8 unequal as expected, 0 unexpectedly equal",
         ]
 
+    def test_all_draws_over_budget_exits_zero(self, monkeypatch):
+        # no verdict at all is no unexpected verdict: exit 0, as verify does
+        import sl2endo.cli as cli_mod
+
+        def always_over_budget(config, cls, v, key):
+            raise SamplingBudgetExceeded(key)
+
+        monkeypatch.setattr(cli_mod, "_sample", always_over_budget)
+        code, out, err = run_cli(["falsify", "--primes", "3", "--samples", "3"])
+        assert code == 0
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: 3 sample(s) skipped (sampling budget exceeded)",
+            "falsify: 0 checks, 0 unequal as expected, 0 unexpectedly equal",
+        ]
+        code, out, err = run_cli(["verify", "--primes", "3", "--samples", "3"])
+        assert code == 0
+        assert out == ""
+
 
 class TestPropertiesMode:
     def test_battery_passes(self):
@@ -133,6 +152,21 @@ class TestPropertiesMode:
         assert code == 0
         recs = [json.loads(line) for line in out.splitlines()]
         assert all(rec["ok"] for rec in recs)
+
+    def test_failed_property_exits_one(self, monkeypatch):
+        import sl2endo.checks as checks_mod
+
+        name, _, detail = checks_mod.PROPERTIES[1]
+        patched = list(checks_mod.PROPERTIES)
+        patched[1] = (name, lambda config, gammas: False, detail)
+        monkeypatch.setattr(checks_mod, "PROPERTIES", tuple(patched))
+        sweep = SweepConfig(mode="properties", primes=[3], samples=10, seed=0)
+        code, out, err = run_capture(sweep)
+        assert code == 1
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [rec["property"] for rec in recs] == [n for n, _, _ in patched]
+        assert [rec["property"] for rec in recs if not rec["ok"]] == [name]
+        assert err == "properties: 1 failure(s)\n"
 
 
 class TestTableMode:
@@ -159,7 +193,8 @@ class TestDeterminism:
 
     # Digests of streams written by earlier implementations (the verify and
     # falsify streams by the Fraction-coefficient core, the table by the
-    # O(p^2) norm-one group): a change of representation or algorithm must
+    # O(p^2) norm-one group, the properties stream by the battery written
+    # out in the CLI before the checks registry): a change of representation or algorithm must
     # leave every stream byte-identical (acceptance criterion 10 across
     # versions).
     @pytest.mark.parametrize(
@@ -183,8 +218,13 @@ class TestDeterminism:
                 ["table", "--primes", "3,5,7,11,13,101"],
                 "d06a5d56a301432fd7137db5d076046956d5a0b937f392938a25b6bc5d3cda58",
             ),
+            (
+                # pins the property battery's sampling, order, names and details
+                ["properties", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
+                "81758045a5b23a3a9d016bcb3fdb1cd0ec5fe8a0558ea3ae918e7de05fee02cf",
+            ),
         ],
-        ids=["regular-p101", "nonregular-s1", "falsify", "table"],
+        ids=["regular-p101", "nonregular-s1", "falsify", "table", "properties"],
     )
     def test_stream_digest_pinned(self, argv, digest):
         code, out, _ = run_cli(argv)

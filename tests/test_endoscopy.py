@@ -5,7 +5,6 @@ import random
 import pytest
 
 from sl2endo.charformulas import (
-    PacketKind,
     PacketSpec,
     psi0,
     theta_regular,
@@ -13,7 +12,6 @@ from sl2endo.charformulas import (
 from sl2endo.cyclotomic import CycNumber
 from sl2endo.endoscopy import (
     REPORT_FIELDS,
-    EndoscopicDatum,
     epsilon_factor,
     falsify_adss152,
     kappa_term,
@@ -61,20 +59,11 @@ class TestConstituents:
         assert kappa_term(sample(3, Classification.NEAR, 1)) == -1
 
     def test_transfer_far(self):
-        assert transfer_factor("gamma_h", far_p3()) == -1
+        assert transfer_factor(far_p3()) == -1
 
     def test_transfer_near_p3_v1(self):
         g = sample(3, Classification.NEAR, 1)
-        assert transfer_factor("gamma_h", g) == 3  # equals -f = 3
-
-    def test_both_tags_agree(self):
-        for p in (3, 7):
-            g = sample(p, Classification.NEAR, 2, "tags")
-            assert transfer_factor("gamma_h", g) == transfer_factor("inv_gamma_h", g)
-
-    def test_bad_tag(self):
-        with pytest.raises(ValueError):
-            transfer_factor("other", far_p3())
+        assert transfer_factor(g) == 3  # equals -f = 3
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_transfer_equals_minus_f(self, p):
@@ -84,7 +73,7 @@ class TestConstituents:
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
             g = sample_regular(cfg, cls, v, rng)
-            assert transfer_factor("gamma_h", g) == -f_direct(g)
+            assert transfer_factor(g) == -f_direct(g)
 
 
 class TestRelatedElements:
@@ -106,14 +95,14 @@ class TestRhsEndoscopic:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_nonregular_closed_form(self, p):
         cfg = FieldConfig(p)
-        datum = EndoscopicDatum.for_packet(PacketSpec.nonregular(cfg))
+        packet = PacketSpec.nonregular(cfg)
         rng = random.Random(f"rhs{p}")
         for i in range(20):
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
             g = sample_regular(cfg, cls, v, rng)
             closed = CycNumber.from_rational(-2 * f_direct(g) * psi0(g))
-            assert rhs_endoscopic(datum, g) == closed
+            assert rhs_endoscopic(packet, g) == closed
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_regular_closed_form(self, p):
@@ -121,7 +110,7 @@ class TestRhsEndoscopic:
         group = norm_one_group(cfg)
         rng = random.Random(f"rhsreg{p}")
         for lv in regular_levels(cfg):
-            datum = EndoscopicDatum.for_packet(PacketSpec.regular(cfg, lv.k))
+            packet = PacketSpec.regular(cfg, lv.k)
             for i in range(6):
                 cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
                 v = 0 if cls is Classification.FAR else 1 + i % 2
@@ -129,28 +118,18 @@ class TestRhsEndoscopic:
                 psi_g = group.character_value(lv, group.reduce(g))
                 psi_inv = group.character_value(lv, group.reduce(invert(g)))
                 closed = (psi_g + psi_inv).scale(-f_direct(g))
-                assert rhs_endoscopic(datum, g) == closed
+                assert rhs_endoscopic(packet, g) == closed
 
     def test_near_value_is_minus_2f_for_any_datum(self):
         cfg = FieldConfig(5)
         g = sample(5, Classification.NEAR, 1, "any")
         for pk in (PacketSpec.nonregular(cfg), PacketSpec.regular(cfg, 1)):
-            datum = EndoscopicDatum.for_packet(pk)
-            assert rhs_endoscopic(datum, g) == -2 * f_direct(g)
+            assert rhs_endoscopic(pk, g) == -2 * f_direct(g)
 
     def test_anti_near_rejected(self):
-        datum = EndoscopicDatum.for_packet(PacketSpec.nonregular(FieldConfig(3)))
+        packet = PacketSpec.nonregular(FieldConfig(3))
         with pytest.raises(AntiNearUnsupported):
-            rhs_endoscopic(datum, anti_near(3))
-
-
-class TestDatum:
-    def test_fingerprint_identical_across_packet_kinds(self):
-        cfg = FieldConfig(7)
-        d1 = EndoscopicDatum.for_packet(PacketSpec.nonregular(cfg))
-        d2 = EndoscopicDatum.for_packet(PacketSpec.regular(cfg, 2))
-        assert d1.fingerprint == d2.fingerprint
-        assert d1.kind is PacketKind.NONREGULAR and d2.kind is PacketKind.REGULAR
+            rhs_endoscopic(packet, anti_near(3))
 
 
 class TestVerifyIdentity:

@@ -17,7 +17,6 @@ from sl2endo.localfield import (
     sgn_pi,
     smallest_nonresidue,
     square_class,
-    valuation,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -54,20 +53,20 @@ class TestFieldConfig:
 
 class TestValuation:
     def test_unit(self):
-        assert valuation(FieldConfig(3, 6).padic(10)) == 0
+        assert FieldConfig(3, 6).padic(10).valuation() == 0
 
     def test_eighteen(self):
-        assert valuation(FieldConfig(3, 6).padic(18)) == 2
+        assert FieldConfig(3, 6).padic(18).valuation() == 2
 
     def test_zero_residue_raises(self):
         with pytest.raises(IndistinguishableFromZero):
-            valuation(FieldConfig(5, 6).padic(0))
+            FieldConfig(5, 6).padic(0).valuation()
 
     def test_valuation_below_precision(self):
         cfg = FieldConfig(3, 5)
         for k in range(5):
             x = cfg.padic(2 * 3**k)
-            assert valuation(x) == k
+            assert x.valuation() == k
 
 
 class TestLegendre:
@@ -186,7 +185,7 @@ class TestSquareClass:
         for _ in range(100):
             x = cfg.padic(rng.randrange(1, cfg.modulus))
             u = cfg.padic(rng.randrange(1, cfg.modulus))
-            if x.residue == 0 or u.residue == 0 or valuation(u) > 0:
+            if x.residue == 0 or u.residue == 0 or u.valuation() > 0:
                 continue
             y = x * u * u
             if y.residue == 0:

@@ -7,6 +7,7 @@ from sl2endo.errors import NonRegularLevel
 from sl2endo.localfield import FieldConfig
 from sl2endo.packets import (
     KLEIN4_ELEMENTS,
+    KLEIN4_TABLE,
     PROJ_IDENTITY,
     PROJ_S1,
     PROJ_S2,
@@ -14,9 +15,6 @@ from sl2endo.packets import (
     ProjMatrix,
     centralizes,
     component_group,
-    iota_nonregular,
-    iota_regular,
-    klein4_char,
     nonregular_image,
     regular_image_generators,
     row_orthogonality,
@@ -25,13 +23,20 @@ from sl2endo.packets import (
 from sl2endo.residue import CharacterLevel, regular_levels
 
 
+def klein4_value(j, s):
+    """rho_j(s) read from the table; the s-virtual coefficients are its columns."""
+    assert KLEIN4_TABLE[j][KLEIN4_ELEMENTS.index(s)] == virtual_coeffs(s)[j - 1]
+    return virtual_coeffs(s)[j - 1]
+
+
 class TestKlein4Table:
     def test_trivial_row(self):
-        assert all(klein4_char(1, s) == 1 for s in KLEIN4_ELEMENTS)
+        assert KLEIN4_TABLE[1] == (1, 1, 1, 1)
+        assert all(virtual_coeffs(s)[0] == 1 for s in KLEIN4_ELEMENTS)
 
     def test_spec_entries(self):
-        assert klein4_char(3, "s1") == -1
-        assert klein4_char(4, "s3") == 1  # s3 = s1*s2
+        assert klein4_value(3, "s1") == -1
+        assert klein4_value(4, "s3") == 1  # s3 = s1*s2
 
     def test_rows_are_characters(self):
         # each row is multiplicative for the Klein-four product
@@ -44,7 +49,7 @@ class TestKlein4Table:
         table.update({(b, a): c for (a, b), c in product.items()})
         for j in (1, 2, 3, 4):
             for (a, b), c in table.items():
-                assert klein4_char(j, a) * klein4_char(j, b) == klein4_char(j, c)
+                assert klein4_value(j, a) * klein4_value(j, b) == klein4_value(j, c)
 
 
 class TestVirtualCoeffs:
@@ -62,15 +67,16 @@ class TestOrthogonality:
 
     def test_q8_dimensions(self):
         q8 = component_group("Q8")
-        assert q8.dims == (1, 1, 1, 1, 2)
-        assert sum(d * d for d in q8.dims) == 8
+        dims = tuple(q8.table[j][0] for j in sorted(q8.table))  # identity column
+        assert dims == (1, 1, 1, 1, 2)
+        assert sum(d * d for d in dims) == 8
         assert q8.table[5] == (2, -2, 0, 0, 0)
 
     def test_orthogonality_detects_corruption(self):
         good = component_group("Klein4")
         bad_table = dict(good.table)
         bad_table[2] = (1, 1, 1, -1)
-        bad = type(good)(good.kind, good.elements, good.class_sizes, bad_table, good.dims)
+        bad = type(good)(good.kind, good.elements, good.class_sizes, bad_table)
         assert not row_orthogonality(bad)
 
 
@@ -140,15 +146,3 @@ class TestRegularImage:
         gens = regular_image_generators(CharacterLevel(1, 6))
         assert not gens[0] == PROJ_IDENTITY
 
-
-class TestIota:
-    def test_nonregular_assignment(self):
-        assert [iota_nonregular(j) for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
-        with pytest.raises(ValueError):
-            iota_nonregular(5)
-
-    def test_regular_assignment(self):
-        assert iota_regular("plus") == 0   # generic member -> trivial character
-        assert iota_regular("minus") == 1  # other member -> sign character
-        with pytest.raises(ValueError):
-            iota_regular("third")

@@ -9,7 +9,6 @@ from sl2endo.localfield import FieldConfig, is_odd_prime
 from sl2endo.residue import (
     CharacterLevel,
     ResTorusPoint,
-    character_level,
     norm_one_group,
     quadratic_level,
     regular_levels,
@@ -169,7 +168,7 @@ class TestEvalCharacter:
         cfg = FieldConfig(5)
         group = norm_one_group(cfg)
         for pt in group.points:
-            assert group.character_value(character_level(cfg, 0), pt) == 1
+            assert group.character_value(CharacterLevel(0, cfg.q + 1), pt) == 1
 
     def test_quadratic_level_p3(self):
         group = norm_one_group(FieldConfig(3))
@@ -179,7 +178,7 @@ class TestEvalCharacter:
         cfg = FieldConfig(7)
         group = norm_one_group(cfg)
         for k in range(8):
-            assert group.character_value(character_level(cfg, k), ResTorusPoint(1, 0)) == 1
+            assert group.character_value(CharacterLevel(k, cfg.q + 1), ResTorusPoint(1, 0)) == 1
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_homomorphism_on_random_triples(self, p):
@@ -187,7 +186,7 @@ class TestEvalCharacter:
         group = norm_one_group(cfg)
         rng = random.Random(f"hom-{p}")
         for _ in range(60):
-            k = character_level(cfg, rng.randrange(p + 1))
+            k = CharacterLevel(rng.randrange(p + 1), cfg.q + 1)
             x = group.points[rng.randrange(len(group.points))]
             y = group.points[rng.randrange(len(group.points))]
             lhs = group.character_value(k, group.mul(x, y))
@@ -199,7 +198,7 @@ class TestEvalCharacter:
         cfg = FieldConfig(p)
         group = norm_one_group(cfg)
         for k in range(p + 1):
-            level = character_level(cfg, k)
+            level = CharacterLevel(k, cfg.q + 1)
             for pt in group.points:
                 lhs = group.character_value(level, group.inverse(pt))
                 assert lhs == group.character_value(level, pt).conjugate()
@@ -212,7 +211,7 @@ class TestEvalCharacter:
         one = CycNumber.one()
         quadratic = []
         for k in range(p + 1):
-            level = character_level(cfg, k)
+            level = CharacterLevel(k, cfg.q + 1)
             values = [group.character_value(level, pt) for pt in group.points]
             if all(v * v == one for v in values) and any(v != one for v in values):
                 quadratic.append(k)
@@ -224,5 +223,5 @@ class TestEvalCharacter:
         cfg = FieldConfig(p)
         group = norm_one_group(cfg)
         for pt in group.points:
-            v = group.character_value(character_level(cfg, 1), pt)
+            v = group.character_value(CharacterLevel(1, cfg.q + 1), pt)
             assert v == root_of_unity(p + 1, group.dlog(pt))
