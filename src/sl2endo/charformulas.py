@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .cyclotomic import CycNumber
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     PrecisionExhausted,
     Undetermined,
 )
-from .localfield import FieldConfig, PadicNumber, legendre, sgn_eps, sgn_pi
+from .localfield import FieldConfig, legendre, sgn_eps, sgn_pi
 from .packets import KLEIN4_ELEMENTS, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level
 from .torus import (
@@ -252,26 +251,13 @@ def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
     return sum12 + sum34 if s == "1" else sum12 - sum34
 
 
-def b_eps_coefficient(config: FieldConfig) -> Callable[[PadicNumber], int]:
-    """The eps-orbit coefficient function -q * sgn_eps in the orbital expansion."""
-
-    def coeff(x: PadicNumber) -> int:
-        return UNRAMIFIED_ADDITIVE_SIGN * config.q * sgn_eps(x)
-
-    return coeff
-
-
-def mu_hat_orbital(
-    Y: LieElement,
-    a_term: int,
-    b_eps: Callable[[PadicNumber], int],
-    eta: int,
-) -> CycNumber:
+def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
     """Orbital-integral Fourier transform value on a topologically nilpotent Y.
 
     Evaluates  a_term + q^{-1} * (1/D(Y)) * b_eps(eta^{-1} * y)  with
-    1/D(Y) = q^{v(y)}; eta is 1 on the unramified-class torus and the
-    uniformizer on its conjugate, where the twist flips the sign character.
+    1/D(Y) = q^{v(y)} and the eps-orbit coefficient b_eps = -q * sgn_eps;
+    eta is 1 on the unramified-class torus and the uniformizer on its
+    conjugate, where the twist flips the sign character.
     """
     cfg = Y.config
     if eta not in (1, cfg.pi):
@@ -283,7 +269,8 @@ def mu_hat_orbital(
     if vy < 1:
         raise ValueError("the expansion applies for v(y) >= 1")
     arg = Y.y if eta == 1 else Y.y.shift_down(1)
-    value = Fraction(a_term) + Fraction(cfg.q**vy, cfg.q) * b_eps(arg)
+    b_eps = UNRAMIFIED_ADDITIVE_SIGN * cfg.q * sgn_eps(arg)
+    value = Fraction(a_term) + Fraction(cfg.q**vy, cfg.q) * b_eps
     return CycNumber.from_rational(value)
 
 

@@ -12,7 +12,6 @@ against the stable sum) are compared here, never merged.
 from __future__ import annotations
 
 from .charformulas import (
-    b_eps_coefficient,
     kottwitz_stable,
     mu_hat_orbital,
     psi0,
@@ -110,12 +109,11 @@ def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:
     """On near elements the orbital-integral route gives the member sums
     -1 - f and -1 + f, the Lie discriminant has the group's valuation, and
     the Cayley transform inverts the inverse Cayley transform."""
-    b_eps = b_eps_coefficient(config)
     for g in _near(gammas):
         f, Y = f_direct(g), cayley_inverse(g)
         if not (
-            mu_hat_orbital(Y, -1, b_eps, 1) == CycNumber.from_rational(-1 - f)
-            and mu_hat_orbital(Y, -1, b_eps, config.pi) == CycNumber.from_rational(-1 + f)
+            mu_hat_orbital(Y, -1, 1) == CycNumber.from_rational(-1 - f)
+            and mu_hat_orbital(Y, -1, config.pi) == CycNumber.from_rational(-1 + f)
             and weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
             and cayley(Y) == g
         ):

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 from . import checks
 from .charformulas import PacketSpec, psi0_on_residue_point
-from .endoscopy import REPORT_FIELDS, falsify_adss152, verify_identity
+from .endoscopy import (
+    FALSIFY_CHECKS,
+    REPORT_FIELDS,
+    budget_exceeded_reports,
+    falsify_adss152,
+    verify_identity,
+)
 from .errors import SamplingBudgetExceeded, Sl2EndoError
 from .localfield import FieldConfig
 from .packets import KLEIN4_ELEMENTS, KLEIN4_TABLE, virtual_coeffs
@@ -33,6 +39,14 @@ from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_le
 from .torus import Classification, sample_regular
 
 NEAR_DEFAULT_RANGE = (1, 3)
+# The modes that draw near elements with v(b) in near_val_lo..near_val_hi.
+NEAR_MODES = ("verify", "falsify")
+# The report formats of each mode; ``table`` prints fixed text in none of them.
+FORMATS = {
+    "verify": ("jsonl", "csv", "table"),
+    "falsify": ("jsonl", "csv", "table"),
+    "properties": ("jsonl", "table"),
+}
 
 
 @dataclass
@@ -56,12 +70,15 @@ class SweepConfig:
             raise ValueError("at least one prime is required")
         if self.samples < 1:
             raise ValueError("--samples must be >= 1")
-        if self.near_val_lo < 1 or self.near_val_hi < self.near_val_lo:
-            raise ValueError("near valuation range must satisfy 1 <= lo <= hi")
-        if self.near_val_hi > self.precision - 3:
-            raise ValueError(
-                f"near valuations must stay <= N-3 = {self.precision - 3}"
-            )
+        if self.mode in FORMATS and self.fmt not in FORMATS[self.mode]:
+            raise ValueError(f"--format must be one of {FORMATS[self.mode]} for {self.mode}")
+        if self.mode in NEAR_MODES:
+            if self.near_val_lo < 1 or self.near_val_hi < self.near_val_lo:
+                raise ValueError("near valuation range must satisfy 1 <= lo <= hi")
+            if self.near_val_hi > self.precision - 3:
+                raise ValueError(
+                    f"near valuations must stay <= N-3 = {self.precision - 3}"
+                )
         if self.packet not in ("regular", "nonregular"):
             raise ValueError("--packet must be regular or nonregular")
         if self.s not in KLEIN4_ELEMENTS:
@@ -121,10 +138,6 @@ def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
     return [PacketSpec.regular(config, lv.k) for lv in regular_levels(config)]
 
 
-def _sample(config: FieldConfig, cls: Classification, v: int, key: str):
-    return sample_regular(config, cls, v, seed=key)
-
-
 class Emitter:
     """Serializes report records in one of the supported formats."""
 
@@ -182,11 +195,11 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
                     f"|{sweep.s}|{cls.value}|{v}|{i}"
                 )
                 try:
-                    gamma = _sample(config, cls, v, key)
+                    gamma = sample_regular(config, cls, v, seed=key)
                 except SamplingBudgetExceeded:
-                    n_skipped += 1
-                    continue
-                report = verify_identity(packet, sweep.s, gamma)
+                    [report] = budget_exceeded_reports(config, packet, cls, [sweep.s])
+                else:
+                    report = verify_identity(packet, sweep.s, gamma)
                 emitter.emit(report.to_record())
                 if report.is_skipped:
                     n_skipped += 1
@@ -211,9 +224,13 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
             v = near_vals[i % len(near_vals)]
             key = f"{sweep.seed}|{p}|falsify|{v}|{i}"
             try:
-                gamma = _sample(config, Classification.NEAR, v, key)
+                gamma = sample_regular(config, Classification.NEAR, v, seed=key)
             except SamplingBudgetExceeded:
                 n_budget += 1
+                for report in budget_exceeded_reports(
+                    config, PacketSpec.nonregular(config), Classification.NEAR, FALSIFY_CHECKS
+                ):
+                    emitter.emit(report.to_record())
                 continue
             for report in falsify_adss152(gamma):
                 emitter.emit(report.to_record())
@@ -238,7 +255,7 @@ def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str
         if i % 2 == 0:
             gammas.append(sample_regular(config, Classification.FAR, 0, rng))
         else:
-            v = 1 + (i // 2) % min(3, config.N - 3)
+            v = 1 + (i // 2) % min(3, (config.N - 1) // 2)  # v(D_G) = 2v < N
             gammas.append(sample_regular(config, Classification.NEAR, v, rng))
     return [
         (name, check(config, gammas), detail(gammas))
@@ -307,23 +324,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p):
+    def sampling_flags(p, mode):
         p.add_argument("--primes", default="3,5,7", help="comma-separated odd primes")
         p.add_argument("--precision", type=int, default=8, help="p-adic digits N (>= 4)")
         p.add_argument("--samples", type=int, default=20, help="samples per (prime, level)")
         p.add_argument("--seed", type=int, default=0, help="sweep seed")
-        p.add_argument(
-            "--format", dest="fmt", choices=("jsonl", "csv", "table"), default="jsonl"
-        )
+        p.add_argument("--format", dest="fmt", choices=FORMATS[mode], default="jsonl")
         p.add_argument("--out", default=None, help="write reports to this file")
-        p.add_argument(
-            "--near-valuations",
-            default=f"{NEAR_DEFAULT_RANGE[0]}:{NEAR_DEFAULT_RANGE[1]}",
-            help="lo:hi range of v(b) for near samples",
-        )
+        if mode in NEAR_MODES:
+            p.add_argument(
+                "--near-valuations",
+                default=f"{NEAR_DEFAULT_RANGE[0]}:{NEAR_DEFAULT_RANGE[1]}",
+                help="lo:hi range of v(b) for near samples",
+            )
 
     pv = sub.add_parser("verify", help="check the endoscopic identities")
-    common(pv)
+    sampling_flags(pv, "verify")
     pv.add_argument("--packet", choices=("regular", "nonregular"), default="nonregular")
     pv.add_argument("--level", type=int, default=None, help="specific regular level k")
     pv.add_argument("--s", default="s1", help="component-group element (1, s1, s2, s3)")
@@ -335,37 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     pf = sub.add_parser("falsify", help="exhibit the ADSS-15.2 clash")
-    common(pf)
+    sampling_flags(pf, "falsify")
 
     pp = sub.add_parser("properties", help="run the algebraic property battery")
-    common(pp)
+    sampling_flags(pp, "properties")
 
     pt = sub.add_parser("table", help="print residue character and structure tables")
-    common(pt)
+    pt.add_argument("--primes", default="3,5,7", help="comma-separated odd primes")
     pt.add_argument("--level", type=int, default=None, help="character level to tabulate")
+    pt.add_argument("--out", default=None, help="write the tables to this file")
 
     return parser
 
 
 def sweep_from_args(args: argparse.Namespace) -> SweepConfig:
-    primes = [int(tok) for tok in str(args.primes).split(",") if tok.strip()]
-    lo, _, hi = str(args.near_valuations).partition(":")
-    sweep = SweepConfig(
-        mode=args.mode,
-        primes=primes,
-        precision=args.precision,
-        samples=args.samples,
-        seed=args.seed,
-        packet=getattr(args, "packet", "nonregular"),
-        level=getattr(args, "level", None),
-        s=getattr(args, "s", "s1"),
-        sample_class=getattr(args, "sample_class", "both"),
-        near_val_lo=int(lo),
-        near_val_hi=int(hi or lo),
-        fmt=args.fmt,
-        out=args.out,
-    )
-    return sweep
+    """The SweepConfig of parsed arguments; a flag the mode lacks keeps its default."""
+    values = dict(vars(args))
+    values["primes"] = [int(tok) for tok in str(args.primes).split(",") if tok.strip()]
+    if "near_valuations" in values:
+        lo, _, hi = str(values.pop("near_valuations")).partition(":")
+        values.update(near_val_lo=int(lo), near_val_hi=int(hi or lo))
+    return SweepConfig(**values)
 
 
 def run(sweep: SweepConfig, out, err) -> int:

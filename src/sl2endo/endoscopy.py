@@ -23,7 +23,6 @@ from .charformulas import (
     PacketKind,
     PacketSpec,
     adss152_theta,
-    b_eps_coefficient,
     character_value_on,
     mu_hat_orbital,
     theta5,
@@ -39,19 +38,14 @@ from .errors import (
 )
 from .localfield import FieldConfig, sgn_eps
 from .packets import virtual_coeffs
-from .torus import (
-    Classification,
-    TorusElement,
-    cayley_inverse,
-    classify,
-    im_eps,
-    invert,
-)
+from .torus import Classification, TorusElement, cayley_inverse, classify, invert
 
 REPORT_FIELDS = (
     "p", "N", "eps", "packet", "level", "s",
     "a", "b", "valuation_b", "classification", "lhs", "rhs", "verdict",
 )
+# The s field of the two falsify reports of one near element.
+FALSIFY_CHECKS = ("s1", "theta1+theta2")
 
 
 def epsilon_factor(config: FieldConfig) -> int:
@@ -67,7 +61,7 @@ def epsilon_factor(config: FieldConfig) -> int:
 def kappa_term(gamma: TorusElement) -> int:
     """The kappa constituent: the unramified character at (c - cbar)/(2*sqrt(eps)) = b."""
     try:
-        return sgn_eps(im_eps(gamma))
+        return sgn_eps(gamma.b)
     except IndistinguishableFromZero as exc:
         raise PrecisionExhausted("kappa term needs v(b)") from exc
 
@@ -84,7 +78,7 @@ def transfer_factor(gamma: TorusElement) -> int:
     q^{v(b)}; the same for both related elements, since they share v(b).
     """
     try:
-        vb = im_eps(gamma).valuation()
+        vb = gamma.b.valuation()
     except IndistinguishableFromZero as exc:
         raise PrecisionExhausted("transfer factor needs v(b)") from exc
     cfg = gamma.config
@@ -118,8 +112,8 @@ class VerificationReport:
     packet: str
     level: int
     s: str
-    a: int
-    b: int
+    a: "int | None"
+    b: "int | None"
     valuation_b: "int | None"
     classification: str
     lhs: "CycNumber | None"
@@ -187,6 +181,20 @@ def _report_shell(packet: PacketSpec, s: str, gamma: TorusElement) -> Verificati
     )
 
 
+def budget_exceeded_reports(
+    config: FieldConfig, packet: PacketSpec, cls: Classification, s_values
+) -> list[VerificationReport]:
+    """One report per s of a draw of class cls that exceeded its sampling
+    budget: there is no element, so a, b and v(b) are null."""
+    return [
+        VerificationReport(
+            config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
+            None, None, None, cls.value, None, None, "skipped(sampling budget exceeded)",
+        )
+        for s in s_values
+    ]
+
+
 def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> VerificationReport:
     """Check the endoscopic character identity at gamma, exactly.
 
@@ -243,15 +251,13 @@ def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, Verificati
     for c, j in zip(coeffs, (1, 2, 3, 4)):
         lhs1 = lhs1 + adss152_theta(j, gamma).scale(c)
     rhs1 = rhs_endoscopic(packet, gamma)
-    report1 = _report_shell(packet, "s1", gamma)
+    report1 = _report_shell(packet, FALSIFY_CHECKS[0], gamma)
     report1.lhs, report1.rhs = lhs1, rhs1
     report1.verdict = "equal" if lhs1 == rhs1 else "unequal"
 
     lhs2 = adss152_theta(1, gamma) + adss152_theta(2, gamma)
-    rhs2 = mu_hat_orbital(
-        cayley_inverse(gamma), NEAR_CONSTANT_TERM, b_eps_coefficient(cfg), eta=1
-    )
-    report2 = _report_shell(packet, "theta1+theta2", gamma)
+    rhs2 = mu_hat_orbital(cayley_inverse(gamma), NEAR_CONSTANT_TERM, eta=1)
+    report2 = _report_shell(packet, FALSIFY_CHECKS[1], gamma)
     report2.lhs, report2.rhs = lhs2, rhs2
     report2.verdict = "equal" if lhs2 == rhs2 else "unequal"
 

@@ -90,24 +90,19 @@ def sqrt_mod_p(a: int, p: int) -> int:
 class FieldConfig:
     """The base field Q_p at working precision N, with fixed square-class data.
 
-    eps is a canonical non-square unit (defaults to the smallest positive
-    nonresidue mod p) and the uniformizer is p itself, so the residue field
-    has q = p elements.
+    eps, the canonical non-square unit, is the smallest positive nonresidue
+    mod p, and the uniformizer is p itself, so the residue field has q = p
+    elements.
     """
 
     p: int
     N: int = 8
-    eps: int = 0  # 0 means "choose the default"
 
     def __post_init__(self) -> None:
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.N < 4:
             raise ValueError(f"precision N must be >= 4, got {self.N}")
-        if self.eps == 0:
-            object.__setattr__(self, "eps", smallest_nonresidue(self.p))
-        if legendre(self.eps, self.p) != -1:
-            raise ValueError(f"eps={self.eps} is a square mod {self.p}")
 
     @property
     def q(self) -> int:
@@ -116,6 +111,10 @@ class FieldConfig:
     @property
     def pi(self) -> int:
         return self.p
+
+    @cached_property
+    def eps(self) -> int:
+        return smallest_nonresidue(self.p)
 
     @cached_property
     def modulus(self) -> int:

@@ -83,11 +83,6 @@ def element(config: FieldConfig, a: int, b: int,
     return TorusElement(config.padic(a), config.padic(b), variant)
 
 
-def im_eps(gamma: TorusElement) -> PadicNumber:
-    """The coefficient of sqrt(eps) in the avatar; invariant under g-conjugation."""
-    return gamma.b
-
-
 def classify(gamma: TorusElement) -> Classification:
     """Near / anti-near / far trichotomy for regular elements.
 

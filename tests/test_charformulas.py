@@ -9,7 +9,6 @@ from sl2endo.charformulas import (
     PacketKind,
     PacketSpec,
     adss152_theta,
-    b_eps_coefficient,
     character_value_on,
     kottwitz_stable,
     mu_hat_orbital,
@@ -261,20 +260,17 @@ class TestMuHatOrbital:
         cfg = FieldConfig(p)
         g = near_sample(p, v)
         Y = cayley_inverse(g)
-        b_eps = b_eps_coefficient(cfg)
-        assert mu_hat_orbital(Y, -1, b_eps, 1) == theta_nonregular_near_sums(g)[0]
-        assert mu_hat_orbital(Y, -1, b_eps, cfg.pi) == theta_nonregular_near_sums(g)[1]
+        assert mu_hat_orbital(Y, -1, 1) == theta_nonregular_near_sums(g)[0]
+        assert mu_hat_orbital(Y, -1, cfg.pi) == theta_nonregular_near_sums(g)[1]
 
     def test_p3_value(self):
-        cfg = FieldConfig(3)
         Y = cayley_inverse(near_sample(3, 1))
-        assert mu_hat_orbital(Y, -1, b_eps_coefficient(cfg), 1) == 2
+        assert mu_hat_orbital(Y, -1, 1) == 2
 
     def test_eta_validation(self):
-        cfg = FieldConfig(3)
         Y = cayley_inverse(near_sample(3, 1))
         with pytest.raises(ValueError):
-            mu_hat_orbital(Y, -1, b_eps_coefficient(cfg), 2)
+            mu_hat_orbital(Y, -1, 2)
 
 
 class TestAdss152:

@@ -1,5 +1,6 @@
 """Tests for the sweep driver: determinism, exit codes, formats, schema."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -108,18 +109,28 @@ class TestFalsifyMode:
     def test_budget_exceeded_samples_are_counted(self, monkeypatch):
         import sl2endo.cli as cli_mod
 
-        real = cli_mod._sample
+        real = cli_mod.sample_regular
 
-        def flaky(config, cls, v, key):
-            if key.endswith(("|1", "|4")):  # sample indices 1 and 4
-                raise SamplingBudgetExceeded(key)
-            return real(config, cls, v, key)
+        def flaky(config, cls, v, seed):
+            if seed.endswith(("|1", "|4")):  # sample indices 1 and 4
+                raise SamplingBudgetExceeded(seed)
+            return real(config, cls, v, seed=seed)
 
-        monkeypatch.setattr(cli_mod, "_sample", flaky)
+        monkeypatch.setattr(cli_mod, "sample_regular", flaky)
         sweep = SweepConfig(mode="falsify", primes=[3], samples=6, seed=11)
         code, out, err = run_capture(sweep)
         assert code == 0
-        assert len(out.splitlines()) == 8  # two reports for each of 4 samples
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert len(recs) == 12  # two reports for each of the 6 draws
+        skipped = [recs[i] for i in (2, 3, 8, 9)]
+        assert [rec["s"] for rec in skipped] == ["s1", "theta1+theta2"] * 2
+        for rec in skipped:
+            assert rec["verdict"] == "skipped(sampling budget exceeded)"
+            assert (rec["p"], rec["packet"], rec["classification"]) == (3, "nonregular", "near")
+            assert [rec[k] for k in ("a", "b", "valuation_b", "lhs", "rhs")] == [None] * 5
+        assert {rec["verdict"] for i, rec in enumerate(recs) if i not in (2, 3, 8, 9)} == {
+            "unequal"
+        }
         assert err.splitlines() == [
             "warning: 2 sample(s) skipped (sampling budget exceeded)",
             "falsify: 8 checks, 8 unequal as expected, 0 unexpectedly equal",
@@ -129,20 +140,30 @@ class TestFalsifyMode:
         # no verdict at all is no unexpected verdict: exit 0, as verify does
         import sl2endo.cli as cli_mod
 
-        def always_over_budget(config, cls, v, key):
-            raise SamplingBudgetExceeded(key)
+        def always_over_budget(config, cls, v, seed):
+            raise SamplingBudgetExceeded(seed)
 
-        monkeypatch.setattr(cli_mod, "_sample", always_over_budget)
+        monkeypatch.setattr(cli_mod, "sample_regular", always_over_budget)
         code, out, err = run_cli(["falsify", "--primes", "3", "--samples", "3"])
         assert code == 0
-        assert out == ""
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert len(recs) == 6
+        assert {rec["verdict"] for rec in recs} == {"skipped(sampling budget exceeded)"}
         assert err.splitlines() == [
             "warning: 3 sample(s) skipped (sampling budget exceeded)",
             "falsify: 0 checks, 0 unequal as expected, 0 unexpectedly equal",
         ]
         code, out, err = run_cli(["verify", "--primes", "3", "--samples", "3"])
         assert code == 0
-        assert out == ""
+        recs = [json.loads(line) for line in out.splitlines()]
+        # the requested classes of draws 0, 1, 2 under --class both
+        assert [rec["classification"] for rec in recs] == ["far", "near", "far"]
+        assert {rec["verdict"] for rec in recs} == {"skipped(sampling budget exceeded)"}
+        assert all(rec["a"] is None and rec["valuation_b"] is None for rec in recs)
+        assert err.splitlines() == [
+            "warning: 3 check(s) skipped",
+            "verify: 0 equal, 0 unequal, 3 skipped",
+        ]
 
 
 class TestPropertiesMode:
@@ -167,6 +188,24 @@ class TestPropertiesMode:
         assert [rec["property"] for rec in recs] == [n for n, _, _ in patched]
         assert [rec["property"] for rec in recs if not rec["ok"]] == [name]
         assert err == "properties: 1 failure(s)\n"
+
+    def test_runs_below_the_default_near_valuations(self):
+        # the battery picks its own near valuations, so N = 4 is no usage error
+        code, out, err = run_cli(["properties", "--primes", "3", "--precision", "4",
+                                  "--samples", "4"])
+        assert code == 0
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert len(recs) == 6 and all(rec["ok"] for rec in recs)
+
+    @pytest.mark.parametrize("precision", [4, 5, 6, 7])
+    def test_low_precisions_exit_zero(self, precision):
+        code, _, err = run_cli(["properties", "--primes", "3", "--precision", str(precision),
+                                "--samples", "10"])
+        assert code == 0, err
+
+    def test_csv_rejected(self):
+        with pytest.raises(ValueError, match="--format"):
+            SweepConfig(mode="properties", primes=[3], fmt="csv").validate()
 
 
 class TestTableMode:
@@ -331,10 +370,51 @@ class TestUsageErrors:
         code, _, _ = run_cli(["verify", "--primes", "3", "--precision", str(limit + 1)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--precision", "8"],
+            ["table", "--samples", "4"],
+            ["table", "--seed", "1"],
+            ["table", "--format", "jsonl"],
+            ["table", "--near-valuations", "1:3"],
+            ["properties", "--near-valuations", "1:1"],
+            ["properties", "--format", "csv"],
+        ],
+        ids=lambda argv: "-".join(arg.strip("-") for arg in argv[:2]),
+    )
+    def test_undeclared_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
     def test_unknown_mode_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestOptionSurface:
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        [modes] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            mode: sorted(
+                opt for action in sub._actions for opt in action.option_strings
+                if not isinstance(action, argparse._HelpAction)
+            )
+            for mode, sub in modes.choices.items()
+        }
+        sampling = ["--format", "--out", "--precision", "--primes", "--samples", "--seed"]
+        assert options == {
+            "verify": sorted(sampling + ["--near-valuations", "--packet", "--level",
+                                         "--s", "--class"]),
+            "falsify": sorted(sampling + ["--near-valuations"]),
+            "properties": sampling,
+            "table": ["--level", "--out", "--primes"],
+        }
+        assert sum(map(len, options.values())) == 27
 
 
 class TestFormats:

@@ -42,10 +42,6 @@ class TestFieldConfig:
         with pytest.raises(ValueError):
             FieldConfig(5, 3)
 
-    def test_rejects_square_eps(self):
-        with pytest.raises(ValueError):
-            FieldConfig(7, 6, eps=2)  # 2 = 3^2 mod 7
-
     def test_q_equals_p_and_pi_equals_p(self):
         cfg = FieldConfig(11, 5)
         assert cfg.q == 11 and cfg.pi == 11 and cfg.modulus == 11**5
