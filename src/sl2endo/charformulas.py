@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycNumber
-from .errors import (
-    AntiNearUnsupported,
-    IndistinguishableFromZero,
-    NotFar,
-    NotNear,
-    PrecisionExhausted,
-    Undetermined,
-)
+from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
 from .localfield import FieldConfig, legendre, sgn_eps, sgn_pi
 from .packets import KLEIN4_ELEMENTS, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level
@@ -78,7 +71,7 @@ class PacketSpec:
     def regular(config: FieldConfig, k: int) -> "PacketSpec":
         level = CharacterLevel(k, config.q + 1)
         if not level.is_regular:
-            raise ValueError(f"level {k} mod {config.q + 1} is not regular")
+            raise NonRegularLevel(f"level {k} mod {config.q + 1} is not regular")
         return PacketSpec(PacketKind.REGULAR, level)
 
     @staticmethod
@@ -117,11 +110,7 @@ def psi0(gamma: TorusElement) -> int:
         return -legendre(cfg.p - 1, cfg.p)
     if classify(gamma) is Classification.NEAR:
         return 1
-    arg = (gamma.a + 1) * 2
-    try:
-        return sgn_pi(arg)
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("2(a+1) is 0 at precision") from exc
+    return sgn_pi((gamma.a + 1) * 2)
 
 
 def psi0_via_level(gamma: TorusElement) -> int:
@@ -262,10 +251,7 @@ def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
     cfg = Y.config
     if eta not in (1, cfg.pi):
         raise ValueError(f"eta must be 1 or the uniformizer, got {eta}")
-    try:
-        vy = Y.y.valuation()
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("v(y) undefined at precision") from exc
+    vy = Y.y.valuation()
     if vy < 1:
         raise ValueError("the expansion applies for v(y) >= 1")
     arg = Y.y if eta == 1 else Y.y.shift_down(1)

@@ -81,6 +81,8 @@ class SweepConfig:
                 )
         if self.packet not in ("regular", "nonregular"):
             raise ValueError("--packet must be regular or nonregular")
+        if self.mode == "verify" and self.packet == "nonregular" and self.level is not None:
+            raise ValueError("--level needs --packet regular")
         if self.s not in KLEIN4_ELEMENTS:
             raise ValueError(f"--s must be one of {KLEIN4_ELEMENTS}")
         if self.packet == "regular" and self.s not in ("1", "s1"):
@@ -91,13 +93,15 @@ class SweepConfig:
             )
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         for p in self.primes:
-            FieldConfig(p, self.precision)  # fail fast on bad primes/precision
+            config = FieldConfig(p, self.precision)  # fail fast on bad primes/precision
             if digits and self.precision > _max_precision(p, digits):
                 raise ValueError(
                     f"--precision {self.precision} is too large for p={p}: residues mod"
                     f" p^N must print within Python's {digits}-digit int-to-str limit,"
                     f" so N <= {_max_precision(p, digits)}"
                 )
+            if self.mode == "verify":
+                _packets_for(config, self)  # a --level not regular at p fails before any output
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,7 +148,7 @@ class Emitter:
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
         self.stream = stream
-        self.rows: list[dict] = []
+        self.rows: list[list[str]] = []  # table cells, padded at close
         if fmt == "csv":
             self.writer = csv.writer(stream, lineterminator="\n")
             self.writer.writerow(REPORT_FIELDS)
@@ -165,21 +169,20 @@ class Emitter:
         elif self.fmt == "csv":
             self.writer.writerow(self._flatten(record))
         else:
-            self.rows.append(record)
+            self.rows.append([str(v) for v in self._flatten(record)])
 
     def close(self) -> None:
         if self.fmt != "table" or not self.rows:
             return
         headers = list(REPORT_FIELDS)
-        table = [[str(v) for v in self._flatten(r)] for r in self.rows]
         widths = [
-            max(len(h), *(len(row[i]) for row in table))
+            max(len(h), *(len(row[i]) for row in self.rows))
             for i, h in enumerate(headers)
         ]
         line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
         self.stream.write(line + "\n")
         self.stream.write("-" * len(line) + "\n")
-        for row in table:
+        for row in self.rows:
             self.stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n")
 
 

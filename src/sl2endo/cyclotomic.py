@@ -7,10 +7,9 @@ equality of character values is exact tuple comparison.  Working modulo
 the cyclotomic polynomial (rather than x^m - 1) keeps the representation
 faithful; reduction walks only the nonzero coefficients of Phi_m.
 
-Mixed conductors are supported by embedding both operands into the lcm
-conductor (zeta_m -> zeta_L^{L/m}); rationals live at conductor 1 and
-embed everywhere.  Embedding into a conductor that m does not divide
-raises ConductorMismatch.
+Rationals live at conductor 1 and embed into every conductor by
+zero-padding; values at two different conductors above 1 do not mix, and
+combining them raises ConductorMismatch.
 """
 
 from __future__ import annotations
@@ -159,23 +158,21 @@ class CycNumber:
         return list(map(str, self._values()))
 
     def promote(self, L: int) -> "CycNumber":
-        """Embed into Q(zeta_L) via zeta_m -> zeta_L^{L/m} (m must divide L)."""
+        """This value at conductor L; only a rational (conductor 1) moves."""
         if L == self.m:
             return self
-        if L % self.m:
-            raise ConductorMismatch(f"{self.m} does not divide {L}")
-        step = L // self.m
-        lifted = [0] * (step * (len(self.num) - 1) + 1)
-        lifted[::step] = self.num
-        return _canonical(L, _reduce(lifted, L), self.den)
+        if self.m != 1:
+            raise ConductorMismatch(f"conductor {self.m} does not embed into {L}")
+        return CycNumber(L, self.num + (0,) * (euler_phi(L) - 1), self.den)
 
     def _pair(self, other: "CycNumber | int | Fraction"):
         if not isinstance(other, CycNumber):
             other = CycNumber.from_rational(other)
         if self.m == other.m:
             return self, other
-        L = math.lcm(self.m, other.m)
-        return self.promote(L), other.promote(L)
+        if self.m == 1:
+            return self.promote(other.m), other
+        return self, other.promote(self.m)
 
     def __add__(self, other) -> "CycNumber":
         a, b = self._pair(other)
@@ -241,7 +238,7 @@ class CycNumber:
         a, b = self._pair(other)
         return a.den == b.den and a.num == b.num
 
-    __hash__ = None  # equality crosses conductors; not intended as a dict key
+    __hash__ = None  # equality crosses to rationals; not intended as a dict key
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -29,13 +29,7 @@ from .charformulas import (
     theta_virtual,
 )
 from .cyclotomic import CycNumber
-from .errors import (
-    AntiNearUnsupported,
-    IndistinguishableFromZero,
-    NotNear,
-    PrecisionExhausted,
-    Undetermined,
-)
+from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
 from .localfield import FieldConfig, sgn_eps
 from .packets import virtual_coeffs
 from .torus import Classification, TorusElement, cayley_inverse, classify, invert
@@ -60,10 +54,7 @@ def epsilon_factor(config: FieldConfig) -> int:
 
 def kappa_term(gamma: TorusElement) -> int:
     """The kappa constituent: the unramified character at (c - cbar)/(2*sqrt(eps)) = b."""
-    try:
-        return sgn_eps(gamma.b)
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("kappa term needs v(b)") from exc
+    return sgn_eps(gamma.b)
 
 
 def related_elements(gamma: TorusElement) -> tuple[TorusElement, TorusElement]:
@@ -77,12 +68,8 @@ def transfer_factor(gamma: TorusElement) -> int:
     epsilon factor times kappa term times the inverted discriminant norm
     q^{v(b)}; the same for both related elements, since they share v(b).
     """
-    try:
-        vb = gamma.b.valuation()
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("transfer factor needs v(b)") from exc
     cfg = gamma.config
-    return epsilon_factor(cfg) * kappa_term(gamma) * cfg.q**vb
+    return epsilon_factor(cfg) * kappa_term(gamma) * cfg.q ** gamma.b.valuation()
 
 
 def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
@@ -162,7 +149,7 @@ def _report_shell(packet: PacketSpec, s: str, gamma: TorusElement) -> Verificati
     try:
         vb = gamma.b.valuation()
         cls_name = classify(gamma).value
-    except (PrecisionExhausted, IndistinguishableFromZero):
+    except PrecisionExhausted:
         vb, cls_name = None, "unknown"
     return VerificationReport(
         p=cfg.p,

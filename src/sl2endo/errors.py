@@ -10,10 +10,6 @@ class Sl2EndoError(Exception):
     """Base class for all package-specific errors."""
 
 
-class IndistinguishableFromZero(Sl2EndoError):
-    """The residue is 0 mod p^N, so the valuation is undefined at precision."""
-
-
 class ZeroInput(Sl2EndoError):
     """A quadratic-residue test received an argument divisible by p."""
 
@@ -23,11 +19,11 @@ class NotASquare(Sl2EndoError):
 
 
 class ConductorMismatch(Sl2EndoError):
-    """A cyclotomic value was embedded into a conductor its own does not divide."""
+    """Cyclotomic values at two different conductors above 1 were combined."""
 
 
 class PrecisionExhausted(Sl2EndoError):
-    """A torus-level operation needed a valuation that is undefined at precision."""
+    """A valuation was needed of a residue that is 0 mod p^N, so undefined at precision."""
 
 
 class NotNear(Sl2EndoError):

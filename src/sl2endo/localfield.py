@@ -2,9 +2,10 @@
 
 Elements of the ring of integers are stored as residues modulo p^N for a
 fixed working precision N.  Arithmetic is exact modulo p^N; any operation
-that needs the valuation of a residue that is 0 mod p^N fails loudly
-instead of guessing.  On top of the ring we provide the two quadratic
-characters of the multiplicative group that the character formulas need:
+that needs the valuation of a residue that is 0 mod p^N raises
+PrecisionExhausted instead of guessing.  On top of the ring we provide
+the two quadratic characters of the multiplicative group that the
+character formulas need:
 
 * ``sgn_eps``: the unramified character (-1)^{v(x)}, trivial exactly on
   norms from the unramified quadratic extension.
@@ -21,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IndistinguishableFromZero, NotASquare, ZeroInput
+from .errors import NotASquare, PrecisionExhausted, ZeroInput
 
 
 def is_odd_prime(n: int) -> bool:
@@ -141,7 +142,7 @@ class PadicNumber:
 
     def valuation(self) -> int:
         if self.residue == 0:
-            raise IndistinguishableFromZero(
+            raise PrecisionExhausted(
                 f"residue is 0 mod {self.config.p}^{self.config.N}"
             )
         v, r = 0, self.residue

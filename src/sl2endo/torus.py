@@ -18,13 +18,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    IndistinguishableFromZero,
-    NotASquare,
-    NotNear,
-    PrecisionExhausted,
-    SamplingBudgetExceeded,
-)
+from .errors import NotASquare, NotNear, PrecisionExhausted, SamplingBudgetExceeded
 from .localfield import FieldConfig, PadicNumber, hensel_sqrt, sgn_eps
 
 
@@ -90,11 +84,7 @@ def classify(gamma: TorusElement) -> Classification:
     a = +-1 mod p (a^2 = 1 + eps*b^2), splitting the remainder into near
     and its central twist.
     """
-    try:
-        vb = gamma.b.valuation()
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("v(b) undefined: element not regular at precision") from exc
-    if vb == 0:
+    if gamma.b.valuation() == 0:
         return Classification.FAR
     a_mod_p = gamma.a.residue % gamma.config.p
     if a_mod_p == 1:
@@ -116,11 +106,7 @@ def in_first_filtration(gamma: TorusElement) -> bool:
 
 def f_direct(gamma: TorusElement) -> int:
     """The function (-q)^{v(b)} as an exact integer."""
-    try:
-        vb = gamma.b.valuation()
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("f undefined: v(b) undefined at precision") from exc
-    return (-gamma.config.q) ** vb
+    return (-gamma.config.q) ** gamma.b.valuation()
 
 
 def f_via_disc(gamma: TorusElement) -> int:
@@ -129,12 +115,7 @@ def f_via_disc(gamma: TorusElement) -> int:
     sgn_eps(b) divided by the normalized Weyl discriminant |b| = q^{-v(b)},
     i.e. sgn_eps(b) * q^{v(b)}.
     """
-    try:
-        s = sgn_eps(gamma.b)
-        vb = gamma.b.valuation()
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("f undefined: v(b) undefined at precision") from exc
-    return s * gamma.config.q**vb
+    return sgn_eps(gamma.b) * gamma.config.q ** gamma.b.valuation()
 
 
 def weyl_DG(gamma: TorusElement) -> PadicNumber:
@@ -182,11 +163,8 @@ def cayley_inverse(gamma: TorusElement) -> LieElement:
 
 def cayley(Y: LieElement) -> TorusElement:
     """Cayley transform (1 + X/2)/(1 - X/2) back to the torus."""
-    try:
-        if Y.y.valuation() < 1:
-            raise ValueError("Cayley transform requires v(y) >= 1")
-    except IndistinguishableFromZero as exc:
-        raise PrecisionExhausted("v(y) undefined at precision") from exc
+    if Y.y.valuation() < 1:
+        raise ValueError("Cayley transform requires v(y) >= 1")
     quarter_eps_y2 = Y.y * Y.y * Y.config.eps / 4
     denom = 1 - quarter_eps_y2
     a = (1 + quarter_eps_y2) / denom
@@ -228,7 +206,7 @@ def sample_regular(
         one_plus = b * b * config.eps + 1
         try:
             a = hensel_sqrt(one_plus)
-        except (NotASquare, IndistinguishableFromZero):
+        except (NotASquare, PrecisionExhausted):
             continue
         if classification is Classification.NEAR:
             if a.residue % p != 1:

@@ -22,7 +22,7 @@ from sl2endo.charformulas import (
     theta_virtual,
 )
 from sl2endo.cyclotomic import CycNumber, root_of_unity
-from sl2endo.errors import AntiNearUnsupported, NotFar, NotNear, Undetermined
+from sl2endo.errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
 from sl2endo.localfield import FieldConfig, legendre
 from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
 from sl2endo.torus import (
@@ -58,9 +58,9 @@ def anti_near(p):
 class TestPacketSpec:
     def test_regular_requires_regular_level(self):
         cfg = FieldConfig(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonRegularLevel):
             PacketSpec.regular(cfg, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonRegularLevel):
             PacketSpec.regular(cfg, 3)
         assert PacketSpec.regular(cfg, 2).level.k == 2
 

@@ -262,8 +262,14 @@ class TestDeterminism:
                 ["properties", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
                 "81758045a5b23a3a9d016bcb3fdb1cd0ec5fe8a0558ea3ae918e7de05fee02cf",
             ),
+            (
+                # pins the padded table report format
+                ["verify", "--packet", "regular", "--primes", "13", "--format", "table"],
+                "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
+            ),
         ],
-        ids=["regular-p101", "nonregular-s1", "falsify", "table", "properties"],
+        ids=["regular-p101", "nonregular-s1", "falsify", "table", "properties",
+             "regular-p13-table-format"],
     )
     def test_stream_digest_pinned(self, argv, digest):
         code, out, _ = run_cli(argv)
@@ -335,6 +341,21 @@ class TestUsageErrors:
     def test_near_valuations_exceeding_precision(self):
         code, _, _ = run_cli(["verify", "--precision", "5", "--near-valuations", "1:3"])
         assert code == 2
+
+    def test_level_without_regular_packet_rejected(self):
+        code, out, err = run_cli(["verify", "--packet", "nonregular", "--level", "5"])
+        assert code == 2 and out == ""
+        assert err == "error: --level needs --packet regular\n"
+
+    def test_level_checked_at_every_prime_before_output(self, tmp_path):
+        # level 3 is regular mod 8 (p = 7) but quadratic mod 6 (p = 5)
+        target = tmp_path / "reports.jsonl"
+        argv = ["verify", "--packet", "regular", "--primes", "7,5", "--level", "3", "--samples", "2"]
+        for extra in ([], ["--out", str(target)]):
+            code, out, err = run_cli(argv + extra)
+            assert code == 2 and out == ""
+            assert err == "error: level 3 mod 6 is not regular\n"
+        assert not target.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing" / "reports.jsonl"

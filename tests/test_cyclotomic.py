@@ -170,17 +170,23 @@ class TestRingOps:
     def test_cross_conductor_promotion(self):
         # zeta_4^2 and the rational -1 agree across conductors
         assert root_of_unity(4, 2) == CycNumber.from_rational(-1)
-        # zeta_2 = -1 embeds into conductor 4
-        assert root_of_unity(2, 1) == root_of_unity(4, 2)
-        # lcm promotion: conductor 4 times conductor 6 lands in 12
-        z = root_of_unity(4, 1) * root_of_unity(6, 1)
-        assert z == root_of_unity(12, 5)
+        # a rational embeds by zero-padding, denominator kept
+        half = CycNumber.from_rational(Fraction(-1, 2)).promote(6)
+        assert (half.m, half.num, half.den) == (6, (-1, 0), 2)
+        assert root_of_unity(6, 1) * CycNumber.from_rational(2) == root_of_unity(6, 1).scale(2)
 
-    def test_promote_to_non_multiple_conductor_rejected(self):
+    def test_conductors_above_one_do_not_mix(self):
+        # only conductor 1 moves: two conductors above 1 never mix, even when one divides the other
         with pytest.raises(ConductorMismatch):
             root_of_unity(4, 1).promote(6)
         with pytest.raises(ConductorMismatch):
             CycNumber.one(3).promote(4)
+        with pytest.raises(ConductorMismatch):
+            root_of_unity(2, 1).promote(4)
+        with pytest.raises(ConductorMismatch):
+            root_of_unity(2, 1) == root_of_unity(4, 2)
+        with pytest.raises(ConductorMismatch):
+            root_of_unity(4, 1) * root_of_unity(6, 1)
 
     def test_zero_and_is_rational(self):
         z = root_of_unity(8, 1)
@@ -316,8 +322,8 @@ rationals = st.builds(
 
 @st.composite
 def elements(draw, family):
-    """A CycNumber and its reference, built alike at a conductor dividing family."""
-    m = draw(st.sampled_from([d for d in range(1, family + 1) if family % d == 0]))
+    """A CycNumber and its reference, built alike at the family's conductor or at 1."""
+    m = draw(st.sampled_from(sorted({1, family})))
     terms = draw(
         st.lists(st.tuples(st.integers(0, m - 1), rationals), min_size=1, max_size=3)
     )

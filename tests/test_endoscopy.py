@@ -6,6 +6,7 @@ import pytest
 
 from sl2endo.charformulas import (
     PacketSpec,
+    mu_hat_orbital,
     psi0,
     theta_regular,
 )
@@ -20,14 +21,17 @@ from sl2endo.endoscopy import (
     transfer_factor,
     verify_identity,
 )
-from sl2endo.errors import AntiNearUnsupported, NotNear
+from sl2endo.errors import AntiNearUnsupported, NotNear, PrecisionExhausted
 from sl2endo.localfield import FieldConfig
 from sl2endo.residue import norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
+    LieElement,
+    cayley,
     classify,
     element,
     f_direct,
+    f_via_disc,
     invert,
     sample_regular,
 )
@@ -74,6 +78,33 @@ class TestConstituents:
             v = 0 if cls is Classification.FAR else 1 + i % 3
             g = sample_regular(cfg, cls, v, rng)
             assert transfer_factor(g) == -f_direct(g)
+
+
+# b = 0 mod 3^8; and a = -1 with b = 3^4, where 2(a+1) = 0 mod 3^8 but b is not.
+ZERO_B = element(FieldConfig(3), 1, 0)
+MINUS_ONE = element(FieldConfig(3), -1, 3**4)
+ZERO_Y = LieElement(FieldConfig(3).padic(0))
+
+
+@pytest.mark.parametrize(
+    "fn,arg",
+    [
+        (classify, ZERO_B),
+        (f_direct, ZERO_B),
+        (f_via_disc, ZERO_B),
+        (cayley, ZERO_Y),
+        (psi0, MINUS_ONE),
+        (lambda y: mu_hat_orbital(y, 0, 1), ZERO_Y),
+        (kappa_term, ZERO_B),
+        (transfer_factor, ZERO_B),
+    ],
+    ids=["classify", "f_direct", "f_via_disc", "cayley", "psi0", "mu_hat_orbital",
+         "kappa_term", "transfer_factor"],
+)
+def test_undefined_valuation_raises_precision_exhausted(fn, arg):
+    # the one exception, raised by PadicNumber.valuation itself
+    with pytest.raises(PrecisionExhausted, match=r"^residue is 0 mod 3\^8$"):
+        fn(arg)
 
 
 class TestRelatedElements:

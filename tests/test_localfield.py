@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2endo.errors import IndistinguishableFromZero, NotASquare, ZeroInput
+from sl2endo.errors import NotASquare, PrecisionExhausted, ZeroInput
 from sl2endo.localfield import (
     FieldConfig,
     SquareClass,
@@ -55,7 +55,7 @@ class TestValuation:
         assert FieldConfig(3, 6).padic(18).valuation() == 2
 
     def test_zero_residue_raises(self):
-        with pytest.raises(IndistinguishableFromZero):
+        with pytest.raises(PrecisionExhausted):
             FieldConfig(5, 6).padic(0).valuation()
 
     def test_valuation_below_precision(self):
@@ -226,7 +226,7 @@ class TestHenselSqrt:
 
     def test_zero_rejected(self):
         cfg = FieldConfig(5)
-        with pytest.raises(IndistinguishableFromZero):
+        with pytest.raises(PrecisionExhausted):
             hensel_sqrt(cfg.padic(0))
 
     @settings(max_examples=60, deadline=None)
