@@ -100,8 +100,8 @@ class SweepConfig:
                     f" p^N must print within Python's {digits}-digit int-to-str limit,"
                     f" so N <= {_max_precision(p, digits)}"
                 )
-            if self.mode == "verify":
-                _packets_for(config, self)  # a --level not regular at p fails before any output
+            if self.mode == "verify" and self.packet == "regular" and self.level is not None:
+                PacketSpec.regular(config, self.level)  # not regular at p: fail before any output
 
 
 @functools.lru_cache(maxsize=None)

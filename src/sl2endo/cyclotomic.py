@@ -1,15 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A value is an integer coefficient vector in the power basis of
-Q[x]/(Phi_m(x)) over one positive common denominator.  The pair is kept
-canonical (the gcd of the denominator and all numerators is 1), so
-equality of character values is exact tuple comparison.  Working modulo
-the cyclotomic polynomial (rather than x^m - 1) keeps the representation
-faithful; reduction walks only the nonzero coefficients of Phi_m.
+A value is a vector of integer coefficients in the power basis of
+Q[x]/(Phi_m(x)) over one positive common denominator.  Only the nonzero
+coefficients are stored, as (index, coefficient) pairs sorted by index,
+so a character value (a sum of a few roots of unity) costs its number of
+terms, not phi(m).  The pair is kept canonical (no zero coefficient is
+stored, the gcd of the denominator and all coefficients is 1, and zero
+has denominator 1), so equality of character values is exact tuple
+comparison.  Working modulo the cyclotomic polynomial (rather than
+x^m - 1) keeps the representation faithful; reduction walks only the
+nonzero coefficients of Phi_m.
 
-Rationals live at conductor 1 and embed into every conductor by
-zero-padding; values at two different conductors above 1 do not mix, and
-combining them raises ConductorMismatch.
+root_of_unity(m, k) reads a per-conductor table that is filled one
+exponent at a time, on first use; its entries are immutable and shared.
+
+Rationals live at conductor 1 and embed into every conductor unchanged
+(a rational is at most a constant term); values at two different
+conductors above 1 do not mix, and combining them raises
+ConductorMismatch.
 """
 
 from __future__ import annotations
@@ -18,12 +26,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import ConductorMismatch
 
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
 # m -> (deg Phi_m, ((j - deg, c_j) for each nonzero non-leading coefficient c_j))
 _REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+# m -> {k: the class of x^k}, for the exponents 0 <= k < m used so far
+_ROOTS: dict[int, dict[int, "CycNumber"]] = {}
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -84,8 +95,9 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
 
 
-def _reduce(c: list[int], m: int) -> tuple[int, ...]:
-    """Remainder of c (ascending, reduced in place) modulo the monic Phi_m."""
+def _reduce(c: list[int], m: int) -> tuple[tuple[int, int], ...]:
+    """Remainder of c (ascending, reduced in place) modulo the monic Phi_m,
+    as its nonzero (index, coefficient) pairs."""
     cyclotomic_poly(m)  # fills _REDUCERS[m] on first use
     deg, terms = _REDUCERS[m]
     for i in range(len(c) - 1, deg - 1, -1):
@@ -93,17 +105,24 @@ def _reduce(c: list[int], m: int) -> tuple[int, ...]:
         if top:
             for offset, pj in terms:
                 c[i + offset] -= top * pj
-    if len(c) < deg:
-        c += [0] * (deg - len(c))
-    return tuple(c[:deg])
+    return tuple((i, c[i]) for i in compress(range(deg), c))
 
 
-def _canonical(m: int, num: tuple[int, ...], den: int) -> "CycNumber":
+def _combine(x, sx: int, y, sy: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero pairs of sx*x + sy*y, for x and y given as sorted nonzero pairs."""
+    acc = dict(x) if sx == 1 else {i: c * sx for i, c in x}
+    get = acc.get
+    for i, c in y:
+        acc[i] = get(i, 0) + c * sy
+    return tuple(sorted([t for t in acc.items() if t[1]]))
+
+
+def _canonical(m: int, num: tuple[tuple[int, int], ...], den: int) -> "CycNumber":
     """The value num/den at conductor m, with the common factor removed."""
     if den != 1:
-        g = math.gcd(den, *num)
+        g = math.gcd(den, *[c for _, c in num])
         if g != 1:
-            num = tuple(c // g for c in num)
+            num = tuple((i, c // g) for i, c in num)
             den //= g
     return CycNumber(m, num, den)
 
@@ -112,19 +131,22 @@ def _canonical(m: int, num: tuple[int, ...], den: int) -> "CycNumber":
 class CycNumber:
     """An element num/den of Q(zeta_m) in the reduced power basis.
 
-    num holds integer coefficients and den > 0; gcd(den, *num) == 1.
+    num holds the (index, coefficient) pairs of the nonzero integer
+    coefficients, sorted by index, and den > 0; gcd(den, *coefficients) == 1,
+    so zero is () over 1.
     """
 
     m: int
-    num: tuple[int, ...]
+    num: tuple[tuple[int, int], ...]
     den: int = 1
 
     @staticmethod
     def from_rational(r, m: int = 1) -> "CycNumber":
+        if m < 1:
+            raise ValueError("conductor must be >= 1")
         r = Fraction(r)
-        num = [0] * euler_phi(m)
-        num[0] = r.numerator
-        return CycNumber(m, tuple(num), r.denominator)
+        n = r.numerator
+        return CycNumber(m, ((0, n),) if n else (), r.denominator)
 
     @staticmethod
     def zero(m: int = 1) -> "CycNumber":
@@ -136,26 +158,29 @@ class CycNumber:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.num
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return not any(i for i, _ in self.num)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
+        return Fraction(self.num[0][1] if self.num else 0, self.den)
 
-    def _values(self):
-        """Power-basis coefficients: ints when den == 1, else Fractions."""
+    def _terms(self):
+        """Nonzero (index, value) pairs: int values when den == 1, else Fractions."""
         if self.den == 1:
             return self.num
-        return [Fraction(c, self.den) for c in self.num]
+        return [(i, Fraction(c, self.den)) for i, c in self.num]
 
     def coefficient_strings(self) -> list[str]:
-        """The coefficients as report strings ("3", "-1/2", ...)."""
-        return list(map(str, self._values()))
+        """All phi(m) power-basis coefficients as report strings ("3", "-1/2", "0", ...)."""
+        dense = ["0"] * euler_phi(self.m)
+        for i, c in self._terms():
+            dense[i] = str(c)
+        return dense
 
     def promote(self, L: int) -> "CycNumber":
         """This value at conductor L; only a rational (conductor 1) moves."""
@@ -163,7 +188,7 @@ class CycNumber:
             return self
         if self.m != 1:
             raise ConductorMismatch(f"conductor {self.m} does not embed into {L}")
-        return CycNumber(L, self.num + (0,) * (euler_phi(L) - 1), self.den)
+        return CycNumber(L, self.num, self.den)
 
     def _pair(self, other: "CycNumber | int | Fraction"):
         if not isinstance(other, CycNumber):
@@ -176,34 +201,36 @@ class CycNumber:
 
     def __add__(self, other) -> "CycNumber":
         a, b = self._pair(other)
+        if not b.num:
+            return a
+        if not a.num:
+            return b
         if a.den == b.den:
-            return _canonical(a.m, tuple(map(operator.add, a.num, b.num)), a.den)
-        da, db = a.den, b.den
-        return _canonical(a.m, tuple(x * db + y * da for x, y in zip(a.num, b.num)), da * db)
+            return _canonical(a.m, _combine(a.num, 1, b.num, 1), a.den)
+        return _canonical(a.m, _combine(a.num, b.den, b.num, a.den), a.den * b.den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycNumber":
         a, b = self._pair(other)
+        if not b.num:
+            return a
         if a.den == b.den:
-            return _canonical(a.m, tuple(map(operator.sub, a.num, b.num)), a.den)
-        da, db = a.den, b.den
-        return _canonical(a.m, tuple(x * db - y * da for x, y in zip(a.num, b.num)), da * db)
+            return _canonical(a.m, _combine(a.num, 1, b.num, -1), a.den)
+        return _canonical(a.m, _combine(a.num, b.den, b.num, -a.den), a.den * b.den)
 
     def __rsub__(self, other) -> "CycNumber":
         return CycNumber.from_rational(other) - self
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.m, tuple(map(operator.neg, self.num)), self.den)
+        return CycNumber(self.m, tuple((i, -c) for i, c in self.num), self.den)
 
     def __mul__(self, other) -> "CycNumber":
         a, b = self._pair(other)
-        nonzero_b = [(j, y) for j, y in enumerate(b.num) if y]
-        prod = [0] * (2 * len(a.num) - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in nonzero_b:
-                    prod[i + j] += x * y
+        prod = [0] * (2 * euler_phi(a.m) - 1)
+        for i, x in a.num:
+            for j, y in b.num:
+                prod[i + j] += x * y
         return _canonical(a.m, _reduce(prod, a.m), a.den * b.den)
 
     __rmul__ = __mul__
@@ -211,7 +238,9 @@ class CycNumber:
     def scale(self, r) -> "CycNumber":
         r = Fraction(r)
         n = r.numerator
-        return _canonical(self.m, tuple(c * n for c in self.num), self.den * r.denominator)
+        return _canonical(
+            self.m, tuple((i, c * n) for i, c in self.num) if n else (), self.den * r.denominator
+        )
 
     def __pow__(self, n: int) -> "CycNumber":
         if n < 0:
@@ -228,7 +257,7 @@ class CycNumber:
     def conjugate(self) -> "CycNumber":
         """Image under zeta_m -> zeta_m^{-1} (complex conjugation on values)."""
         flipped = [0] * self.m
-        for i, c in enumerate(self.num):
+        for i, c in self.num:
             flipped[(self.m - i) % self.m] += c
         return _canonical(self.m, _reduce(flipped, self.m), self.den)
 
@@ -243,34 +272,31 @@ class CycNumber:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for i, c in enumerate(self._values()):
-            if c == 0:
-                continue
+        m, parts = self.m, []
+        for i, c in self._terms():
+            parts.append(" - " if c < 0 else " + ")
+            c = abs(c)
             if i == 0:
                 parts.append(str(c))
             else:
-                z = f"z{self.m}" if i == 1 else f"z{self.m}^{i}"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{c}*{z}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+                z = f"z{m}" if i == 1 else f"z{m}^{i}"
+                parts.append(z if c == 1 else f"{c}*{z}")
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"CycNumber({self})"
 
 
 def root_of_unity(m: int, k: int) -> CycNumber:
-    """The class of x^{k mod m} in Q[x]/(Phi_m)."""
+    """The class of x^{k mod m} in Q[x]/(Phi_m), from the conductor's table."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
     k %= m
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    return CycNumber(m, _reduce(coeffs, m))
+    table = _ROOTS.setdefault(m, {})
+    value = table.get(k)
+    if value is None:
+        coeffs = [0] * (k + 1)
+        coeffs[k] = 1
+        value = table[k] = CycNumber(m, _reduce(coeffs, m))
+    return value

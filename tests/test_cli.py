@@ -357,6 +357,23 @@ class TestUsageErrors:
             assert err == "error: level 3 mod 6 is not regular\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("level", [None, 1])
+    def test_validate_builds_a_packet_only_for_a_given_level(self, monkeypatch, level):
+        # without --level the sweep's q-1 regular packets are built by the sweep, not by validate
+        from sl2endo.charformulas import PacketSpec
+
+        calls = []
+        build = PacketSpec.regular
+
+        def counting(config, k):
+            calls.append((config.p, k))
+            return build(config, k)
+
+        monkeypatch.setattr(PacketSpec, "regular", staticmethod(counting))
+        sweep = SweepConfig(mode="verify", primes=[101, 1009], packet="regular", level=level)
+        sweep.validate()
+        assert calls == ([] if level is None else [(101, 1), (1009, 1)])
+
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing" / "reports.jsonl"
         code, out, err = run_cli(["verify", "--primes", "3", "--out", str(target)])

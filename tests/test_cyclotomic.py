@@ -170,9 +170,9 @@ class TestRingOps:
     def test_cross_conductor_promotion(self):
         # zeta_4^2 and the rational -1 agree across conductors
         assert root_of_unity(4, 2) == CycNumber.from_rational(-1)
-        # a rational embeds by zero-padding, denominator kept
+        # a rational embeds unchanged, as its constant term over the same denominator
         half = CycNumber.from_rational(Fraction(-1, 2)).promote(6)
-        assert (half.m, half.num, half.den) == (6, (-1, 0), 2)
+        assert (half.m, half.num, half.den) == (6, ((0, -1),), 2)
         assert root_of_unity(6, 1) * CycNumber.from_rational(2) == root_of_unity(6, 1).scale(2)
 
     def test_conductors_above_one_do_not_mix(self):
@@ -302,9 +302,21 @@ class Ref:
         return out
 
 
+def assert_canonical(value):
+    """The sparse canonical form: sorted nonzero pairs, gcd 1, zero over 1."""
+    indices = [i for i, _ in value.num]
+    coeffs = [c for _, c in value.num]
+    assert all(type(i) is int and type(c) is int for i, c in value.num)
+    assert indices == sorted(set(indices))
+    assert all(0 <= i < euler_phi(value.m) for i in indices)
+    assert all(coeffs)
+    assert value.den > 0 and math.gcd(value.den, *coeffs) == 1
+    assert value.num or value.den == 1
+
+
 def assert_matches(value, ref):
     assert value.m == ref.m
-    assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+    assert_canonical(value)
     assert value.coefficient_strings() == [str(c) for c in ref.coeffs]
     assert str(value) == str(ref)
     if all(c == 0 for c in ref.coeffs[1:]):
@@ -357,3 +369,77 @@ class TestAgainstFractionReference:
     def test_roots_of_unity_match(self, m, stride):
         for k in range(0, m, stride):
             assert_matches(root_of_unity(m, k), Ref.root(m, k))
+
+
+def dense_powers(m):
+    """x^k mod Phi_m for k = 0, 1, ..., m-1 as dense lists, by stepping x^k -> x^{k+1}.
+
+    Independent of the package's reduction: each step shifts by one degree
+    and, when the degree reaches deg Phi_m, subtracts the top coefficient
+    times every lower coefficient of Phi_m.
+    """
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    c = [1] + [0] * (deg - 1)
+    for _ in range(m):
+        yield c
+        top, c = c[-1], [0] + c[:-1]
+        if top:
+            c = [x - top * pj for x, pj in zip(c, phi)]
+
+
+def dense(value):
+    out = [0] * euler_phi(value.m)
+    for i, c in value.num:
+        out[i] = c
+    return out
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("m", [1, 2, 4, 6, 12, 30, 102, 1010, 10008])
+    def test_table_matches_dense_stepping_for_every_exponent(self, m):
+        for k, ref in enumerate(dense_powers(m)):
+            value = root_of_unity(m, k)
+            assert_canonical(value)
+            assert value.den == 1 and dense(value) == ref, (m, k)
+
+    def test_entries_are_shared(self):
+        assert root_of_unity(1010, 7) is root_of_unity(1010, 1017)
+        assert root_of_unity(1010, -3) is root_of_unity(1010, 1007)
+
+
+class TestSparseCanonicalForm:
+    def test_zero_is_empty_over_one(self):
+        z = root_of_unity(12, 5)
+        for zero in (CycNumber.zero(), CycNumber.zero(12), z - z, z.scale(0),
+                     (z.scale(Fraction(1, 3)) - z.scale(Fraction(1, 3))), z * 0,
+                     CycNumber.from_rational(Fraction(0, 7), 12).promote(12)):
+            assert (zero.num, zero.den) == ((), 1)
+            assert zero.is_zero and zero.is_rational and zero.as_fraction() == 0
+            assert zero.coefficient_strings() == ["0"] * euler_phi(zero.m)
+            assert str(zero) == "0"
+
+    def test_rational_is_one_pair_at_index_zero(self):
+        r = CycNumber.from_rational(Fraction(-6, 4), 12)
+        assert (r.num, r.den) == (((0, -3),), 2)
+        assert r.promote(12) is r
+        assert CycNumber.from_rational(Fraction(5, 3)).promote(1010).num == ((0, 5),)
+
+    def test_common_factor_removed_after_cancellation(self):
+        # 1/2 z + 1/2 z^2 - (1/2 z^2 - 3/2) -> (z + 3)/2; then doubling clears the denominator
+        a = root_of_unity(12, 1).scale(Fraction(1, 2)) + root_of_unity(12, 2).scale(Fraction(1, 2))
+        b = root_of_unity(12, 2).scale(Fraction(1, 2)) - Fraction(3, 2)
+        diff = a - b
+        assert (diff.num, diff.den) == (((0, 3), (1, 1)), 2)
+        assert (diff.scale(2).num, diff.scale(2).den) == (((0, 3), (1, 1)), 1)
+        assert_canonical(diff.scale(Fraction(4, 6)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_operation_returns_the_canonical_form(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        (z, _), (w, _) = data.draw(elements(family)), data.draw(elements(family))
+        r = data.draw(rationals)
+        for value in (z, w, z + w, z - w, w - z, -z, z * w, z.scale(r), z.conjugate(),
+                      z.promote(family), r - z, z + r):
+            assert_canonical(value)
