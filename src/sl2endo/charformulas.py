@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import CycNumber
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
@@ -115,9 +114,7 @@ def psi0(gamma: TorusElement) -> int:
 
 def psi0_via_level(gamma: TorusElement) -> int:
     """The same character evaluated through the residue dlog route."""
-    group = norm_one_group(gamma.config)
-    value = group.character_value(quadratic_level(gamma.config), group.reduce(gamma))
-    return int(value.as_fraction())
+    return character_value_on(gamma, quadratic_level(gamma.config)).as_int()
 
 
 def psi0_on_residue_point(config: FieldConfig, point) -> int:
@@ -160,8 +157,8 @@ def theta_regular(member: str, level: CharacterLevel, gamma: TorusElement) -> Cy
         return -value - value_inv
     f = f_direct(gamma)
     if member == "plus":
-        return CycNumber.from_rational(NEAR_CONSTANT_TERM - f)
-    return CycNumber.from_rational(NEAR_CONSTANT_TERM + f)
+        return CycNumber.from_int(NEAR_CONSTANT_TERM - f)
+    return CycNumber.from_int(NEAR_CONSTANT_TERM + f)
 
 
 def theta_nonregular_far(j: int, gamma: TorusElement) -> CycNumber:
@@ -176,7 +173,7 @@ def theta_nonregular_far(j: int, gamma: TorusElement) -> CycNumber:
     if _classify_supported(gamma) is not Classification.FAR:
         raise NotFar("individual member values are only trusted far from the identity")
     if j in (1, 2):
-        return CycNumber.from_rational(-psi0(gamma))
+        return CycNumber.from_int(-psi0(gamma))
     return CycNumber.zero()
 
 
@@ -191,8 +188,8 @@ def theta_nonregular_near_sums(gamma: TorusElement) -> tuple[CycNumber, CycNumbe
         raise NotNear("member sums are the near-identity values")
     f = f_direct(gamma)
     return (
-        CycNumber.from_rational(NEAR_CONSTANT_TERM - f),
-        CycNumber.from_rational(NEAR_CONSTANT_TERM + f),
+        CycNumber.from_int(NEAR_CONSTANT_TERM - f),
+        CycNumber.from_int(NEAR_CONSTANT_TERM + f),
     )
 
 
@@ -244,7 +241,8 @@ def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
     """Orbital-integral Fourier transform value on a topologically nilpotent Y.
 
     Evaluates  a_term + q^{-1} * (1/D(Y)) * b_eps(eta^{-1} * y)  with
-    1/D(Y) = q^{v(y)} and the eps-orbit coefficient b_eps = -q * sgn_eps;
+    1/D(Y) = q^{v(y)} and the eps-orbit coefficient b_eps = -q * sgn_eps,
+    an integer since v(y) >= 1;
     eta is 1 on the unramified-class torus and the uniformizer on its
     conjugate, where the twist flips the sign character.
     """
@@ -256,17 +254,18 @@ def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
         raise ValueError("the expansion applies for v(y) >= 1")
     arg = Y.y if eta == 1 else Y.y.shift_down(1)
     b_eps = UNRAMIFIED_ADDITIVE_SIGN * cfg.q * sgn_eps(arg)
-    value = Fraction(a_term) + Fraction(cfg.q**vy, cfg.q) * b_eps
-    return CycNumber.from_rational(value)
+    return CycNumber.from_int(a_term + cfg.q ** (vy - 1) * b_eps)
 
 
 def adss152_theta(j: int, gamma: TorusElement) -> CycNumber:
     """Near-identity member values as published in ADSS Theorem 15.2.
 
-    Quarantined: these rational values ((-f-1)/2, (f-1)/2, (f-1)/2,
-    (-f-1)/2) contradict both the orbital-integral route and the
-    endoscopic identity, and exist here only for the falsification
-    harness.  Nothing in the trusted engine calls this.
+    Quarantined: these values ((-f-1)/2, (f-1)/2, (f-1)/2, (-f-1)/2)
+    contradict both the orbital-integral route and the endoscopic
+    identity, and exist here only for the falsification harness.  Nothing
+    in the trusted engine calls this.  They are integers, since
+    f = (-q)^{v(b)} is odd; an even f raises ArithmeticError rather than
+    rounding.
     """
     if j not in (1, 2, 3, 4):
         raise ValueError(f"member index must be 1..4, got {j}")
@@ -275,7 +274,10 @@ def adss152_theta(j: int, gamma: TorusElement) -> CycNumber:
         raise NotNear("the disputed values concern the near-identity regime")
     f = f_direct(gamma)
     numerator = -f - 1 if j in (1, 4) else f - 1
-    return CycNumber.from_rational(Fraction(numerator, 2))
+    half, odd = divmod(numerator, 2)
+    if odd:
+        raise ArithmeticError(f"the ADSS-15.2 value {numerator}/2 is not an integer")
+    return CycNumber.from_int(half)
 
 
 def theta5(gamma: TorusElement) -> CycNumber:
@@ -287,7 +289,7 @@ def theta5(gamma: TorusElement) -> CycNumber:
     cls = _classify_supported(gamma)
     if cls is Classification.NEAR:
         return CycNumber.one()
-    return CycNumber.from_rational(psi0(gamma))
+    return CycNumber.from_int(psi0(gamma))
 
 
 def kottwitz_stable(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:

@@ -88,8 +88,7 @@ def psi0_dual_route_and_uniqueness(config: FieldConfig, gammas) -> bool:
     group = norm_one_group(config)
     quadratic = quadratic_level(config)
     if not all(
-        psi0_on_residue_point(config, pt)
-        == int(group.character_value(quadratic, pt).as_fraction())
+        psi0_on_residue_point(config, pt) == group.character_value(quadratic, pt).as_int()
         for pt in group.points
     ):
         return False
@@ -112,8 +111,8 @@ def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:
     for g in _near(gammas):
         f, Y = f_direct(g), cayley_inverse(g)
         if not (
-            mu_hat_orbital(Y, -1, 1) == CycNumber.from_rational(-1 - f)
-            and mu_hat_orbital(Y, -1, config.pi) == CycNumber.from_rational(-1 + f)
+            mu_hat_orbital(Y, -1, 1) == CycNumber.from_int(-1 - f)
+            and mu_hat_orbital(Y, -1, config.pi) == CycNumber.from_int(-1 + f)
             and weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
             and cayley(Y) == g
         ):

@@ -1,31 +1,31 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m).
+"""Exact arithmetic in the cyclotomic integers Z[zeta_m].
 
-A value is a vector of integer coefficients in the power basis of
-Q[x]/(Phi_m(x)) over one positive common denominator.  Only the nonzero
-coefficients are stored, as (index, coefficient) pairs sorted by index,
-so a character value (a sum of a few roots of unity) costs its number of
-terms, not phi(m).  The pair is kept canonical (no zero coefficient is
-stored, the gcd of the denominator and all coefficients is 1, and zero
-has denominator 1), so equality of character values is exact tuple
-comparison.  Working modulo the cyclotomic polynomial (rather than
-x^m - 1) keeps the representation faithful; reduction walks only the
-nonzero coefficients of Phi_m.
+Every value the verifier compares (character values, transfer factors,
+the ADSS-15.2 values) is an integer of Z[zeta_m], so a value is a vector
+of integer coefficients in the power basis of Z[x]/(Phi_m(x)), with no
+denominator.  Only the nonzero coefficients are stored, as (index,
+coefficient) pairs sorted by index, so a character value (a sum of a few
+roots of unity) costs its number of terms, not phi(m).  No zero
+coefficient is stored, so equality is exact tuple comparison.  Working
+modulo the cyclotomic polynomial (rather than x^m - 1) keeps the
+representation faithful; reduction walks only the nonzero coefficients
+of Phi_m.  Scalars must be integers: any other number raises TypeError
+(through operator.index) and is never stored as a coefficient.
 
 root_of_unity(m, k) reads a per-conductor table that is filled one
 exponent at a time, on first use; its entries are immutable and shared.
 
-Rationals live at conductor 1 and embed into every conductor unchanged
-(a rational is at most a constant term); values at two different
+Integers live at conductor 1 and embed into every conductor unchanged
+(an integer is at most a constant term); values at two different
 conductors above 1 do not mix, and combining them raises
 ConductorMismatch.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
 from .errors import ConductorMismatch
@@ -108,53 +108,40 @@ def _reduce(c: list[int], m: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, c[i]) for i in compress(range(deg), c))
 
 
-def _combine(x, sx: int, y, sy: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero pairs of sx*x + sy*y, for x and y given as sorted nonzero pairs."""
-    acc = dict(x) if sx == 1 else {i: c * sx for i, c in x}
+def _combine(x, y, sign: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero pairs of x + sign*y, for x and y given as sorted nonzero pairs."""
+    acc = dict(x)
     get = acc.get
     for i, c in y:
-        acc[i] = get(i, 0) + c * sy
+        acc[i] = get(i, 0) + sign * c
     return tuple(sorted([t for t in acc.items() if t[1]]))
-
-
-def _canonical(m: int, num: tuple[tuple[int, int], ...], den: int) -> "CycNumber":
-    """The value num/den at conductor m, with the common factor removed."""
-    if den != 1:
-        g = math.gcd(den, *[c for _, c in num])
-        if g != 1:
-            num = tuple((i, c // g) for i, c in num)
-            den //= g
-    return CycNumber(m, num, den)
 
 
 @dataclass(frozen=True, eq=False)
 class CycNumber:
-    """An element num/den of Q(zeta_m) in the reduced power basis.
+    """An element of Z[zeta_m] in the reduced power basis.
 
     num holds the (index, coefficient) pairs of the nonzero integer
-    coefficients, sorted by index, and den > 0; gcd(den, *coefficients) == 1,
-    so zero is () over 1.
+    coefficients, sorted by index, so zero is ().
     """
 
     m: int
     num: tuple[tuple[int, int], ...]
-    den: int = 1
 
     @staticmethod
-    def from_rational(r, m: int = 1) -> "CycNumber":
+    def from_int(n, m: int = 1) -> "CycNumber":
         if m < 1:
             raise ValueError("conductor must be >= 1")
-        r = Fraction(r)
-        n = r.numerator
-        return CycNumber(m, ((0, n),) if n else (), r.denominator)
+        n = operator.index(n)
+        return CycNumber(m, ((0, n),) if n else ())
 
     @staticmethod
     def zero(m: int = 1) -> "CycNumber":
-        return CycNumber.from_rational(0, m)
+        return CycNumber.from_int(0, m)
 
     @staticmethod
     def one(m: int = 1) -> "CycNumber":
-        return CycNumber.from_rational(1, m)
+        return CycNumber.from_int(1, m)
 
     @property
     def is_zero(self) -> bool:
@@ -164,35 +151,29 @@ class CycNumber:
     def is_rational(self) -> bool:
         return not any(i for i, _ in self.num)
 
-    def as_fraction(self) -> Fraction:
+    def as_int(self) -> int:
         if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0][1] if self.num else 0, self.den)
-
-    def _terms(self):
-        """Nonzero (index, value) pairs: int values when den == 1, else Fractions."""
-        if self.den == 1:
-            return self.num
-        return [(i, Fraction(c, self.den)) for i, c in self.num]
+            raise ValueError(f"{self} is not an integer")
+        return self.num[0][1] if self.num else 0
 
     def coefficient_strings(self) -> list[str]:
-        """All phi(m) power-basis coefficients as report strings ("3", "-1/2", "0", ...)."""
+        """All phi(m) power-basis coefficients as report strings ("3", "-1", "0", ...)."""
         dense = ["0"] * euler_phi(self.m)
-        for i, c in self._terms():
+        for i, c in self.num:
             dense[i] = str(c)
         return dense
 
     def promote(self, L: int) -> "CycNumber":
-        """This value at conductor L; only a rational (conductor 1) moves."""
+        """This value at conductor L; only an integer (conductor 1) moves."""
         if L == self.m:
             return self
         if self.m != 1:
             raise ConductorMismatch(f"conductor {self.m} does not embed into {L}")
-        return CycNumber(L, self.num, self.den)
+        return CycNumber(L, self.num)
 
-    def _pair(self, other: "CycNumber | int | Fraction"):
+    def _pair(self, other: "CycNumber | int"):
         if not isinstance(other, CycNumber):
-            other = CycNumber.from_rational(other)
+            other = CycNumber.from_int(other)
         if self.m == other.m:
             return self, other
         if self.m == 1:
@@ -205,9 +186,7 @@ class CycNumber:
             return a
         if not a.num:
             return b
-        if a.den == b.den:
-            return _canonical(a.m, _combine(a.num, 1, b.num, 1), a.den)
-        return _canonical(a.m, _combine(a.num, b.den, b.num, a.den), a.den * b.den)
+        return CycNumber(a.m, _combine(a.num, b.num, 1))
 
     __radd__ = __add__
 
@@ -215,15 +194,13 @@ class CycNumber:
         a, b = self._pair(other)
         if not b.num:
             return a
-        if a.den == b.den:
-            return _canonical(a.m, _combine(a.num, 1, b.num, -1), a.den)
-        return _canonical(a.m, _combine(a.num, b.den, b.num, -a.den), a.den * b.den)
+        return CycNumber(a.m, _combine(a.num, b.num, -1))
 
     def __rsub__(self, other) -> "CycNumber":
-        return CycNumber.from_rational(other) - self
+        return CycNumber.from_int(other) - self
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.m, tuple((i, -c) for i, c in self.num), self.den)
+        return CycNumber(self.m, tuple((i, -c) for i, c in self.num))
 
     def __mul__(self, other) -> "CycNumber":
         a, b = self._pair(other)
@@ -231,16 +208,13 @@ class CycNumber:
         for i, x in a.num:
             for j, y in b.num:
                 prod[i + j] += x * y
-        return _canonical(a.m, _reduce(prod, a.m), a.den * b.den)
+        return CycNumber(a.m, _reduce(prod, a.m))
 
     __rmul__ = __mul__
 
-    def scale(self, r) -> "CycNumber":
-        r = Fraction(r)
-        n = r.numerator
-        return _canonical(
-            self.m, tuple((i, c * n) for i, c in self.num) if n else (), self.den * r.denominator
-        )
+    def scale(self, n) -> "CycNumber":
+        n = operator.index(n)
+        return CycNumber(self.m, tuple((i, c * n) for i, c in self.num) if n else ())
 
     def __pow__(self, n: int) -> "CycNumber":
         if n < 0:
@@ -259,21 +233,21 @@ class CycNumber:
         flipped = [0] * self.m
         for i, c in self.num:
             flipped[(self.m - i) % self.m] += c
-        return _canonical(self.m, _reduce(flipped, self.m), self.den)
+        return CycNumber(self.m, _reduce(flipped, self.m))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (CycNumber, int, Fraction)):
+        if not isinstance(other, (CycNumber, numbers.Number)):
             return NotImplemented
         a, b = self._pair(other)
-        return a.den == b.den and a.num == b.num
+        return a.num == b.num
 
-    __hash__ = None  # equality crosses to rationals; not intended as a dict key
+    __hash__ = None  # equality crosses to integers; not intended as a dict key
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         m, parts = self.m, []
-        for i, c in self._terms():
+        for i, c in self.num:
             parts.append(" - " if c < 0 else " + ")
             c = abs(c)
             if i == 0:

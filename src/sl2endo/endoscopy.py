@@ -15,7 +15,7 @@ over related elements.  Every check is exact cyclotomic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .charformulas import (
     KOTTWITZ_SIGN_ANISOTROPIC,
@@ -34,10 +34,6 @@ from .localfield import FieldConfig, sgn_eps
 from .packets import virtual_coeffs
 from .torus import Classification, TorusElement, cayley_inverse, classify, invert
 
-REPORT_FIELDS = (
-    "p", "N", "eps", "packet", "level", "s",
-    "a", "b", "valuation_b", "classification", "lhs", "rhs", "verdict",
-)
 # The s field of the two falsify reports of one near element.
 FALSIFY_CHECKS = ("s1", "theta1+theta2")
 
@@ -116,32 +112,21 @@ class VerificationReport:
         return self.verdict.startswith("skipped")
 
     def to_record(self) -> dict:
-        """JSON-ready dict with exactly the report schema's fields."""
+        """JSON-ready dict with exactly the report schema's fields, in order."""
+        record = {name: getattr(self, name) for name in REPORT_FIELDS}
+        for side in ("lhs", "rhs"):
+            value = record[side]
+            if value is not None:
+                record[side] = {
+                    "conductor": value.m,
+                    "coeffs": value.coefficient_strings(),
+                    "text": str(value),
+                }
+        return record
 
-        def render(value):
-            if value is None:
-                return None
-            return {
-                "conductor": value.m,
-                "coeffs": value.coefficient_strings(),
-                "text": str(value),
-            }
 
-        return {
-            "p": self.p,
-            "N": self.N,
-            "eps": self.eps,
-            "packet": self.packet,
-            "level": self.level,
-            "s": self.s,
-            "a": self.a,
-            "b": self.b,
-            "valuation_b": self.valuation_b,
-            "classification": self.classification,
-            "lhs": render(self.lhs),
-            "rhs": render(self.rhs),
-            "verdict": self.verdict,
-        }
+# The report schema: the fields of VerificationReport, in declaration order.
+REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
 def _report_shell(packet: PacketSpec, s: str, gamma: TorusElement) -> VerificationReport:

@@ -18,7 +18,6 @@ so everything residue-field-sized is an honest small integer.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,34 +212,6 @@ class PadicNumber:
         return f"PadicNumber({self.residue} mod {self.config.p}^{self.config.N})"
 
 
-class SquareClass(enum.Enum):
-    """Representative of the class in F^x / (F^x)^2, one of {1, eps, pi, eps*pi}."""
-
-    ONE = "1"
-    EPS = "eps"
-    PI = "pi"
-    EPS_PI = "eps*pi"
-
-    @property
-    def bits(self) -> tuple[int, int]:
-        """(valuation parity, nonresidue flag) -- the Klein-four coordinates."""
-        return {
-            SquareClass.ONE: (0, 0),
-            SquareClass.EPS: (0, 1),
-            SquareClass.PI: (1, 0),
-            SquareClass.EPS_PI: (1, 1),
-        }[self]
-
-    @staticmethod
-    def from_bits(parity: int, nonres: int) -> "SquareClass":
-        return {
-            (0, 0): SquareClass.ONE,
-            (0, 1): SquareClass.EPS,
-            (1, 0): SquareClass.PI,
-            (1, 1): SquareClass.EPS_PI,
-        }[(parity % 2, nonres % 2)]
-
-
 def sgn_eps(x: PadicNumber) -> int:
     """The unramified quadratic character: (-1)^{v(x)}."""
     return -1 if x.valuation() % 2 else 1
@@ -261,13 +232,6 @@ def sgn_pi(x: PadicNumber) -> int:
     if n % 2:
         value *= legendre(p - 1, p)
     return value
-
-
-def square_class(x: PadicNumber) -> SquareClass:
-    p = x.config.p
-    parity = x.valuation() % 2
-    nonres = 0 if legendre(x.unit_part() % p, p) == 1 else 1
-    return SquareClass.from_bits(parity, nonres)
 
 
 def hensel_sqrt(x: PadicNumber) -> PadicNumber:

@@ -13,7 +13,6 @@ centralizer statements is pure commutation, checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import NonRegularLevel
@@ -105,9 +104,9 @@ class ProjMatrix:
             raise ValueError("projective matrix must be invertible")
 
     @staticmethod
-    def from_rational_rows(rows) -> "ProjMatrix":
+    def from_int_rows(rows) -> "ProjMatrix":
         conv = tuple(
-            tuple(x if isinstance(x, CycNumber) else CycNumber.from_rational(Fraction(x)) for x in row)
+            tuple(x if isinstance(x, CycNumber) else CycNumber.from_int(x) for x in row)
             for row in rows
         )
         return ProjMatrix(conv)
@@ -145,10 +144,10 @@ class ProjMatrix:
     __hash__ = None
 
 
-PROJ_IDENTITY = ProjMatrix.from_rational_rows(((1, 0), (0, 1)))
-PROJ_S1 = ProjMatrix.from_rational_rows(((1, 0), (0, -1)))
-PROJ_S2 = ProjMatrix.from_rational_rows(((0, 1), (-1, 0)))
-PROJ_S3 = ProjMatrix.from_rational_rows(((0, 1), (1, 0)))
+PROJ_IDENTITY = ProjMatrix.from_int_rows(((1, 0), (0, 1)))
+PROJ_S1 = ProjMatrix.from_int_rows(((1, 0), (0, -1)))
+PROJ_S2 = ProjMatrix.from_int_rows(((0, 1), (-1, 0)))
+PROJ_S3 = ProjMatrix.from_int_rows(((0, 1), (1, 0)))
 
 
 def nonregular_image() -> tuple[ProjMatrix, ProjMatrix, ProjMatrix, ProjMatrix]:

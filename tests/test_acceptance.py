@@ -51,7 +51,7 @@ def test_criterion_01_quadratic_packet_identity():
             report = verify_identity(packet, "s1", gamma)
             assert not report.is_skipped
             assert report.verdict == "equal", report.to_record()
-            closed_form = CycNumber.from_rational(-2 * f_direct(gamma) * psi0(gamma))
+            closed_form = CycNumber.from_int(-2 * f_direct(gamma) * psi0(gamma))
             assert rhs_endoscopic(packet, gamma) == closed_form
             checked += 1
     elapsed = time.monotonic() - start

@@ -23,7 +23,7 @@ from sl2endo.charformulas import (
 )
 from sl2endo.cyclotomic import CycNumber, root_of_unity
 from sl2endo.errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
-from sl2endo.localfield import FieldConfig, legendre
+from sl2endo.localfield import FieldConfig, legendre, sgn_eps
 from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
@@ -90,7 +90,7 @@ class TestPsi0:
         group = norm_one_group(cfg)
         lv = CharacterLevel((p + 1) // 2, p + 1)
         for pt in group.points:
-            expected = int(group.character_value(lv, pt).as_fraction())
+            expected = group.character_value(lv, pt).as_int()
             assert psi0_on_residue_point(cfg, pt) == expected
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -100,7 +100,7 @@ class TestPsi0:
         assert psi0(minus_one) == -legendre(p - 1, p)
         group = norm_one_group(cfg)
         lv = CharacterLevel((p + 1) // 2, p + 1)
-        via_level = int(group.character_value(lv, group.reduce(minus_one)).as_fraction())
+        via_level = group.character_value(lv, group.reduce(minus_one)).as_int()
         assert psi0(minus_one) == via_level
 
     def test_quadratic(self):
@@ -201,7 +201,7 @@ class TestThetaVirtual:
     def test_nonregular_stable_values(self):
         pk = PacketSpec.nonregular(FieldConfig(3))
         g = far_p3()
-        assert theta_virtual(pk, "1", g) == CycNumber.from_rational(-2 * psi0(g))
+        assert theta_virtual(pk, "1", g) == CycNumber.from_int(-2 * psi0(g))
         assert theta_virtual(pk, "1", near_sample(3, 1)) == -2
 
     def test_regular_assembly(self):
@@ -286,9 +286,42 @@ class TestAdss152:
         assert adss152_theta(1, g) == 2
         g2 = near_sample(5, 2)  # f = 25: (-f-1)/2 = -13
         assert adss152_theta(1, g2) == -13
-        # generic: these are genuine halves when f is even -- f never is,
-        # but the ring must still hold halves exactly
-        assert (adss152_theta(1, g) - CycNumber.from_rational(Fraction(1, 2))).as_fraction() == Fraction(3, 2)
+        # the halves (+-f - 1)/2 are integers, since f is odd, and stay exact ints
+        assert [type(adss152_theta(j, g).as_int()) for j in (1, 2, 3, 4)] == [int] * 4
+        assert [adss152_theta(j, g2).as_int() for j in (1, 2, 3, 4)] == [-13, 12, 12, -13]
+
+    def test_even_f_raises_instead_of_rounding(self, monkeypatch):
+        # f is odd for every odd q; were it even, (+-f - 1)/2 would not be an
+        # integer, and the value must be refused, not rounded (also under -O)
+        import sl2endo.charformulas as charformulas
+
+        g = near_sample(3, 1)
+        monkeypatch.setattr(charformulas, "f_direct", lambda gamma: 4)
+        for j in (1, 2, 3, 4):
+            with pytest.raises(ArithmeticError):
+                adss152_theta(j, g)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_match_their_fraction_formulas(self, p, v):
+        # differential against the rational formulas the values had when
+        # CycNumber held fractions: each is an integer, and the same one
+        cfg = FieldConfig(p)
+        g = near_sample(p, v)
+        f = f_direct(g)
+        for j in (1, 2, 3, 4):
+            expected = Fraction(-f - 1 if j in (1, 4) else f - 1, 2)
+            assert expected.denominator == 1
+            assert adss152_theta(j, g).as_int() == expected
+        Y = cayley_inverse(g)
+        vy = Y.y.valuation()
+        for a_term in (-1, 0, 2):
+            for eta in (1, cfg.pi):
+                arg = Y.y if eta == 1 else Y.y.shift_down(1)
+                b_eps = -cfg.q * sgn_eps(arg)
+                expected = Fraction(a_term) + Fraction(cfg.q**vy, cfg.q) * b_eps
+                assert expected.denominator == 1
+                assert mu_hat_orbital(Y, a_term, eta).as_int() == expected
 
     def test_sum_matches_stable_value(self):
         for p in (3, 5):

@@ -125,8 +125,9 @@ class TestConjugate:
         assert z4.conjugate() == -z4
 
     def test_rational_fixed(self):
-        r = CycNumber.from_rational(Fraction(5, 3))
+        r = CycNumber.from_int(5)
         assert r.conjugate() == r
+        assert CycNumber.from_int(-7, 12).conjugate() == -7
 
     def test_sixth_root(self):
         z6 = root_of_unity(6, 1)
@@ -163,17 +164,19 @@ class TestRingOps:
         assert total == 0
 
     def test_rational_scalars_embed(self):
+        # integer scalars embed at every conductor, on either side of an operator
         z = root_of_unity(6, 1)
-        assert z + Fraction(1, 2) - Fraction(1, 2) == z
+        assert z + 3 - 3 == z
+        assert 3 + z == z + 3 and 3 - z == -(z - 3) and 3 * z == z * 3
         assert z.scale(2) == z + z
 
     def test_cross_conductor_promotion(self):
         # zeta_4^2 and the rational -1 agree across conductors
-        assert root_of_unity(4, 2) == CycNumber.from_rational(-1)
-        # a rational embeds unchanged, as its constant term over the same denominator
-        half = CycNumber.from_rational(Fraction(-1, 2)).promote(6)
-        assert (half.m, half.num, half.den) == (6, ((0, -1),), 2)
-        assert root_of_unity(6, 1) * CycNumber.from_rational(2) == root_of_unity(6, 1).scale(2)
+        assert root_of_unity(4, 2) == CycNumber.from_int(-1)
+        # an integer embeds unchanged, as its constant term
+        three = CycNumber.from_int(-3).promote(6)
+        assert (three.m, three.num) == (6, ((0, -3),))
+        assert root_of_unity(6, 1) * CycNumber.from_int(2) == root_of_unity(6, 1).scale(2)
 
     def test_conductors_above_one_do_not_mix(self):
         # only conductor 1 moves: two conductors above 1 never mix, even when one divides the other
@@ -192,27 +195,40 @@ class TestRingOps:
         z = root_of_unity(8, 1)
         assert (z - z).is_zero
         assert not z.is_rational
-        assert (z**8).is_rational and (z**8).as_fraction() == 1
+        assert (z**8).is_rational and (z**8).as_int() == 1
+        assert type((z**8).as_int()) is int
         with pytest.raises(ValueError):
-            z.as_fraction()
-
-    def test_halves_are_exact(self):
-        half = CycNumber.from_rational(Fraction(1, 2))
-        assert half + half == 1
-        assert half.scale(3).as_fraction() == Fraction(3, 2)
+            z.as_int()
 
     def test_coefficient_strings(self):
-        assert CycNumber.from_rational(Fraction(-3, 2), 4).coefficient_strings() == ["-3/2", "0"]
+        assert CycNumber.from_int(-3, 4).coefficient_strings() == ["-3", "0"]
         assert root_of_unity(6, 2).coefficient_strings() == ["-1", "1"]
-        assert (root_of_unity(6, 1).scale(Fraction(1, 2)) + Fraction(1, 2)).coefficient_strings() == [
-            "1/2",
-            "1/2",
-        ]
+        assert (root_of_unity(6, 1).scale(-2) + 5).coefficient_strings() == ["5", "-2"]
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
+    def test_non_integer_scalars_raise(self, bad):
+        # values live in Z[zeta_m]: no operation may store a Fraction or a float
+        z = root_of_unity(6, 1)
+        for op in (
+            lambda: CycNumber.from_int(bad),
+            lambda: CycNumber.from_int(bad, 6),
+            lambda: z.scale(bad),
+            lambda: z + bad,
+            lambda: bad + z,
+            lambda: z - bad,
+            lambda: bad - z,
+            lambda: z * bad,
+            lambda: z == bad,
+            lambda: bad == z,
+        ):
+            with pytest.raises(TypeError):
+                op()
 
 
-# A dense Fraction reference with the semantics CycNumber had before it moved to
-# integer numerators over one common denominator: one Fraction per power-basis
-# coefficient, reduced against every coefficient of Phi_m, rendered with str().
+# A dense Fraction reference with the semantics CycNumber had when it held
+# rationals: one Fraction per power-basis coefficient, reduced against every
+# coefficient of Phi_m, rendered with str().  Fed integers, it must agree with
+# the integer-only CycNumber on every operation.
 
 
 def ref_reduce(coeffs, m):
@@ -303,15 +319,12 @@ class Ref:
 
 
 def assert_canonical(value):
-    """The sparse canonical form: sorted nonzero pairs, gcd 1, zero over 1."""
+    """The sparse canonical form: sorted (index, int) pairs with nonzero coefficients."""
     indices = [i for i, _ in value.num]
-    coeffs = [c for _, c in value.num]
     assert all(type(i) is int and type(c) is int for i, c in value.num)
     assert indices == sorted(set(indices))
     assert all(0 <= i < euler_phi(value.m) for i in indices)
-    assert all(coeffs)
-    assert value.den > 0 and math.gcd(value.den, *coeffs) == 1
-    assert value.num or value.den == 1
+    assert all(c for _, c in value.num)
 
 
 def assert_matches(value, ref):
@@ -320,16 +333,14 @@ def assert_matches(value, ref):
     assert value.coefficient_strings() == [str(c) for c in ref.coeffs]
     assert str(value) == str(ref)
     if all(c == 0 for c in ref.coeffs[1:]):
-        assert value.as_fraction() == ref.coeffs[0]
+        assert value.as_int() == ref.coeffs[0]
     else:
         with pytest.raises(ValueError):
-            value.as_fraction()
+            value.as_int()
 
 
 FAMILIES = (1, 4, 6, 12, 102, 1010)
-rationals = st.builds(
-    Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3])
-)
+integers = st.integers(min_value=-6, max_value=6)
 
 
 @st.composite
@@ -337,7 +348,7 @@ def elements(draw, family):
     """A CycNumber and its reference, built alike at the family's conductor or at 1."""
     m = draw(st.sampled_from(sorted({1, family})))
     terms = draw(
-        st.lists(st.tuples(st.integers(0, m - 1), rationals), min_size=1, max_size=3)
+        st.lists(st.tuples(st.integers(0, m - 1), integers), min_size=1, max_size=3)
     )
     value, ref = CycNumber.zero(m), Ref(m, (Fraction(0),) * euler_phi(m))
     for k, c in terms:
@@ -352,7 +363,7 @@ class TestAgainstFractionReference:
     def test_ops_match_dense_fraction_reference(self, data):
         family = data.draw(st.sampled_from(FAMILIES))
         (z, zr), (w, wr) = data.draw(elements(family)), data.draw(elements(family))
-        r = data.draw(rationals)
+        r = data.draw(integers)
         assert_matches(z + w, zr + wr)
         assert_matches(z - w, zr - wr)
         assert_matches(-z, -zr)
@@ -363,7 +374,7 @@ class TestAgainstFractionReference:
         assert (z == w) == zr.equals(wr)
         assert z == z.promote(family) and z - z == 0
         if z.is_rational:
-            assert z == z.as_fraction()
+            assert z == z.as_int()
 
     @pytest.mark.parametrize("m,stride", [(1, 1), (4, 1), (6, 1), (12, 1), (102, 1), (1010, 23)])
     def test_roots_of_unity_match(self, m, stride):
@@ -401,7 +412,7 @@ class TestRootTable:
         for k, ref in enumerate(dense_powers(m)):
             value = root_of_unity(m, k)
             assert_canonical(value)
-            assert value.den == 1 and dense(value) == ref, (m, k)
+            assert dense(value) == ref, (m, k)
 
     def test_entries_are_shared(self):
         assert root_of_unity(1010, 7) is root_of_unity(1010, 1017)
@@ -410,36 +421,38 @@ class TestRootTable:
 
 class TestSparseCanonicalForm:
     def test_zero_is_empty_over_one(self):
+        # zero is the empty tuple at every conductor, conductor 1 included
         z = root_of_unity(12, 5)
         for zero in (CycNumber.zero(), CycNumber.zero(12), z - z, z.scale(0),
-                     (z.scale(Fraction(1, 3)) - z.scale(Fraction(1, 3))), z * 0,
-                     CycNumber.from_rational(Fraction(0, 7), 12).promote(12)):
-            assert (zero.num, zero.den) == ((), 1)
-            assert zero.is_zero and zero.is_rational and zero.as_fraction() == 0
+                     (z.scale(3) - z.scale(3)), z * 0,
+                     CycNumber.from_int(0, 12).promote(12)):
+            assert zero.num == ()
+            assert zero.is_zero and zero.is_rational and zero.as_int() == 0
             assert zero.coefficient_strings() == ["0"] * euler_phi(zero.m)
             assert str(zero) == "0"
 
     def test_rational_is_one_pair_at_index_zero(self):
-        r = CycNumber.from_rational(Fraction(-6, 4), 12)
-        assert (r.num, r.den) == (((0, -3),), 2)
+        r = CycNumber.from_int(-6, 12)
+        assert r.num == ((0, -6),)
         assert r.promote(12) is r
-        assert CycNumber.from_rational(Fraction(5, 3)).promote(1010).num == ((0, 5),)
+        assert CycNumber.from_int(5).promote(1010).num == ((0, 5),)
 
-    def test_common_factor_removed_after_cancellation(self):
-        # 1/2 z + 1/2 z^2 - (1/2 z^2 - 3/2) -> (z + 3)/2; then doubling clears the denominator
-        a = root_of_unity(12, 1).scale(Fraction(1, 2)) + root_of_unity(12, 2).scale(Fraction(1, 2))
-        b = root_of_unity(12, 2).scale(Fraction(1, 2)) - Fraction(3, 2)
+    def test_cancellation_drops_zero_terms_only(self):
+        # 2z + 2z^2 - (2z^2 - 6) -> 2z + 6: the cancelled term is dropped and the
+        # common factor 2 stays, since no denominator absorbs it
+        a = root_of_unity(12, 1).scale(2) + root_of_unity(12, 2).scale(2)
+        b = root_of_unity(12, 2).scale(2) - 6
         diff = a - b
-        assert (diff.num, diff.den) == (((0, 3), (1, 1)), 2)
-        assert (diff.scale(2).num, diff.scale(2).den) == (((0, 3), (1, 1)), 1)
-        assert_canonical(diff.scale(Fraction(4, 6)))
+        assert diff.num == ((0, 6), (1, 2))
+        assert diff != root_of_unity(12, 1) + 3
+        assert diff == (root_of_unity(12, 1) + 3).scale(2)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_every_operation_returns_the_canonical_form(self, data):
         family = data.draw(st.sampled_from(FAMILIES))
         (z, _), (w, _) = data.draw(elements(family)), data.draw(elements(family))
-        r = data.draw(rationals)
+        r = data.draw(integers)
         for value in (z, w, z + w, z - w, w - z, -z, z * w, z.scale(r), z.conjugate(),
                       z.promote(family), r - z, z + r):
             assert_canonical(value)

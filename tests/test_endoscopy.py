@@ -132,7 +132,7 @@ class TestRhsEndoscopic:
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
             g = sample_regular(cfg, cls, v, rng)
-            closed = CycNumber.from_rational(-2 * f_direct(g) * psi0(g))
+            closed = CycNumber.from_int(-2 * f_direct(g) * psi0(g))
             assert rhs_endoscopic(packet, g) == closed
 
     @pytest.mark.parametrize("p", [5, 7])

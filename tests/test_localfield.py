@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from sl2endo.errors import NotASquare, PrecisionExhausted, ZeroInput
 from sl2endo.localfield import (
     FieldConfig,
-    SquareClass,
     hensel_sqrt,
     is_odd_prime,
     legendre,
     sgn_eps,
     sgn_pi,
     smallest_nonresidue,
-    square_class,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -140,20 +138,16 @@ class TestSgnPi:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_constant_minus_one_on_non_norm_classes(self, p):
+        # representatives 1, eps, p, eps*p of the four square classes: the norms
+        # 1 and -p have sign 1, and exactly the other two classes have sign -1
         cfg = FieldConfig(p)
-        norm_of_sqrt_pi = cfg.padic(-p)
-        norm_classes = {SquareClass.ONE, square_class(norm_of_sqrt_pi)}
-        reps = {
-            SquareClass.ONE: cfg.padic(1),
-            SquareClass.EPS: cfg.padic(cfg.eps),
-            SquareClass.PI: cfg.padic(p),
-            SquareClass.EPS_PI: cfg.padic(cfg.eps * p),
-        }
-        for cls, rep in reps.items():
-            expected = 1 if cls in norm_classes else -1
-            assert sgn_pi(rep) == expected
-        # at least one -1 witness exists in every non-norm class
-        assert sum(1 for c in reps if c not in norm_classes) == 2
+        assert sgn_pi(cfg.padic(1)) == 1 and sgn_pi(cfg.padic(-p)) == 1
+        reps = (1, cfg.eps, p, cfg.eps * p)
+        # -p lies in the class of p when -1 is a square mod p, else in that of eps*p
+        minus_p_rep = p if legendre(p - 1, p) == 1 else cfg.eps * p
+        signs = {rep: sgn_pi(cfg.padic(rep)) for rep in reps}
+        assert signs == {rep: 1 if rep in (1, minus_p_rep) else -1 for rep in reps}
+        assert list(signs.values()).count(-1) == 2
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_multiplicative(self, p):
@@ -165,41 +159,6 @@ class TestSgnPi:
             if x.residue == 0 or y.residue == 0 or (x * y).residue == 0:
                 continue
             assert sgn_pi(x * y) == sgn_pi(x) * sgn_pi(y)
-
-
-class TestSquareClass:
-    def test_spec_values(self):
-        cfg = FieldConfig(3)
-        assert square_class(cfg.padic(4)) == SquareClass.ONE
-        assert square_class(cfg.padic(cfg.eps * 9)) == SquareClass.EPS
-        assert square_class(cfg.padic(3)) == SquareClass.PI
-
-    @pytest.mark.parametrize("p", [3, 7])
-    def test_invariant_under_unit_squares(self, p):
-        cfg = FieldConfig(p)
-        rng = random.Random(f"sqcls-{p}")
-        for _ in range(100):
-            x = cfg.padic(rng.randrange(1, cfg.modulus))
-            u = cfg.padic(rng.randrange(1, cfg.modulus))
-            if x.residue == 0 or u.residue == 0 or u.valuation() > 0:
-                continue
-            y = x * u * u
-            if y.residue == 0:
-                continue
-            assert square_class(y) == square_class(x)
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_klein_four_multiplicativity(self, p):
-        cfg = FieldConfig(p)
-        rng = random.Random(f"sqcls-mult-{p}")
-        for _ in range(100):
-            x = cfg.padic(rng.randrange(1, cfg.modulus))
-            y = cfg.padic(rng.randrange(1, cfg.modulus))
-            if x.residue == 0 or y.residue == 0 or (x * y).residue == 0:
-                continue
-            cx, cy = square_class(x).bits, square_class(y).bits
-            expected = SquareClass.from_bits(cx[0] + cy[0], cx[1] + cy[1])
-            assert square_class(x * y) == expected
 
 
 class TestHenselSqrt:

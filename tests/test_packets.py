@@ -108,7 +108,7 @@ class TestProjMatrices:
             ProjMatrix(((one, one), (one, one)))
 
     def test_proportional_scaling(self):
-        scaled = ProjMatrix.from_rational_rows(((3, 0), (0, -3)))
+        scaled = ProjMatrix.from_int_rows(((3, 0), (0, -3)))
         assert scaled == PROJ_S1
         assert not scaled == PROJ_S2
 
