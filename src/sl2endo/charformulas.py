@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNumber
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
 from .localfield import FieldConfig, legendre, sgn_eps, sgn_pi
-from .packets import KLEIN4_ELEMENTS, virtual_coeffs
+from .packets import virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level
 from .torus import (
     Classification,
@@ -194,47 +194,47 @@ def theta_nonregular_near_sums(gamma: TorusElement) -> tuple[CycNumber, CycNumbe
 
 
 def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
-    """The s-weighted virtual character of the packet at gamma.
+    """The s-weighted virtual character sum_j <pi_j, s> theta_j of the packet at gamma.
+
+    The signs <pi_j, s> are column s of the component group's character
+    table (Z/2 for the two-member packet, Klein four for the four-member
+    one), read from ``virtual_coeffs``.  Near the identity the four-member
+    packet exposes only the pair sums theta_1 + theta_2 and theta_3 +
+    theta_4, so the combination is determined, and taken on the sums,
+    exactly when both members of each pair get the same sign; otherwise it
+    raises Undetermined.
 
     Elements of the conjugated-class torus are evaluated by pullback: the
-    transporting conjugation permutes the packet members (1 <-> 3, 2 <-> 4
-    for the four-member packet, plus <-> minus for the two-member one) and
-    fixes the avatar, so the value is read off the unramified avatar with
-    the members swapped.
+    transporting conjugation swaps the two halves of the member list
+    (1 <-> 3, 2 <-> 4 for the four-member packet, plus <-> minus for the
+    two-member one) and fixes the avatar, so the value is read off the
+    unramified avatar with the members swapped.
     """
     cls = _classify_supported(gamma)
     swapped = gamma.variant is TorusVariant.CONJUGATED
     base = g_conjugate(gamma) if swapped else gamma
-
     if packet.kind is PacketKind.REGULAR:
-        if s not in ("1", "s1"):
-            raise ValueError(f"the two-member packet has s in {{1, s1}}, got {s!r}")
-        v_plus = theta_regular("plus", packet.level, base)
-        v_minus = theta_regular("minus", packet.level, base)
-        if swapped:
-            v_plus, v_minus = v_minus, v_plus
-        return v_plus + v_minus if s == "1" else v_plus - v_minus
-
-    if s not in KLEIN4_ELEMENTS:
-        raise ValueError(f"s must be one of {KLEIN4_ELEMENTS}, got {s!r}")
-    coeffs = virtual_coeffs(s)
-    if cls is Classification.FAR:
-        values = [theta_nonregular_far(j, base) for j in (1, 2, 3, 4)]
-        if swapped:
-            values = [values[2], values[3], values[0], values[1]]
-        total = CycNumber.zero()
-        for c, v in zip(coeffs, values):
-            total = total + v.scale(c)
-        return total
-    if s in ("s2", "s3"):
-        raise Undetermined(
-            "near the identity only the member sums are known, which do not"
-            " pin down the s2/s3 combinations"
-        )
-    sum12, sum34 = theta_nonregular_near_sums(base)
+        coeffs = virtual_coeffs("Z2", s)
+        values = [theta_regular(member, packet.level, base) for member in ("plus", "minus")]
+    else:
+        coeffs = virtual_coeffs("Klein4", s)
+        if cls is Classification.FAR:
+            values = [theta_nonregular_far(j, base) for j in (1, 2, 3, 4)]
+        elif coeffs[0] != coeffs[1] or coeffs[2] != coeffs[3]:
+            raise Undetermined(
+                "near the identity only the member sums are known, which do not"
+                f" pin down the s={s} combination"
+            )
+        else:
+            coeffs, values = coeffs[::2], list(theta_nonregular_near_sums(base))
     if swapped:
-        sum12, sum34 = sum34, sum12
-    return sum12 + sum34 if s == "1" else sum12 - sum34
+        half = len(values) // 2
+        values = values[half:] + values[:half]
+    # the first row is the trivial character, and every entry is +-1
+    total = values[0]
+    for c, v in zip(coeffs[1:], values[1:]):
+        total = total + v if c == 1 else total - v
+    return total
 
 
 def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:

@@ -21,6 +21,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from . import checks
@@ -34,11 +35,13 @@ from .endoscopy import (
 )
 from .errors import SamplingBudgetExceeded, Sl2EndoError
 from .localfield import FieldConfig
-from .packets import KLEIN4_ELEMENTS, KLEIN4_TABLE, virtual_coeffs
+from .packets import KLEIN4_ELEMENTS, KLEIN4_TABLE, Z2_ELEMENTS, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
 from .torus import Classification, sample_regular
 
 NEAR_DEFAULT_RANGE = (1, 3)
+# The classes of the sampled elements in verify (--class).
+SAMPLE_CLASSES = ("near", "far", "both")
 # The modes that draw near elements with v(b) in near_val_lo..near_val_hi.
 NEAR_MODES = ("verify", "falsify")
 # The report formats of each mode; ``table`` prints fixed text in none of them.
@@ -70,6 +73,8 @@ class SweepConfig:
             raise ValueError("at least one prime is required")
         if self.samples < 1:
             raise ValueError("--samples must be >= 1")
+        if self.sample_class not in SAMPLE_CLASSES:
+            raise ValueError(f"--class must be one of {SAMPLE_CLASSES}")
         if self.mode in FORMATS and self.fmt not in FORMATS[self.mode]:
             raise ValueError(f"--format must be one of {FORMATS[self.mode]} for {self.mode}")
         if self.mode in NEAR_MODES:
@@ -85,7 +90,7 @@ class SweepConfig:
             raise ValueError("--level needs --packet regular")
         if self.s not in KLEIN4_ELEMENTS:
             raise ValueError(f"--s must be one of {KLEIN4_ELEMENTS}")
-        if self.packet == "regular" and self.s not in ("1", "s1"):
+        if self.packet == "regular" and self.s not in Z2_ELEMENTS:
             raise ValueError("the regular packet only has s in {1, s1}")
         if self.packet == "regular" and self.s == "1":
             raise ValueError(
@@ -188,7 +193,7 @@ class Emitter:
 
 def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
-    n_equal = n_unequal = n_skipped = 0
+    verdicts = Counter()
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
@@ -204,13 +209,11 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
                 else:
                     report = verify_identity(packet, sweep.s, gamma)
                 emitter.emit(report.to_record())
-                if report.is_skipped:
-                    n_skipped += 1
-                elif report.is_equal:
-                    n_equal += 1
-                else:
-                    n_unequal += 1
+                verdicts[report.verdict] += 1
     emitter.close()
+    n_equal = verdicts["equal"]
+    n_skipped = sum(n for verdict, n in verdicts.items() if verdict.startswith("skipped"))
+    n_unequal = verdicts.total() - n_equal - n_skipped
     if n_skipped:
         err.write(f"warning: {n_skipped} check(s) skipped\n")
     err.write(f"verify: {n_equal} equal, {n_unequal} unequal, {n_skipped} skipped\n")
@@ -219,7 +222,8 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
-    n_unexpected = n_total = n_budget = 0
+    verdicts = Counter()
+    n_budget = 0
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
@@ -237,10 +241,10 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
                 continue
             for report in falsify_adss152(gamma):
                 emitter.emit(report.to_record())
-                n_total += 1
-                if report.verdict != "unequal":
-                    n_unexpected += 1
+                verdicts[report.verdict] += 1
     emitter.close()
+    n_total = verdicts.total()
+    n_unexpected = n_total - verdicts["unequal"]
     if n_budget:
         err.write(f"warning: {n_budget} sample(s) skipped (sampling budget exceeded)\n")
     err.write(
@@ -313,7 +317,7 @@ def run_table(sweep: SweepConfig, out, err) -> int:
         )
     out.write("virtual-character sign schedules:\n")
     for s in KLEIN4_ELEMENTS:
-        out.write(f"  s={s:<3} -> {virtual_coeffs(s)}\n")
+        out.write(f"  s={s:<3} -> {virtual_coeffs('Klein4', s)}\n")
     return 0
 
 
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--class",
         dest="sample_class",
-        choices=("near", "far", "both"),
+        choices=SAMPLE_CLASSES,
         default="both",
     )
 

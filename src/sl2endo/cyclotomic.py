@@ -216,25 +216,6 @@ class CycNumber:
         n = operator.index(n)
         return CycNumber(self.m, tuple((i, c * n) for i, c in self.num) if n else ())
 
-    def __pow__(self, n: int) -> "CycNumber":
-        if n < 0:
-            raise ValueError("negative powers not supported; use conjugate for roots")
-        result = CycNumber.one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "CycNumber":
-        """Image under zeta_m -> zeta_m^{-1} (complex conjugation on values)."""
-        flipped = [0] * self.m
-        for i, c in self.num:
-            flipped[(self.m - i) % self.m] += c
-        return CycNumber(self.m, _reduce(flipped, self.m))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (CycNumber, numbers.Number)):
             return NotImplemented

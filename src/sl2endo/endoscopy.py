@@ -104,10 +104,6 @@ class VerificationReport:
     verdict: str
 
     @property
-    def is_equal(self) -> bool:
-        return self.verdict == "equal"
-
-    @property
     def is_skipped(self) -> bool:
         return self.verdict.startswith("skipped")
 
@@ -129,28 +125,39 @@ class VerificationReport:
 REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
-def _report_shell(packet: PacketSpec, s: str, gamma: TorusElement) -> VerificationReport:
-    cfg = gamma.config
-    try:
-        vb = gamma.b.valuation()
-        cls_name = classify(gamma).value
-    except PrecisionExhausted:
-        vb, cls_name = None, "unknown"
+def _report(
+    packet: PacketSpec,
+    s: str,
+    config: FieldConfig,
+    drawn: "TorusElement | Classification",
+    verdict: str = "skipped(unevaluated)",
+) -> VerificationReport:
+    """The one constructor of reports, with lhs and rhs unset.
+
+    drawn is the sampled element, or the class of a draw that exceeded its
+    sampling budget: then there is no element, so a, b and v(b) are null.
+    An element whose class precision cannot settle is classed "unknown".
+    """
+    a = b = vb = None
+    if isinstance(drawn, Classification):
+        cls_name = drawn.value
+    else:
+        a, b = drawn.a.residue, drawn.b.residue
+        try:
+            vb, cls_name = drawn.b.valuation(), classify(drawn).value
+        except PrecisionExhausted:
+            cls_name = "unknown"
     return VerificationReport(
-        p=cfg.p,
-        N=cfg.N,
-        eps=cfg.eps,
-        packet=packet.kind.value,
-        level=packet.level.k,
-        s=s,
-        a=gamma.a.residue,
-        b=gamma.b.residue,
-        valuation_b=vb,
-        classification=cls_name,
-        lhs=None,
-        rhs=None,
-        verdict="skipped(unevaluated)",
+        config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
+        a, b, vb, cls_name, None, None, verdict,
     )
+
+
+def _decide(report: VerificationReport, lhs: CycNumber, rhs: CycNumber) -> VerificationReport:
+    """Set both sides of report and its verdict: equal iff they agree exactly."""
+    report.lhs, report.rhs = lhs, rhs
+    report.verdict = "equal" if lhs == rhs else "unequal"
+    return report
 
 
 def budget_exceeded_reports(
@@ -159,10 +166,7 @@ def budget_exceeded_reports(
     """One report per s of a draw of class cls that exceeded its sampling
     budget: there is no element, so a, b and v(b) are null."""
     return [
-        VerificationReport(
-            config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
-            None, None, None, cls.value, None, None, "skipped(sampling budget exceeded)",
-        )
+        _report(packet, s, config, cls, "skipped(sampling budget exceeded)")
         for s in s_values
     ]
 
@@ -178,7 +182,7 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
     Anti-near elements, precision failures, and combinations the engine
     cannot determine yield skipped reports rather than guesses.
     """
-    report = _report_shell(packet, s, gamma)
+    report = _report(packet, s, gamma.config, gamma)
     if report.classification == "unknown":
         report.verdict = "skipped(precision exhausted)"
         return report
@@ -193,15 +197,13 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
         return report
 
     if s == "s1":
-        report.rhs = rhs_endoscopic(packet, gamma)
+        rhs = rhs_endoscopic(packet, gamma)
     elif s == "1" and packet.kind is PacketKind.NONREGULAR:
-        report.rhs = theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
+        rhs = theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
     else:
         report.verdict = f"skipped(no endoscopic comparison for s={s})"
         return report
-
-    report.verdict = "equal" if report.lhs == report.rhs else "unequal"
-    return report
+    return _decide(report, report.lhs, rhs)
 
 
 def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, VerificationReport]:
@@ -218,19 +220,14 @@ def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, Verificati
     cfg = gamma.config
     packet = PacketSpec.nonregular(cfg)
 
-    coeffs = virtual_coeffs("s1")
     lhs1 = CycNumber.zero()
-    for c, j in zip(coeffs, (1, 2, 3, 4)):
+    for c, j in zip(virtual_coeffs("Klein4", "s1"), (1, 2, 3, 4)):
         lhs1 = lhs1 + adss152_theta(j, gamma).scale(c)
-    rhs1 = rhs_endoscopic(packet, gamma)
-    report1 = _report_shell(packet, FALSIFY_CHECKS[0], gamma)
-    report1.lhs, report1.rhs = lhs1, rhs1
-    report1.verdict = "equal" if lhs1 == rhs1 else "unequal"
+    report1 = _decide(
+        _report(packet, FALSIFY_CHECKS[0], cfg, gamma), lhs1, rhs_endoscopic(packet, gamma)
+    )
 
     lhs2 = adss152_theta(1, gamma) + adss152_theta(2, gamma)
     rhs2 = mu_hat_orbital(cayley_inverse(gamma), NEAR_CONSTANT_TERM, eta=1)
-    report2 = _report_shell(packet, FALSIFY_CHECKS[1], gamma)
-    report2.lhs, report2.rhs = lhs2, rhs2
-    report2.verdict = "equal" if lhs2 == rhs2 else "unequal"
-
+    report2 = _decide(_report(packet, FALSIFY_CHECKS[1], cfg, gamma), lhs2, rhs2)
     return (report1, report2)

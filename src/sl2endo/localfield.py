@@ -62,9 +62,6 @@ def sqrt_mod_p(a: int, p: int) -> int:
     a %= p
     if legendre(a, p) == -1:
         raise NotASquare(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     # write p - 1 = 2^s * t with t odd
     t, s = p - 1, 0
     while t % 2 == 0:
@@ -201,12 +198,6 @@ class PadicNumber:
             raise ValueError("division is only defined by units (valuation 0)")
         inv = pow(o.residue, -1, self.config.modulus)
         return PadicNumber(self.residue * inv % self.config.modulus, self.config)
-
-    def __pow__(self, n: int) -> "PadicNumber":
-        if n < 0:
-            if self.valuation() != 0:
-                raise ValueError("negative powers are only defined for units")
-        return PadicNumber(pow(self.residue, n, self.config.modulus), self.config)
 
     def __repr__(self) -> str:
         return f"PadicNumber({self.residue} mod {self.config.p}^{self.config.N})"

@@ -12,6 +12,7 @@ centralizer statements is pure commutation, checked here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, root_of_unity
@@ -69,14 +70,20 @@ def component_group(kind: str) -> ComponentGroup:
     raise ValueError(f"unknown component group kind {kind!r}")
 
 
-def virtual_coeffs(s: str) -> tuple[int, int, int, int]:
-    """Signs weighting the four packet members in the s-virtual character.
+@functools.lru_cache(maxsize=None)
+def virtual_coeffs(group: str, s: str) -> tuple[int, ...]:
+    """Signs <pi_j, s> weighting the packet members in the s-virtual character.
 
-    These are the columns of the Klein-four table: member j enters with
-    coefficient rho_j(s).
+    Column s of the character table of the packet's component group ("Z2"
+    for the two-member packet, "Klein4" for the four-member one), in member
+    order: member j enters with coefficient rho_j(s).  The only source of
+    member signs.
     """
-    col = KLEIN4_ELEMENTS.index(s)
-    return tuple(KLEIN4_TABLE[j][col] for j in (1, 2, 3, 4))
+    table = component_group(group)
+    if s not in table.elements:
+        raise ValueError(f"s must be one of {table.elements} for {group}, got {s!r}")
+    col = table.elements.index(s)
+    return tuple(table.table[j][col] for j in sorted(table.table))
 
 
 def row_orthogonality(group: ComponentGroup) -> bool:

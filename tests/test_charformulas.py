@@ -27,7 +27,9 @@ from sl2endo.localfield import FieldConfig, legendre, sgn_eps
 from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
+    TorusVariant,
     cayley_inverse,
+    classify,
     element,
     f_direct,
     g_conjugate,
@@ -251,6 +253,77 @@ class TestThetaVirtual:
                     character_value_on(g, lv) + character_value_on(invert(g), lv)
                 ).scale(-f_direct(g))
                 assert theta_virtual(pk, "s1", g) == unified
+
+
+# The Klein-four sign columns, written out independently of the packet tables.
+REFERENCE_KLEIN4_SIGNS = {
+    "1": (1, 1, 1, 1),
+    "s1": (1, 1, -1, -1),
+    "s2": (1, -1, 1, -1),
+    "s3": (1, -1, -1, 1),
+}
+
+
+def reference_theta_virtual(packet, s, gamma):
+    """theta_virtual as it was hand-coded branch by branch: plus +- minus, a
+    signed sum of the four far members, and sum12 +- sum34 near the identity
+    with s2 and s3 undetermined there."""
+    cls = classify(gamma)
+    swapped = gamma.variant is TorusVariant.CONJUGATED
+    base = g_conjugate(gamma) if swapped else gamma
+
+    if packet.kind is PacketKind.REGULAR:
+        if s not in ("1", "s1"):
+            raise ValueError(f"the two-member packet has s in {{1, s1}}, got {s!r}")
+        v_plus = theta_regular("plus", packet.level, base)
+        v_minus = theta_regular("minus", packet.level, base)
+        if swapped:
+            v_plus, v_minus = v_minus, v_plus
+        return v_plus + v_minus if s == "1" else v_plus - v_minus
+
+    coeffs = REFERENCE_KLEIN4_SIGNS[s]
+    if cls is Classification.FAR:
+        values = [theta_nonregular_far(j, base) for j in (1, 2, 3, 4)]
+        if swapped:
+            values = [values[2], values[3], values[0], values[1]]
+        total = CycNumber.zero()
+        for c, v in zip(coeffs, values):
+            total = total + v.scale(c)
+        return total
+    if s in ("s2", "s3"):
+        raise Undetermined("the member sums do not pin down the s2/s3 combinations")
+    sum12, sum34 = theta_nonregular_near_sums(base)
+    if swapped:
+        sum12, sum34 = sum34, sum12
+    return sum12 + sum34 if s == "1" else sum12 - sum34
+
+
+def virtual_outcome(fn, packet, s, gamma):
+    """The value with its conductor (reports print both), or the error class."""
+    try:
+        value = fn(packet, s, gamma)
+    except (Undetermined, ValueError) as exc:
+        return type(exc)
+    return (value.m, value.coefficient_strings())
+
+
+class TestThetaVirtualAgainstReference:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_the_hand_coded_combination(self, p):
+        cfg = FieldConfig(p)
+        packets = [PacketSpec.nonregular(cfg)]
+        packets += [PacketSpec.regular(cfg, lv.k) for lv in regular_levels(cfg)]
+        gammas = [far_sample(p, f"diff{i}") for i in range(3)]
+        gammas += [near_sample(p, v, "diff") for v in (1, 2, 3)]
+        gammas += [g_conjugate(g) for g in gammas]
+        outcomes = set()
+        for packet in packets:
+            for gamma in gammas:
+                for s in ("1", "s1", "s2", "s3"):
+                    expected = virtual_outcome(reference_theta_virtual, packet, s, gamma)
+                    assert virtual_outcome(theta_virtual, packet, s, gamma) == expected
+                    outcomes.add(expected if isinstance(expected, type) else "value")
+        assert outcomes == {"value", Undetermined, ValueError}
 
 
 class TestMuHatOrbital:

@@ -342,6 +342,14 @@ class TestUsageErrors:
         code, _, _ = run_cli(["verify", "--precision", "5", "--near-valuations", "1:3"])
         assert code == 2
 
+    def test_sample_class_validated_for_a_config_built_in_code(self):
+        # no parser stands between this config and run: validate must catch it
+        sweep = SweepConfig("verify", [3], samples=4, sample_class="nearr")
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match="--class"):
+            run(sweep, out, err)
+        assert out.getvalue() == "" and err.getvalue() == ""
+
     def test_level_without_regular_packet_rejected(self):
         code, out, err = run_cli(["verify", "--packet", "nonregular", "--level", "5"])
         assert code == 2 and out == ""

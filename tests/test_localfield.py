@@ -15,6 +15,7 @@ from sl2endo.localfield import (
     sgn_eps,
     sgn_pi,
     smallest_nonresidue,
+    sqrt_mod_p,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -212,6 +213,14 @@ class TestHenselSqrt:
         assert a.valuation() == 1
 
 
+def test_sqrt_mod_p_is_the_smaller_root():
+    # primes of both classes mod 4: Tonelli-Shanks with and without its loop
+    for p in filter(is_odd_prime, range(3, 200)):
+        for a in brute_force_squares(p):
+            r = sqrt_mod_p(a, p)
+            assert r * r % p == a and r <= p - r, (a, p)
+
+
 def test_is_odd_prime():
     assert [n for n in range(2, 20) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19]
 
@@ -225,4 +234,4 @@ def test_padic_arithmetic_basics():
     assert (y / x) * x == y
     with pytest.raises(ValueError):
         cfg.padic(1) / cfg.padic(5)  # non-unit divisor
-    assert (x ** -1) * x == cfg.padic(1)
+    assert (cfg.padic(1) / x) * x == cfg.padic(1)  # x^-1 through division

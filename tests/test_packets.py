@@ -12,6 +12,8 @@ from sl2endo.packets import (
     PROJ_S1,
     PROJ_S2,
     PROJ_S3,
+    Z2_ELEMENTS,
+    Z2_TABLE,
     ProjMatrix,
     centralizes,
     component_group,
@@ -25,14 +27,14 @@ from sl2endo.residue import CharacterLevel, regular_levels
 
 def klein4_value(j, s):
     """rho_j(s) read from the table; the s-virtual coefficients are its columns."""
-    assert KLEIN4_TABLE[j][KLEIN4_ELEMENTS.index(s)] == virtual_coeffs(s)[j - 1]
-    return virtual_coeffs(s)[j - 1]
+    assert KLEIN4_TABLE[j][KLEIN4_ELEMENTS.index(s)] == virtual_coeffs("Klein4", s)[j - 1]
+    return virtual_coeffs("Klein4", s)[j - 1]
 
 
 class TestKlein4Table:
     def test_trivial_row(self):
         assert KLEIN4_TABLE[1] == (1, 1, 1, 1)
-        assert all(virtual_coeffs(s)[0] == 1 for s in KLEIN4_ELEMENTS)
+        assert all(virtual_coeffs("Klein4", s)[0] == 1 for s in KLEIN4_ELEMENTS)
 
     def test_spec_entries(self):
         assert klein4_value(3, "s1") == -1
@@ -54,10 +56,22 @@ class TestKlein4Table:
 
 class TestVirtualCoeffs:
     def test_rows(self):
-        assert virtual_coeffs("1") == (1, 1, 1, 1)
-        assert virtual_coeffs("s1") == (1, 1, -1, -1)
-        assert virtual_coeffs("s2") == (1, -1, 1, -1)
-        assert virtual_coeffs("s3") == (1, -1, -1, 1)
+        assert virtual_coeffs("Klein4", "1") == (1, 1, 1, 1)
+        assert virtual_coeffs("Klein4", "s1") == (1, 1, -1, -1)
+        assert virtual_coeffs("Klein4", "s2") == (1, -1, 1, -1)
+        assert virtual_coeffs("Klein4", "s3") == (1, -1, -1, 1)
+
+    def test_z2_columns(self):
+        # members plus, minus: the trivial and the sign character of Z/2
+        assert virtual_coeffs("Z2", "1") == (1, 1)
+        assert virtual_coeffs("Z2", "s1") == (1, -1)
+        for col, s in enumerate(Z2_ELEMENTS):
+            assert virtual_coeffs("Z2", s) == tuple(Z2_TABLE[j][col] for j in (0, 1))
+
+    @pytest.mark.parametrize("group,s", [("Z2", "s2"), ("Z2", "s3"), ("Klein4", "s4")])
+    def test_element_outside_the_group_rejected(self, group, s):
+        with pytest.raises(ValueError):
+            virtual_coeffs(group, s)
 
 
 class TestOrthogonality:

@@ -195,13 +195,15 @@ class TestEvalCharacter:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_inverse_gives_conjugate(self, p):
+        # chi(x^-1) * chi(x) = 1: the value at the inverse is the inverse root
+        # of unity, i.e. the complex conjugate
         cfg = FieldConfig(p)
         group = norm_one_group(cfg)
         for k in range(p + 1):
             level = CharacterLevel(k, cfg.q + 1)
             for pt in group.points:
-                lhs = group.character_value(level, group.inverse(pt))
-                assert lhs == group.character_value(level, pt).conjugate()
+                inv = group.character_value(level, group.inverse(pt))
+                assert inv * group.character_value(level, pt) == 1
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_unique_quadratic_character(self, p):
