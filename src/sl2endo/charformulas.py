@@ -2,8 +2,8 @@
 
 The trusted engine exposes:
 
-* individual member characters of the regular-level packet (two members),
-* individual member characters of the quadratic-level packet far from the
+* the member characters of the regular-level packet (two members),
+* the member characters of the quadratic-level packet far from the
   identity, but only the member sums near the identity (the published
   individual near-identity values are unreliable; see ``adss152_theta``),
 * the virtual characters assembled from the component-group tables,
@@ -17,6 +17,9 @@ go back to the seventh line of Sally-Shalika's Table 3, are quarantined
 behind the explicitly named ``adss152_*`` API: they are exposed solely so
 the falsification harness can exhibit their clash with the endoscopic
 identity, and the trusted engine never consults them.
+
+Member formulas return the whole member vector, in the row order of the
+component group's character table in ``packets``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNumber
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
 from .localfield import FieldConfig, legendre, sgn_eps, sgn_pi
-from .packets import virtual_coeffs
+from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level
 from .torus import (
     Classification,
@@ -59,8 +62,8 @@ class PacketSpec:
     """A depth-zero supercuspidal packet, named by its torus character level.
 
     Regular levels give the two-member packet; the quadratic level gives
-    the four-member packet.  The generic member is pi^+ / member 1 in both
-    cases (the fixed genericity convention).
+    the four-member packet.  The generic member comes first in both member
+    vectors (the fixed genericity convention).
     """
 
     kind: PacketKind
@@ -136,45 +139,44 @@ def character_value_on(gamma: TorusElement, level: CharacterLevel) -> CycNumber:
     return group.character_value(level, group.reduce(gamma))
 
 
-def theta_regular(member: str, level: CharacterLevel, gamma: TorusElement) -> CycNumber:
-    """Character of one member of a regular-level packet at gamma in T^eps.
+def _near_germ(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
+    """The near-identity germ values (-1 - f, -1 + f) at gamma."""
+    f = f_direct(gamma)
+    return (
+        CycNumber.from_int(NEAR_CONSTANT_TERM - f),
+        CycNumber.from_int(NEAR_CONSTANT_TERM + f),
+    )
+
+
+def theta_regular(level: CharacterLevel, gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
+    """Characters (theta+, theta-) of the regular-level packet at gamma in T^eps.
 
     Far from the identity the generic member takes -psi(gamma) - psi(1/gamma)
     and the other member vanishes; near the identity the values are
     -1 -+ f(gamma).
     """
-    if member not in ("plus", "minus"):
-        raise ValueError(f"member must be 'plus' or 'minus', got {member!r}")
     _require_unramified(gamma)
-    cls = _classify_supported(gamma)
-    if cls is Classification.FAR:
-        if member == "minus":
-            return CycNumber.zero(level.modulus)
-        group = norm_one_group(gamma.config)
-        pt = group.reduce(gamma)
-        value = group.character_value(level, pt)
-        value_inv = group.character_value(level, group.inverse(pt))
-        return -value - value_inv
-    f = f_direct(gamma)
-    if member == "plus":
-        return CycNumber.from_int(NEAR_CONSTANT_TERM - f)
-    return CycNumber.from_int(NEAR_CONSTANT_TERM + f)
+    if _classify_supported(gamma) is Classification.NEAR:
+        return _near_germ(gamma)
+    group = norm_one_group(gamma.config)
+    pt = group.reduce(gamma)
+    value = group.character_value(level, pt)
+    value_inv = group.character_value(level, group.inverse(pt))
+    return (-value - value_inv, CycNumber.zero(level.modulus))
 
 
-def theta_nonregular_far(j: int, gamma: TorusElement) -> CycNumber:
-    """Member characters of the quadratic-level packet far from the identity.
+def theta_nonregular_far(gamma: TorusElement) -> tuple[CycNumber, ...]:
+    """Member characters (theta1..theta4) of the quadratic-level packet far
+    from the identity.
 
     Members 1 and 2 take -psi0(gamma); members 3 and 4 live on the other
     vertex and vanish on this torus.
     """
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"member index must be 1..4, got {j}")
     _require_unramified(gamma)
     if _classify_supported(gamma) is not Classification.FAR:
         raise NotFar("individual member values are only trusted far from the identity")
-    if j in (1, 2):
-        return CycNumber.from_int(-psi0(gamma))
-    return CycNumber.zero()
+    value, zero = CycNumber.from_int(-psi0(gamma)), CycNumber.zero()
+    return (value, value, zero, zero)
 
 
 def theta_nonregular_near_sums(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
@@ -186,11 +188,7 @@ def theta_nonregular_near_sums(gamma: TorusElement) -> tuple[CycNumber, CycNumbe
     _require_unramified(gamma)
     if _classify_supported(gamma) is not Classification.NEAR:
         raise NotNear("member sums are the near-identity values")
-    f = f_direct(gamma)
-    return (
-        CycNumber.from_int(NEAR_CONSTANT_TERM - f),
-        CycNumber.from_int(NEAR_CONSTANT_TERM + f),
-    )
+    return _near_germ(gamma)
 
 
 def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
@@ -206,7 +204,7 @@ def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
 
     Elements of the conjugated-class torus are evaluated by pullback: the
     transporting conjugation swaps the two halves of the member list
-    (1 <-> 3, 2 <-> 4 for the four-member packet, plus <-> minus for the
+    (1 <-> 3, 2 <-> 4 for the four-member packet, + <-> - for the
     two-member one) and fixes the avatar, so the value is read off the
     unramified avatar with the members swapped.
     """
@@ -214,19 +212,19 @@ def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
     swapped = gamma.variant is TorusVariant.CONJUGATED
     base = g_conjugate(gamma) if swapped else gamma
     if packet.kind is PacketKind.REGULAR:
-        coeffs = virtual_coeffs("Z2", s)
-        values = [theta_regular(member, packet.level, base) for member in ("plus", "minus")]
+        coeffs = virtual_coeffs(Z2, s)
+        values = theta_regular(packet.level, base)
     else:
-        coeffs = virtual_coeffs("Klein4", s)
+        coeffs = virtual_coeffs(KLEIN4, s)
         if cls is Classification.FAR:
-            values = [theta_nonregular_far(j, base) for j in (1, 2, 3, 4)]
+            values = theta_nonregular_far(base)
         elif coeffs[0] != coeffs[1] or coeffs[2] != coeffs[3]:
             raise Undetermined(
                 "near the identity only the member sums are known, which do not"
                 f" pin down the s={s} combination"
             )
         else:
-            coeffs, values = coeffs[::2], list(theta_nonregular_near_sums(base))
+            coeffs, values = coeffs[::2], theta_nonregular_near_sums(base)
     if swapped:
         half = len(values) // 2
         values = values[half:] + values[:half]
@@ -257,8 +255,9 @@ def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
     return CycNumber.from_int(a_term + cfg.q ** (vy - 1) * b_eps)
 
 
-def adss152_theta(j: int, gamma: TorusElement) -> CycNumber:
-    """Near-identity member values as published in ADSS Theorem 15.2.
+def adss152_theta(gamma: TorusElement) -> tuple[CycNumber, ...]:
+    """Near-identity member values (theta1..theta4) as published in ADSS
+    Theorem 15.2.
 
     Quarantined: these values ((-f-1)/2, (f-1)/2, (f-1)/2, (-f-1)/2)
     contradict both the orbital-integral route and the endoscopic
@@ -267,17 +266,16 @@ def adss152_theta(j: int, gamma: TorusElement) -> CycNumber:
     f = (-q)^{v(b)} is odd; an even f raises ArithmeticError rather than
     rounding.
     """
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"member index must be 1..4, got {j}")
     _require_unramified(gamma)
     if _classify_supported(gamma) is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")
     f = f_direct(gamma)
-    numerator = -f - 1 if j in (1, 4) else f - 1
+    numerator = -f - 1  # f - 1 differs by 2f, so both halves are exact or neither
     half, odd = divmod(numerator, 2)
     if odd:
         raise ArithmeticError(f"the ADSS-15.2 value {numerator}/2 is not an integer")
-    return CycNumber.from_int(half)
+    outer, inner = CycNumber.from_int(half), CycNumber.from_int(half + f)
+    return (outer, inner, inner, outer)
 
 
 def theta5(gamma: TorusElement) -> CycNumber:
@@ -292,6 +290,12 @@ def theta5(gamma: TorusElement) -> CycNumber:
     return CycNumber.from_int(psi0(gamma))
 
 
+def inner_form_side(gamma: TorusElement) -> CycNumber:
+    """The anisotropic side of the inner-form comparison: the Kottwitz-signed
+    doubled inner-form character."""
+    return theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
+
+
 def kottwitz_stable(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
     """Both sides of the inner-form stability comparison, computed independently.
 
@@ -301,5 +305,4 @@ def kottwitz_stable(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
     """
     packet = PacketSpec.nonregular(gamma.config)
     split_side = theta_virtual(packet, "1", gamma).scale(KOTTWITZ_SIGN_SPLIT)
-    aniso_side = theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
-    return (split_side, aniso_side)
+    return (split_side, inner_form_side(gamma))

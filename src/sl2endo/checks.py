@@ -25,11 +25,13 @@ from .cyclotomic import CycNumber
 from .endoscopy import related_elements, transfer_factor
 from .localfield import FieldConfig
 from .packets import (
+    KLEIN4,
     PROJ_S1,
     PROJ_S2,
     PROJ_S3,
+    Q8,
+    Z2,
     centralizes,
-    component_group,
     nonregular_image,
     regular_image_generators,
     row_orthogonality,
@@ -127,14 +129,9 @@ def inner_form_stability(config: FieldConfig, gammas) -> bool:
         side0, side1 = kottwitz_stable(g)
         if side0 != side1:
             return False
-        if classify(g) is Classification.FAR:
-            member_sum = sum(
-                (theta_nonregular_far(j, g) for j in (1, 2, 3, 4)), CycNumber.zero()
-            )
-        else:
-            s12, s34 = theta_nonregular_near_sums(g)
-            member_sum = s12 + s34
-        if theta5(g).scale(2) != -member_sum:
+        far = classify(g) is Classification.FAR
+        members = theta_nonregular_far(g) if far else theta_nonregular_near_sums(g)
+        if theta5(g).scale(2) != -sum(members, CycNumber.zero()):
             return False
     return True
 
@@ -144,11 +141,10 @@ def structure_tables(config: FieldConfig, gammas) -> bool:
     to the order; s1 s2 = s3 and the Klein-four image is abelian mod scalars;
     s1 centralizes every regular image at this prime and s2 none of them.
     The elements are not used."""
-    for kind in ("Z2", "Klein4", "Q8"):
-        group = component_group(kind)
+    for group in (Z2, KLEIN4, Q8):
         if not row_orthogonality(group):
             return False
-        if sum(row[0] ** 2 for row in group.table.values()) != group.order:
+        if sum(row[0] ** 2 for row in group.table) != group.order:
             return False
     if (PROJ_S1 @ PROJ_S2) != PROJ_S3:
         return False

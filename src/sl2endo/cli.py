@@ -35,7 +35,7 @@ from .endoscopy import (
 )
 from .errors import SamplingBudgetExceeded, Sl2EndoError
 from .localfield import FieldConfig
-from .packets import KLEIN4_ELEMENTS, KLEIN4_TABLE, Z2_ELEMENTS, virtual_coeffs
+from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
 from .torus import Classification, sample_regular
 
@@ -69,6 +69,8 @@ class SweepConfig:
     out: "str | None" = None
 
     def validate(self) -> None:
+        if self.mode not in RUNNERS:
+            raise ValueError(f"mode must be one of {tuple(RUNNERS)}, got {self.mode!r}")
         if not self.primes:
             raise ValueError("at least one prime is required")
         if self.samples < 1:
@@ -88,9 +90,9 @@ class SweepConfig:
             raise ValueError("--packet must be regular or nonregular")
         if self.mode == "verify" and self.packet == "nonregular" and self.level is not None:
             raise ValueError("--level needs --packet regular")
-        if self.s not in KLEIN4_ELEMENTS:
-            raise ValueError(f"--s must be one of {KLEIN4_ELEMENTS}")
-        if self.packet == "regular" and self.s not in Z2_ELEMENTS:
+        if self.s not in KLEIN4.elements:
+            raise ValueError(f"--s must be one of {KLEIN4.elements}")
+        if self.packet == "regular" and self.s not in Z2.elements:
             raise ValueError("the regular packet only has s in {1, s1}")
         if self.packet == "regular" and self.s == "1":
             raise ValueError(
@@ -310,14 +312,12 @@ def run_table(sweep: SweepConfig, out, err) -> int:
             )
         out.write("\n")
     out.write("Klein-four character table (rows rho1..rho4):\n")
-    out.write("        " + "  ".join(f"{e:>4}" for e in KLEIN4_ELEMENTS) + "\n")
-    for j in (1, 2, 3, 4):
-        out.write(
-            f"  rho{j}  " + "  ".join(f"{v:>4}" for v in KLEIN4_TABLE[j]) + "\n"
-        )
+    out.write("        " + "  ".join(f"{e:>4}" for e in KLEIN4.elements) + "\n")
+    for j, row in enumerate(KLEIN4.table, 1):
+        out.write(f"  rho{j}  " + "  ".join(f"{v:>4}" for v in row) + "\n")
     out.write("virtual-character sign schedules:\n")
-    for s in KLEIN4_ELEMENTS:
-        out.write(f"  s={s:<3} -> {virtual_coeffs('Klein4', s)}\n")
+    for s in KLEIN4.elements:
+        out.write(f"  s={s:<3} -> {virtual_coeffs(KLEIN4, s)}\n")
     return 0
 
 
@@ -381,16 +381,19 @@ def sweep_from_args(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(**values)
 
 
+# The runner of each mode.
+RUNNERS = {
+    "verify": run_verify,
+    "falsify": run_falsify,
+    "properties": run_properties,
+    "table": run_table,
+}
+
+
 def run(sweep: SweepConfig, out, err) -> int:
     """Dispatch one sweep; returns the process exit code."""
     sweep.validate()
-    runner = {
-        "verify": run_verify,
-        "falsify": run_falsify,
-        "properties": run_properties,
-        "table": run_table,
-    }[sweep.mode]
-    return runner(sweep, out, err)
+    return RUNNERS[sweep.mode](sweep, out, err)
 
 
 def main(argv=None) -> int:

@@ -18,20 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .charformulas import (
-    KOTTWITZ_SIGN_ANISOTROPIC,
     NEAR_CONSTANT_TERM,
     PacketKind,
     PacketSpec,
     adss152_theta,
     character_value_on,
+    inner_form_side,
     mu_hat_orbital,
-    theta5,
     theta_virtual,
 )
 from .cyclotomic import CycNumber
 from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
 from .localfield import FieldConfig, sgn_eps
-from .packets import virtual_coeffs
+from .packets import KLEIN4, virtual_coeffs
 from .torus import Classification, TorusElement, cayley_inverse, classify, invert
 
 # The s field of the two falsify reports of one near element.
@@ -199,7 +198,7 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
     if s == "s1":
         rhs = rhs_endoscopic(packet, gamma)
     elif s == "1" and packet.kind is PacketKind.NONREGULAR:
-        rhs = theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
+        rhs = inner_form_side(gamma)
     else:
         report.verdict = f"skipped(no endoscopic comparison for s={s})"
         return report
@@ -220,14 +219,15 @@ def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, Verificati
     cfg = gamma.config
     packet = PacketSpec.nonregular(cfg)
 
+    thetas = adss152_theta(gamma)
     lhs1 = CycNumber.zero()
-    for c, j in zip(virtual_coeffs("Klein4", "s1"), (1, 2, 3, 4)):
-        lhs1 = lhs1 + adss152_theta(j, gamma).scale(c)
+    for c, theta in zip(virtual_coeffs(KLEIN4, "s1"), thetas):
+        lhs1 = lhs1 + theta.scale(c)
     report1 = _decide(
         _report(packet, FALSIFY_CHECKS[0], cfg, gamma), lhs1, rhs_endoscopic(packet, gamma)
     )
 
-    lhs2 = adss152_theta(1, gamma) + adss152_theta(2, gamma)
+    lhs2 = thetas[0] + thetas[1]
     rhs2 = mu_hat_orbital(cayley_inverse(gamma), NEAR_CONSTANT_TERM, eta=1)
     report2 = _decide(_report(packet, FALSIFY_CHECKS[1], cfg, gamma), lhs2, rhs2)
     return (report1, report2)

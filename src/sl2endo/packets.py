@@ -19,81 +19,74 @@ from .cyclotomic import CycNumber, root_of_unity
 from .errors import NonRegularLevel
 from .residue import CharacterLevel
 
-KLEIN4_ELEMENTS = ("1", "s1", "s2", "s3")
 
-# Rows rho1..rho4, columns as in KLEIN4_ELEMENTS.
-KLEIN4_TABLE: dict[int, tuple[int, int, int, int]] = {
-    1: (1, 1, 1, 1),
-    2: (1, 1, -1, -1),
-    3: (1, -1, 1, -1),
-    4: (1, -1, -1, 1),
-}
-
-Z2_ELEMENTS = ("1", "s1")
-Z2_TABLE: dict[int, tuple[int, int]] = {
-    0: (1, 1),   # trivial character
-    1: (1, -1),  # sign character
-}
-
-# Quaternion group by conjugacy class: sizes and the standard 5-row table
-# (four linear characters and the 2-dimensional representation).
-Q8_CLASSES = ("1", "-1", "i", "j", "k")
-Q8_CLASS_SIZES = (1, 1, 2, 2, 2)
-Q8_TABLE: dict[int, tuple[int, ...]] = {
-    1: (1, 1, 1, 1, 1),
-    2: (1, 1, 1, -1, -1),
-    3: (1, 1, -1, 1, -1),
-    4: (1, 1, -1, -1, 1),
-    5: (2, -2, 0, 0, 0),
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentGroup:
-    kind: str                      # "Z2" | "Klein4" | "Q8"
-    elements: tuple[str, ...]
+    """A component group with its character table.
+
+    table has one row per irreducible character.  For Z/2 and the Klein
+    four group the rows are in member order: row j is <pi_j, ->, so column
+    s is the sign schedule of the s-virtual character.  Column 0 is the
+    identity, i.e. the dimension.  Groups hash by identity, which keeps
+    the ``virtual_coeffs`` cache cheap.
+    """
+
+    kind: str
+    elements: tuple[str, ...]      # one per conjugacy class
     class_sizes: tuple[int, ...]
-    table: dict[int, tuple[int, ...]]  # rows; column 0 is the identity, i.e. the dimension
+    table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return sum(self.class_sizes)
 
 
-def component_group(kind: str) -> ComponentGroup:
-    if kind == "Z2":
-        return ComponentGroup("Z2", Z2_ELEMENTS, (1, 1), Z2_TABLE)
-    if kind == "Klein4":
-        return ComponentGroup("Klein4", KLEIN4_ELEMENTS, (1, 1, 1, 1), KLEIN4_TABLE)
-    if kind == "Q8":
-        return ComponentGroup("Q8", Q8_CLASSES, Q8_CLASS_SIZES, Q8_TABLE)
-    raise ValueError(f"unknown component group kind {kind!r}")
+# The two-member packet: trivial and sign character.
+Z2 = ComponentGroup("Z2", ("1", "s1"), (1, 1), ((1, 1), (1, -1)))
+# The four-member packet: rows rho1..rho4.
+KLEIN4 = ComponentGroup(
+    "Klein4",
+    ("1", "s1", "s2", "s3"),
+    (1, 1, 1, 1),
+    ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)),
+)
+# Quaternion group by conjugacy class: four linear characters and the
+# 2-dimensional representation.
+Q8 = ComponentGroup(
+    "Q8",
+    ("1", "-1", "i", "j", "k"),
+    (1, 1, 2, 2, 2),
+    (
+        (1, 1, 1, 1, 1),
+        (1, 1, 1, -1, -1),
+        (1, 1, -1, 1, -1),
+        (1, 1, -1, -1, 1),
+        (2, -2, 0, 0, 0),
+    ),
+)
 
 
 @functools.lru_cache(maxsize=None)
-def virtual_coeffs(group: str, s: str) -> tuple[int, ...]:
+def virtual_coeffs(group: ComponentGroup, s: str) -> tuple[int, ...]:
     """Signs <pi_j, s> weighting the packet members in the s-virtual character.
 
-    Column s of the character table of the packet's component group ("Z2"
-    for the two-member packet, "Klein4" for the four-member one), in member
+    Column s of the character table of the packet's component group (Z2
+    for the two-member packet, KLEIN4 for the four-member one), in member
     order: member j enters with coefficient rho_j(s).  The only source of
     member signs.
     """
-    table = component_group(group)
-    if s not in table.elements:
-        raise ValueError(f"s must be one of {table.elements} for {group}, got {s!r}")
-    col = table.elements.index(s)
-    return tuple(table.table[j][col] for j in sorted(table.table))
+    if s not in group.elements:
+        raise ValueError(f"s must be one of {group.elements} for {group.kind}, got {s!r}")
+    col = group.elements.index(s)
+    return tuple(row[col] for row in group.table)
 
 
 def row_orthogonality(group: ComponentGroup) -> bool:
     """Check sum_s size(s) * chi_i(s) * chi_j(s) = |S| * delta_ij exactly."""
-    rows = sorted(group.table)
-    for i in rows:
-        for j in rows:
+    for i, row_i in enumerate(group.table):
+        for j, row_j in enumerate(group.table):
             total = sum(
-                size * group.table[i][c] * group.table[j][c]
-                for c, size in enumerate(group.class_sizes)
+                size * x * y for size, x, y in zip(group.class_sizes, row_i, row_j)
             )
             if total != (group.order if i == j else 0):
                 return False

@@ -120,7 +120,7 @@ class TestThetaRegular:
         group = norm_one_group(cfg)
         m = group.dlog(group.reduce(g))
         for lv in regular_levels(cfg):
-            got = theta_regular("plus", lv, g)
+            got = theta_regular(lv, g)[0]
             expected = -root_of_unity(6, lv.k * m) - root_of_unity(6, -lv.k * m)
             assert got == expected
 
@@ -128,38 +128,29 @@ class TestThetaRegular:
         cfg = FieldConfig(5)
         g = far_sample(5)
         for lv in regular_levels(cfg):
-            assert theta_regular("minus", lv, g) == 0
+            assert theta_regular(lv, g)[1] == 0
 
     def test_near_values(self):
         g = near_sample(3, 1)  # f = -3
         lv = CharacterLevel(1, 4)
-        assert theta_regular("plus", lv, g) == 2    # -1 - (-3)
-        assert theta_regular("minus", lv, g) == -4  # -1 + (-3)
+        assert theta_regular(lv, g) == (2, -4)  # -1 -+ (-3)
 
     def test_anti_near_unsupported(self):
         with pytest.raises(AntiNearUnsupported):
-            theta_regular("plus", CharacterLevel(1, 4), anti_near(3))
+            theta_regular(CharacterLevel(1, 4), anti_near(3))
 
     def test_conjugated_variant_rejected(self):
         with pytest.raises(ValueError):
-            theta_regular("plus", CharacterLevel(1, 4), g_conjugate(far_p3()))
-
-    def test_bad_member_name(self):
-        with pytest.raises(ValueError):
-            theta_regular("both", CharacterLevel(1, 4), far_p3())
+            theta_regular(CharacterLevel(1, 4), g_conjugate(far_p3()))
 
 
 class TestThetaNonRegularFar:
     def test_spec_example(self):
-        g = far_p3()
-        assert theta_nonregular_far(1, g) == 1  # -psi0 = -(-1)
-        assert theta_nonregular_far(2, g) == theta_nonregular_far(1, g)
-        assert theta_nonregular_far(3, g) == 0
-        assert theta_nonregular_far(4, g) == 0
+        assert theta_nonregular_far(far_p3()) == (1, 1, 0, 0)  # -psi0 = -(-1)
 
     def test_near_rejected(self):
         with pytest.raises(NotFar):
-            theta_nonregular_far(1, near_sample(3, 1))
+            theta_nonregular_far(near_sample(3, 1))
 
 
 class TestThetaNonRegularNearSums:
@@ -210,7 +201,7 @@ class TestThetaVirtual:
         cfg = FieldConfig(5)
         pk = PacketSpec.regular(cfg, 1)
         g = far_sample(5)
-        vp = theta_regular("plus", pk.level, g)
+        vp = theta_regular(pk.level, g)[0]
         assert theta_virtual(pk, "s1", g) == vp  # minus member vanishes far
         assert theta_virtual(pk, "1", g) == vp
         n = near_sample(5, 1)
@@ -275,15 +266,14 @@ def reference_theta_virtual(packet, s, gamma):
     if packet.kind is PacketKind.REGULAR:
         if s not in ("1", "s1"):
             raise ValueError(f"the two-member packet has s in {{1, s1}}, got {s!r}")
-        v_plus = theta_regular("plus", packet.level, base)
-        v_minus = theta_regular("minus", packet.level, base)
+        v_plus, v_minus = theta_regular(packet.level, base)
         if swapped:
             v_plus, v_minus = v_minus, v_plus
         return v_plus + v_minus if s == "1" else v_plus - v_minus
 
     coeffs = REFERENCE_KLEIN4_SIGNS[s]
     if cls is Classification.FAR:
-        values = [theta_nonregular_far(j, base) for j in (1, 2, 3, 4)]
+        values = theta_nonregular_far(base)
         if swapped:
             values = [values[2], values[3], values[0], values[1]]
         total = CycNumber.zero()
@@ -349,19 +339,16 @@ class TestMuHatOrbital:
 class TestAdss152:
     def test_p3_v1_values(self):
         g = near_sample(3, 1)  # f = -3
-        assert adss152_theta(1, g) == 1
-        assert adss152_theta(2, g) == -2
-        assert adss152_theta(3, g) == -2
-        assert adss152_theta(4, g) == 1
+        assert adss152_theta(g) == (1, -2, -2, 1)
 
     def test_half_integers_appear(self):
         g = near_sample(5, 1)  # f = -5: (-f-1)/2 = 2, (f-1)/2 = -3
-        assert adss152_theta(1, g) == 2
+        assert adss152_theta(g)[0] == 2
         g2 = near_sample(5, 2)  # f = 25: (-f-1)/2 = -13
-        assert adss152_theta(1, g2) == -13
+        assert adss152_theta(g2)[0] == -13
         # the halves (+-f - 1)/2 are integers, since f is odd, and stay exact ints
-        assert [type(adss152_theta(j, g).as_int()) for j in (1, 2, 3, 4)] == [int] * 4
-        assert [adss152_theta(j, g2).as_int() for j in (1, 2, 3, 4)] == [-13, 12, 12, -13]
+        assert [type(theta.as_int()) for theta in adss152_theta(g)] == [int] * 4
+        assert [theta.as_int() for theta in adss152_theta(g2)] == [-13, 12, 12, -13]
 
     def test_even_f_raises_instead_of_rounding(self, monkeypatch):
         # f is odd for every odd q; were it even, (+-f - 1)/2 would not be an
@@ -370,9 +357,8 @@ class TestAdss152:
 
         g = near_sample(3, 1)
         monkeypatch.setattr(charformulas, "f_direct", lambda gamma: 4)
-        for j in (1, 2, 3, 4):
-            with pytest.raises(ArithmeticError):
-                adss152_theta(j, g)
+        with pytest.raises(ArithmeticError):
+            adss152_theta(g)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("v", [1, 2, 3])
@@ -382,10 +368,10 @@ class TestAdss152:
         cfg = FieldConfig(p)
         g = near_sample(p, v)
         f = f_direct(g)
-        for j in (1, 2, 3, 4):
+        for j, theta in enumerate(adss152_theta(g), 1):
             expected = Fraction(-f - 1 if j in (1, 4) else f - 1, 2)
             assert expected.denominator == 1
-            assert adss152_theta(j, g).as_int() == expected
+            assert theta.as_int() == expected
         Y = cayley_inverse(g)
         vy = Y.y.valuation()
         for a_term in (-1, 0, 2):
@@ -399,21 +385,18 @@ class TestAdss152:
     def test_sum_matches_stable_value(self):
         for p in (3, 5):
             g = near_sample(p, 1)
-            total = sum((adss152_theta(j, g) for j in (1, 2, 3, 4)), CycNumber.zero())
+            total = sum(adss152_theta(g), CycNumber.zero())
             assert total == -2
 
     def test_s1_combination_vanishes(self):
         for p in (3, 5):
             g = near_sample(p, 2)
-            combo = (
-                adss152_theta(1, g) + adss152_theta(2, g)
-                - adss152_theta(3, g) - adss152_theta(4, g)
-            )
-            assert combo == 0
+            t1, t2, t3, t4 = adss152_theta(g)
+            assert t1 + t2 - t3 - t4 == 0
 
     def test_far_rejected(self):
         with pytest.raises(NotNear):
-            adss152_theta(1, far_p3())
+            adss152_theta(far_p3())
 
 
 class TestTheta5:
@@ -426,9 +409,7 @@ class TestTheta5:
     def test_doubling_identity_far(self):
         for p in (3, 5, 7):
             g = far_sample(p)
-            total = sum(
-                (theta_nonregular_far(j, g) for j in (1, 2, 3, 4)), CycNumber.zero()
-            )
+            total = sum(theta_nonregular_far(g), CycNumber.zero())
             assert theta5(g).scale(2) == -total
 
     def test_doubling_identity_near(self):

@@ -350,6 +350,13 @@ class TestUsageErrors:
             run(sweep, out, err)
         assert out.getvalue() == "" and err.getvalue() == ""
 
+    def test_mode_validated_for_a_config_built_in_code(self):
+        sweep = SweepConfig("verfy", [3], samples=2)
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run(sweep, out, err)
+        assert out.getvalue() == "" and err.getvalue() == ""
+
     def test_level_without_regular_packet_rejected(self):
         code, out, err = run_cli(["verify", "--packet", "nonregular", "--level", "5"])
         assert code == 2 and out == ""

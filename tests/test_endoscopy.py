@@ -6,6 +6,7 @@ import pytest
 
 from sl2endo.charformulas import (
     PacketSpec,
+    kottwitz_stable,
     mu_hat_orbital,
     psi0,
     theta_regular,
@@ -170,7 +171,7 @@ class TestVerifyIdentity:
         g = sample(5, Classification.FAR, 0, "vf")
         report = verify_identity(pk, "s1", g)
         assert report.verdict == "equal"
-        assert report.lhs == theta_regular("plus", pk.level, g)
+        assert report.lhs == theta_regular(pk.level, g)[0]
 
     def test_nonregular_near_p3_both_sides_six(self):
         pk = PacketSpec.nonregular(FieldConfig(3))
@@ -185,6 +186,13 @@ class TestVerifyIdentity:
         report = verify_identity(pk, "1", g)
         assert report.verdict == "equal"
         assert report.lhs == -2 and report.rhs == -2
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_stable_rhs_is_the_inner_form_side(self, p):
+        pk = PacketSpec.nonregular(FieldConfig(p))
+        for cls, v in ((Classification.FAR, 0), (Classification.NEAR, 1), (Classification.NEAR, 2)):
+            g = sample(p, cls, v, "inner")
+            assert verify_identity(pk, "1", g).rhs == kottwitz_stable(g)[1]
 
     def test_nonregular_s2_near_skipped_undetermined(self):
         pk = PacketSpec.nonregular(FieldConfig(3))

@@ -1,22 +1,22 @@
 """Tests for component-group tables and parameter-image matrices."""
 
+import dataclasses
+
 import pytest
 
 from sl2endo.cyclotomic import CycNumber, root_of_unity
 from sl2endo.errors import NonRegularLevel
 from sl2endo.localfield import FieldConfig
 from sl2endo.packets import (
-    KLEIN4_ELEMENTS,
-    KLEIN4_TABLE,
+    KLEIN4,
     PROJ_IDENTITY,
     PROJ_S1,
     PROJ_S2,
     PROJ_S3,
-    Z2_ELEMENTS,
-    Z2_TABLE,
+    Q8,
+    Z2,
     ProjMatrix,
     centralizes,
-    component_group,
     nonregular_image,
     regular_image_generators,
     row_orthogonality,
@@ -27,14 +27,14 @@ from sl2endo.residue import CharacterLevel, regular_levels
 
 def klein4_value(j, s):
     """rho_j(s) read from the table; the s-virtual coefficients are its columns."""
-    assert KLEIN4_TABLE[j][KLEIN4_ELEMENTS.index(s)] == virtual_coeffs("Klein4", s)[j - 1]
-    return virtual_coeffs("Klein4", s)[j - 1]
+    assert KLEIN4.table[j - 1][KLEIN4.elements.index(s)] == virtual_coeffs(KLEIN4, s)[j - 1]
+    return virtual_coeffs(KLEIN4, s)[j - 1]
 
 
 class TestKlein4Table:
     def test_trivial_row(self):
-        assert KLEIN4_TABLE[1] == (1, 1, 1, 1)
-        assert all(virtual_coeffs("Klein4", s)[0] == 1 for s in KLEIN4_ELEMENTS)
+        assert KLEIN4.table[0] == (1, 1, 1, 1)
+        assert all(virtual_coeffs(KLEIN4, s)[0] == 1 for s in KLEIN4.elements)
 
     def test_spec_entries(self):
         assert klein4_value(3, "s1") == -1
@@ -56,42 +56,45 @@ class TestKlein4Table:
 
 class TestVirtualCoeffs:
     def test_rows(self):
-        assert virtual_coeffs("Klein4", "1") == (1, 1, 1, 1)
-        assert virtual_coeffs("Klein4", "s1") == (1, 1, -1, -1)
-        assert virtual_coeffs("Klein4", "s2") == (1, -1, 1, -1)
-        assert virtual_coeffs("Klein4", "s3") == (1, -1, -1, 1)
+        assert virtual_coeffs(KLEIN4, "1") == (1, 1, 1, 1)
+        assert virtual_coeffs(KLEIN4, "s1") == (1, 1, -1, -1)
+        assert virtual_coeffs(KLEIN4, "s2") == (1, -1, 1, -1)
+        assert virtual_coeffs(KLEIN4, "s3") == (1, -1, -1, 1)
 
     def test_z2_columns(self):
-        # members plus, minus: the trivial and the sign character of Z/2
-        assert virtual_coeffs("Z2", "1") == (1, 1)
-        assert virtual_coeffs("Z2", "s1") == (1, -1)
-        for col, s in enumerate(Z2_ELEMENTS):
-            assert virtual_coeffs("Z2", s) == tuple(Z2_TABLE[j][col] for j in (0, 1))
+        # members +, -: the trivial and the sign character of Z/2
+        assert virtual_coeffs(Z2, "1") == (1, 1)
+        assert virtual_coeffs(Z2, "s1") == (1, -1)
+        for col, s in enumerate(Z2.elements):
+            assert virtual_coeffs(Z2, s) == tuple(row[col] for row in Z2.table)
 
-    @pytest.mark.parametrize("group,s", [("Z2", "s2"), ("Z2", "s3"), ("Klein4", "s4")])
+    def test_cached_per_group_and_element(self):
+        # groups hash by identity, so a repeated lookup is a cache hit
+        assert virtual_coeffs(KLEIN4, "s1") is virtual_coeffs(KLEIN4, "s1")
+        assert hash(KLEIN4) != hash(dataclasses.replace(KLEIN4))
+
+    @pytest.mark.parametrize(
+        "group,s", [(Z2, "s2"), (Z2, "s3"), (KLEIN4, "s4")], ids=["Z2-s2", "Z2-s3", "Klein4-s4"]
+    )
     def test_element_outside_the_group_rejected(self, group, s):
         with pytest.raises(ValueError):
             virtual_coeffs(group, s)
 
 
 class TestOrthogonality:
-    @pytest.mark.parametrize("kind", ["Z2", "Klein4", "Q8"])
-    def test_row_orthogonality(self, kind):
-        assert row_orthogonality(component_group(kind))
+    @pytest.mark.parametrize("group", [Z2, KLEIN4, Q8], ids=["Z2", "Klein4", "Q8"])
+    def test_row_orthogonality(self, group):
+        assert row_orthogonality(group)
 
     def test_q8_dimensions(self):
-        q8 = component_group("Q8")
-        dims = tuple(q8.table[j][0] for j in sorted(q8.table))  # identity column
+        dims = tuple(row[0] for row in Q8.table)  # identity column
         assert dims == (1, 1, 1, 1, 2)
-        assert sum(d * d for d in dims) == 8
-        assert q8.table[5] == (2, -2, 0, 0, 0)
+        assert sum(d * d for d in dims) == Q8.order == 8
+        assert Q8.table[4] == (2, -2, 0, 0, 0)
 
     def test_orthogonality_detects_corruption(self):
-        good = component_group("Klein4")
-        bad_table = dict(good.table)
-        bad_table[2] = (1, 1, 1, -1)
-        bad = type(good)(good.kind, good.elements, good.class_sizes, bad_table)
-        assert not row_orthogonality(bad)
+        bad_table = (KLEIN4.table[0], (1, 1, 1, -1)) + KLEIN4.table[2:]
+        assert not row_orthogonality(dataclasses.replace(KLEIN4, table=bad_table))
 
 
 class TestProjMatrices:
