@@ -37,7 +37,6 @@ from .torus import (
     LieElement,
     TorusElement,
     TorusVariant,
-    classify,
     f_direct,
     g_conjugate,
 )
@@ -87,7 +86,7 @@ def _require_unramified(gamma: TorusElement) -> None:
 
 
 def _classify_supported(gamma: TorusElement) -> Classification:
-    cls = classify(gamma)
+    cls = gamma.classification
     if cls is Classification.ANTI_NEAR:
         raise AntiNearUnsupported(
             "no character formula on central twists of near elements"
@@ -110,7 +109,7 @@ def psi0(gamma: TorusElement) -> int:
         if gamma.a.residue == 1:
             return 1
         return -legendre(cfg.p - 1, cfg.p)
-    if classify(gamma) is Classification.NEAR:
+    if gamma.classification is Classification.NEAR:
         return 1
     return sgn_pi((gamma.a + 1) * 2)
 

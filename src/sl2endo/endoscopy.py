@@ -31,7 +31,7 @@ from .cyclotomic import CycNumber
 from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
 from .localfield import FieldConfig, sgn_eps
 from .packets import KLEIN4, virtual_coeffs
-from .torus import Classification, TorusElement, cayley_inverse, classify, invert
+from .torus import Classification, TorusElement, cayley_inverse, invert
 
 # The s field of the two falsify reports of one near element.
 FALSIFY_CHECKS = ("s1", "theta1+theta2")
@@ -48,8 +48,9 @@ def epsilon_factor(config: FieldConfig) -> int:
 
 
 def kappa_term(gamma: TorusElement) -> int:
-    """The kappa constituent: the unramified character at (c - cbar)/(2*sqrt(eps)) = b."""
-    return sgn_eps(gamma.b)
+    """The kappa constituent: the unramified character at (c - cbar)/(2*sqrt(eps)) = b,
+    that is sgn_eps(b) = (-1)^{v(b)}."""
+    return -1 if gamma.valuation_b % 2 else 1
 
 
 def related_elements(gamma: TorusElement) -> tuple[TorusElement, TorusElement]:
@@ -64,7 +65,7 @@ def transfer_factor(gamma: TorusElement) -> int:
     q^{v(b)}; the same for both related elements, since they share v(b).
     """
     cfg = gamma.config
-    return epsilon_factor(cfg) * kappa_term(gamma) * cfg.q ** gamma.b.valuation()
+    return epsilon_factor(cfg) * kappa_term(gamma) * cfg.q ** gamma.valuation_b
 
 
 def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
@@ -74,8 +75,7 @@ def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
     through the residue dlog route, independently of the member formulas on
     the left-hand side.
     """
-    cls = classify(gamma)
-    if cls is Classification.ANTI_NEAR:
+    if gamma.classification is Classification.ANTI_NEAR:
         raise AntiNearUnsupported("right-hand side undefined on anti-near elements")
     factor = transfer_factor(gamma)
     total = CycNumber.zero(gamma.config.q + 1)
@@ -101,10 +101,6 @@ class VerificationReport:
     lhs: "CycNumber | None"
     rhs: "CycNumber | None"
     verdict: str
-
-    @property
-    def is_skipped(self) -> bool:
-        return self.verdict.startswith("skipped")
 
     def to_record(self) -> dict:
         """JSON-ready dict with exactly the report schema's fields, in order."""
@@ -143,7 +139,7 @@ def _report(
     else:
         a, b = drawn.a.residue, drawn.b.residue
         try:
-            vb, cls_name = drawn.b.valuation(), classify(drawn).value
+            vb, cls_name = drawn.valuation_b, drawn.classification.value
         except PrecisionExhausted:
             cls_name = "unknown"
     return VerificationReport(
@@ -214,7 +210,7 @@ def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, Verificati
     member sum theta_1 + theta_2 (identically -1) with the orbital-integral
     route (-1 - f).  Both are unequal for every near regular element.
     """
-    if classify(gamma) is not Classification.NEAR:
+    if gamma.classification is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")
     cfg = gamma.config
     packet = PacketSpec.nonregular(cfg)

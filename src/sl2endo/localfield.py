@@ -19,7 +19,7 @@ so everything residue-field-sized is an honest small integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import NotASquare, PrecisionExhausted, ZeroInput
 
@@ -47,6 +47,7 @@ def legendre(u: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
+@lru_cache(maxsize=None)
 def smallest_nonresidue(p: int) -> int:
     u = 2
     while legendre(u, p) == 1:
@@ -147,10 +148,6 @@ class PadicNumber:
             v += 1
         return v
 
-    def unit_part(self) -> int:
-        """The integer u with self = u * p^v, reduced from the stored residue."""
-        return self.residue // self.config.p ** self.valuation()
-
     def shift_down(self, k: int = 1) -> "PadicNumber":
         """Exact division by p^k (requires valuation >= k).
 
@@ -218,8 +215,7 @@ def sgn_pi(x: PadicNumber) -> int:
     """
     p = x.config.p
     n = x.valuation()
-    u = x.unit_part() % p
-    value = legendre(u, p)
+    value = legendre(x.residue // p**n, p)
     if n % 2:
         value *= legendre(p - 1, p)
     return value
@@ -233,17 +229,20 @@ def hensel_sqrt(x: PadicNumber) -> PadicNumber:
     smaller square root of the unit part mod p.
     """
     cfg = x.config
+    p = cfg.p
     v = x.valuation()
     if v % 2:
         raise NotASquare(f"odd valuation {v}")
-    u = x.residue // cfg.p**v
-    if legendre(u % cfg.p, cfg.p) == -1:
-        raise NotASquare(f"unit part {u % cfg.p} is a nonresidue mod {cfg.p}")
-    s = sqrt_mod_p(u % cfg.p, cfg.p)
-    # Newton lift: s <- (s + u/s)/2, doubling the exact precision each pass.
+    u = x.residue // p**v
+    try:
+        s = sqrt_mod_p(u, p)  # the one Euler test of the unit part
+    except NotASquare:
+        raise NotASquare(f"unit part {u % p} is a nonresidue mod {p}") from None
+    # Newton lift: s <- (s + u/s)/2, doubling the exact precision each pass;
+    # (mod + 1) // 2 is 1/2 mod the odd modulus.
     k = 1
     while k < cfg.N:
         k = min(2 * k, cfg.N)
-        mod = cfg.p**k
-        s = (s + u * pow(s, -1, mod)) * pow(2, -1, mod) % mod
-    return cfg.padic(cfg.p ** (v // 2) * s)
+        mod = p**k
+        s = (s + u * pow(s, -1, mod)) * ((mod + 1) // 2) % mod
+    return cfg.padic(p ** (v // 2) * s)

@@ -4,7 +4,8 @@ A torus element is stored as the pair (a, b) with a^2 - eps*b^2 = 1 at
 precision (the avatar a + b*sqrt(eps) of the norm-one group), tagged with
 which of the two conjugacy classes of the torus it belongs to.  The 2x2
 matrix forms are reconstructible views; every formula downstream consumes
-only (a, b, v(b)).
+only (a, b, v(b)).  An element computes v(b) and its class once, on first
+read, and every formula reads them from it.
 
 Regular elements split into three classes: far from the identity
 (v(b) = 0), near the identity (v(b) >= 1 and a = 1 mod p), and the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotASquare, NotNear, PrecisionExhausted, SamplingBudgetExceeded
 from .localfield import FieldConfig, PadicNumber, hensel_sqrt, sgn_eps
@@ -43,15 +45,40 @@ class TorusElement:
         cfg = self.a.config
         if self.b.config != cfg:
             raise ValueError("a and b from different field configurations")
-        norm = self.a * self.a - self.b * self.b * cfg.eps
-        if norm.residue != 1:
-            raise ValueError(
-                f"({self.a.residue}, {self.b.residue}) is not norm-one at precision"
-            )
+        a, b = self.a.residue, self.b.residue
+        if (a * a - cfg.eps * b * b) % cfg.modulus != 1:
+            raise ValueError(f"({a}, {b}) is not norm-one at precision")
 
     @property
     def config(self) -> FieldConfig:
         return self.a.config
+
+    @cached_property
+    def valuation_b(self) -> int:
+        """v(b), computed on first read.
+
+        An element with b = 0 at precision still builds; reading this then
+        raises PrecisionExhausted, every time, and nothing is cached.
+        """
+        return self.b.valuation()
+
+    @cached_property
+    def classification(self) -> "Classification":
+        """Near / anti-near / far trichotomy for regular elements.
+
+        Far is v(b) = 0.  Otherwise b is in the maximal ideal, which forces
+        a = +-1 mod p (a^2 = 1 + eps*b^2), splitting the remainder into near
+        and its central twist.
+        """
+        if self.valuation_b == 0:
+            return Classification.FAR
+        p = self.config.p
+        a_mod_p = self.a.residue % p
+        if a_mod_p == 1:
+            return Classification.NEAR
+        if a_mod_p == p - 1:
+            return Classification.ANTI_NEAR
+        raise AssertionError("norm-one element with b in (p) must have a = +-1 mod p")
 
     def __repr__(self) -> str:
         return (
@@ -78,35 +105,13 @@ def element(config: FieldConfig, a: int, b: int,
 
 
 def classify(gamma: TorusElement) -> Classification:
-    """Near / anti-near / far trichotomy for regular elements.
-
-    Far is v(b) = 0.  Otherwise b is in the maximal ideal, which forces
-    a = +-1 mod p (a^2 = 1 + eps*b^2), splitting the remainder into near
-    and its central twist.
-    """
-    if gamma.b.valuation() == 0:
-        return Classification.FAR
-    a_mod_p = gamma.a.residue % gamma.config.p
-    if a_mod_p == 1:
-        return Classification.NEAR
-    if a_mod_p == gamma.config.p - 1:
-        return Classification.ANTI_NEAR
-    raise AssertionError("norm-one element with b in (p) must have a = +-1 mod p")
-
-
-def in_first_filtration(gamma: TorusElement) -> bool:
-    """Membership in the first congruence subgroup: a = 1 mod p, b = 0 mod p.
-
-    This is the definitional near-the-identity test; classify() is checked
-    against it (and its central twist) in the test suite.
-    """
-    p = gamma.config.p
-    return gamma.a.residue % p == 1 and gamma.b.residue % p == 0
+    """The class of gamma (see ``TorusElement.classification``)."""
+    return gamma.classification
 
 
 def f_direct(gamma: TorusElement) -> int:
     """The function (-q)^{v(b)} as an exact integer."""
-    return (-gamma.config.q) ** gamma.b.valuation()
+    return (-gamma.config.q) ** gamma.valuation_b
 
 
 def f_via_disc(gamma: TorusElement) -> int:
@@ -115,7 +120,7 @@ def f_via_disc(gamma: TorusElement) -> int:
     sgn_eps(b) divided by the normalized Weyl discriminant |b| = q^{-v(b)},
     i.e. sgn_eps(b) * q^{v(b)}.
     """
-    return sgn_eps(gamma.b) * gamma.config.q ** gamma.b.valuation()
+    return sgn_eps(gamma.b) * gamma.config.q ** gamma.valuation_b
 
 
 def weyl_DG(gamma: TorusElement) -> PadicNumber:
@@ -198,25 +203,25 @@ def sample_regular(
         raise ValueError(f"v_target={v_target} leaves too little precision (N={config.N})")
 
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    p = config.p
+    p, eps, modulus = config.p, config.eps, config.modulus
+    shift, high = p**v_target, p ** (config.N - v_target - 1)
     for _ in range(budget):
         # unit by construction: nonzero low digit plus arbitrary higher digits
-        u = rng.randrange(1, p) + p * rng.randrange(p ** (config.N - v_target - 1))
-        b = config.padic(p**v_target * u)
-        one_plus = b * b * config.eps + 1
+        u = rng.randrange(1, p) + p * rng.randrange(high)
+        b = shift * u % modulus
         try:
-            a = hensel_sqrt(one_plus)
+            a = hensel_sqrt(PadicNumber((eps * b * b + 1) % modulus, config)).residue
         except (NotASquare, PrecisionExhausted):
             continue
         if classification is Classification.NEAR:
-            if a.residue % p != 1:
-                a = -a
+            if a % p != 1:
+                a = -a % modulus
         elif classification is Classification.ANTI_NEAR:
-            if a.residue % p != p - 1:
-                a = -a
+            if a % p != p - 1:
+                a = -a % modulus
         elif rng.getrandbits(1):
-            a = -a
-        gamma = TorusElement(a, b)
+            a = -a % modulus
+        gamma = TorusElement(PadicNumber(a, config), PadicNumber(b, config))
         if classify(gamma) is classification:
             return gamma
     raise SamplingBudgetExceeded(

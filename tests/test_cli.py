@@ -267,9 +267,20 @@ class TestDeterminism:
                 ["verify", "--packet", "regular", "--primes", "13", "--format", "table"],
                 "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
             ),
+            (
+                # pins the stable comparison: theta5, psi0 and the inner-form side
+                ["verify", "--s", "1", "--primes", "3,5,7,11,13", "--samples", "40",
+                 "--seed", "5"],
+                "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
+            ),
+            (
+                # pins the undetermined and no-comparison skips
+                ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
+                "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
+            ),
         ],
         ids=["regular-p101", "nonregular-s1", "falsify", "table", "properties",
-             "regular-p13-table-format"],
+             "regular-p13-table-format", "nonregular-stable", "nonregular-s2-skips"],
     )
     def test_stream_digest_pinned(self, argv, digest):
         code, out, _ = run_cli(argv)

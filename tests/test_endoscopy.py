@@ -23,7 +23,7 @@ from sl2endo.endoscopy import (
     verify_identity,
 )
 from sl2endo.errors import AntiNearUnsupported, NotNear, PrecisionExhausted
-from sl2endo.localfield import FieldConfig
+from sl2endo.localfield import FieldConfig, PadicNumber
 from sl2endo.residue import norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
@@ -202,7 +202,7 @@ class TestVerifyIdentity:
     def test_nonregular_s2_far_skipped_no_comparison(self):
         pk = PacketSpec.nonregular(FieldConfig(3))
         report = verify_identity(pk, "s2", far_p3())
-        assert report.is_skipped
+        assert report.verdict.startswith("skipped")
         assert report.lhs == 0  # the virtual character itself is known far
 
     def test_anti_near_skipped(self):
@@ -265,3 +265,40 @@ class TestFalsify:
     def test_far_rejected(self):
         with pytest.raises(NotNear):
             falsify_adss152(far_p3())
+
+
+class TestOneClassificationPerElement:
+    """v(b) and the class are computed once per element, by the sampler.
+
+    Counts the PadicNumber.valuation calls of one verify_identity at
+    p = 1009, the sampling excluded.  The ones left are the epsilon factor's
+    sgn_eps at the uniformizer and, far from the identity on the quadratic
+    level, psi0's sgn_pi at 2(a + 1).  A count that grows means a formula
+    went back to recomputing a fact the element already holds.
+    """
+
+    @pytest.mark.parametrize(
+        "packet,cls,v,calls",
+        [
+            ("nonregular", Classification.FAR, 0, 2),
+            ("regular", Classification.FAR, 0, 1),
+            ("regular", Classification.NEAR, 1, 1),
+        ],
+        ids=["far-nonregular-s1", "far-regular-s1", "near-regular-s1"],
+    )
+    def test_valuation_calls_per_check(self, monkeypatch, packet, cls, v, calls):
+        cfg = FieldConfig(1009)
+        pk = PacketSpec.nonregular(cfg) if packet == "nonregular" else PacketSpec.regular(cfg, 1)
+        g = sample(1009, cls, v, "count")
+        count = 0
+        valuation = PadicNumber.valuation
+
+        def counting(self):
+            nonlocal count
+            count += 1
+            return valuation(self)
+
+        monkeypatch.setattr(PadicNumber, "valuation", counting)
+        report = verify_identity(pk, "s1", g)
+        assert report.verdict == "equal"
+        assert count == calls

@@ -213,6 +213,65 @@ class TestHenselSqrt:
         assert a.valuation() == 1
 
 
+def reference_hensel_sqrt(x):
+    """hensel_sqrt as it was before its single Euler test: a Legendre test of
+    the unit part, then sqrt_mod_p (which tests again), then Newton steps
+    with 1/2 from pow(2, -1, mod)."""
+    cfg = x.config
+    v = x.valuation()
+    if v % 2:
+        raise NotASquare(f"odd valuation {v}")
+    u = x.residue // cfg.p**v
+    if legendre(u % cfg.p, cfg.p) == -1:
+        raise NotASquare(f"unit part {u % cfg.p} is a nonresidue mod {cfg.p}")
+    s = sqrt_mod_p(u % cfg.p, cfg.p)
+    k = 1
+    while k < cfg.N:
+        k = min(2 * k, cfg.N)
+        mod = cfg.p**k
+        s = (s + u * pow(s, -1, mod)) * pow(2, -1, mod) % mod
+    return cfg.padic(cfg.p ** (v // 2) * s)
+
+
+def outcome(fn, x):
+    """fn(x), or the class and message of the exception it raises."""
+    try:
+        return fn(x)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestHenselSqrtAgainstReference:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_every_nonzero_residue_mod_p4(self, p):
+        cfg = FieldConfig(p, 4)
+        for r in range(1, cfg.modulus):
+            x = cfg.padic(r)
+            assert outcome(hensel_sqrt, x) == outcome(reference_hensel_sqrt, x), r
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(PRIMES), data=st.data())
+    def test_random_residues_mod_p8(self, p, data):
+        cfg = FieldConfig(p, 8)
+        x = cfg.padic(data.draw(st.integers(min_value=1, max_value=cfg.modulus - 1)))
+        assert outcome(hensel_sqrt, x) == outcome(reference_hensel_sqrt, x)
+
+
+def test_smallest_nonresidue_is_eps_and_cached():
+    for p in PRIMES:
+        assert smallest_nonresidue(p) == FieldConfig(p).eps
+    hits = smallest_nonresidue.cache_info().hits
+    smallest_nonresidue(13)
+    assert smallest_nonresidue.cache_info().hits == hits + 1
+
+
+def test_sqrt_mod_p_rejects_zero_and_nonresidues():
+    with pytest.raises(ZeroInput, match="^0 is divisible by 7$"):
+        sqrt_mod_p(14, 7)
+    with pytest.raises(NotASquare, match="^3 is not a square mod 7$"):
+        sqrt_mod_p(10, 7)
+
+
 def test_sqrt_mod_p_is_the_smaller_root():
     # primes of both classes mod 4: Tonelli-Shanks with and without its loop
     for p in filter(is_odd_prime, range(3, 200)):

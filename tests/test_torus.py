@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2endo.errors import (
+    NotASquare,
     NotNear,
     PrecisionExhausted,
     SamplingBudgetExceeded,
@@ -12,6 +15,7 @@ from sl2endo.errors import (
 from sl2endo.localfield import FieldConfig, hensel_sqrt, sgn_eps
 from sl2endo.torus import (
     Classification,
+    TorusElement,
     TorusVariant,
     cayley,
     cayley_inverse,
@@ -20,7 +24,6 @@ from sl2endo.torus import (
     f_direct,
     f_via_disc,
     g_conjugate,
-    in_first_filtration,
     invert,
     sample_regular,
     weyl_DG,
@@ -34,6 +37,15 @@ def near_example(cfg):
     """The element (sqrt(1 + eps*9), 3): near with v(b) = 1."""
     a = hensel_sqrt(cfg.padic(1 + cfg.eps * 9))
     return element(cfg, a.residue, 3)
+
+
+def in_first_filtration(gamma):
+    """Membership in the first congruence subgroup: a = 1 mod p, b = 0 mod p.
+
+    The definitional near-the-identity test, the oracle for classify.
+    """
+    p = gamma.config.p
+    return gamma.a.residue % p == 1 and gamma.b.residue % p == 0
 
 
 def mixed_samples(cfg, n, tag=""):
@@ -59,6 +71,55 @@ class TestConstruction:
 
     def test_identity_not_regular(self):
         assert element(FieldConfig(5), 1, 0).b.is_zero_at_precision
+
+
+def builds(a, b):
+    try:
+        TorusElement(a, b)
+    except ValueError:
+        return False
+    return True
+
+
+class TestNormCheckAgainstReference:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_pair_mod_p4(self, p):
+        # the reference is the norm in PadicNumber arithmetic,
+        # (a*a - b*b*eps).residue == 1, with both squares hoisted out of the grid
+        cfg = FieldConfig(p, 4)
+        xs = [cfg.padic(r) for r in range(cfg.modulus)]
+        squares = [x * x for x in xs]
+        eps_squares = [x * x * cfg.eps for x in xs]
+        expected = [
+            (a, b)
+            for a, aa in enumerate(squares)
+            for b, bb in enumerate(eps_squares)
+            if (aa - bb).residue == 1
+        ]
+        accepted = [(a.residue, b.residue) for a in xs for b in xs if builds(a, b)]
+        assert accepted == expected
+        assert len(expected) == (p + 1) * p**3  # the order of the norm-one group mod p^4
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(PRIMES), data=st.data())
+    def test_random_pairs_mod_p8(self, p, data):
+        cfg = FieldConfig(p, 8)
+        residues = st.integers(min_value=0, max_value=cfg.modulus - 1)
+        b = cfg.padic(data.draw(residues))
+        candidates = [cfg.padic(data.draw(residues))]
+        try:
+            root = hensel_sqrt(b * b * cfg.eps + 1)
+        except (NotASquare, PrecisionExhausted):
+            pass
+        else:  # both roots, and a root moved by p^k
+            k = data.draw(st.integers(min_value=0, max_value=cfg.N - 1))
+            candidates += [root, -root, root + p**k]
+        for a in candidates:
+            assert builds(a, b) == ((a * a - b * b * cfg.eps).residue == 1)
+
+    def test_mixed_configurations_rejected(self):
+        with pytest.raises(ValueError, match="different field configurations"):
+            TorusElement(FieldConfig(3).padic(1), FieldConfig(3, 6).padic(0))
 
 
 class TestImEps:
