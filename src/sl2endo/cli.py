@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 from . import checks
 from .charformulas import PacketSpec, psi0_on_residue_point
+from .cyclotomic import CycNumber
 from .endoscopy import (
     FALSIFY_CHECKS,
     REPORT_FIELDS,
+    VerificationReport,
     budget_exceeded_reports,
     falsify_adss152,
     verify_identity,
@@ -150,7 +152,7 @@ def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
 
 
 class Emitter:
-    """Serializes report records in one of the supported formats."""
+    """Serializes reports in one of the supported formats."""
 
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
@@ -161,22 +163,21 @@ class Emitter:
             self.writer.writerow(REPORT_FIELDS)
 
     @staticmethod
-    def _flatten(record: dict) -> list:
+    def _flatten(report: VerificationReport) -> list:
+        """The report's fields in schema order, a cyclotomic value as its text."""
         row = []
         for name in REPORT_FIELDS:
-            value = record[name]
-            if isinstance(value, dict):
-                value = value["text"]
-            row.append(value)
+            value = getattr(report, name)
+            row.append(str(value) if isinstance(value, CycNumber) else value)
         return row
 
-    def emit(self, record: dict) -> None:
+    def emit(self, report: VerificationReport) -> None:
         if self.fmt == "jsonl":
-            self.stream.write(json.dumps(record, sort_keys=True) + "\n")
+            self.stream.write(report.to_json() + "\n")
         elif self.fmt == "csv":
-            self.writer.writerow(self._flatten(record))
+            self.writer.writerow(self._flatten(report))
         else:
-            self.rows.append([str(v) for v in self._flatten(record)])
+            self.rows.append([str(v) for v in self._flatten(report)])
 
     def close(self) -> None:
         if self.fmt != "table" or not self.rows:
@@ -210,7 +211,7 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
                     [report] = budget_exceeded_reports(config, packet, cls, [sweep.s])
                 else:
                     report = verify_identity(packet, sweep.s, gamma)
-                emitter.emit(report.to_record())
+                emitter.emit(report)
                 verdicts[report.verdict] += 1
     emitter.close()
     n_equal = verdicts["equal"]
@@ -239,10 +240,10 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
                 for report in budget_exceeded_reports(
                     config, PacketSpec.nonregular(config), Classification.NEAR, FALSIFY_CHECKS
                 ):
-                    emitter.emit(report.to_record())
+                    emitter.emit(report)
                 continue
             for report in falsify_adss152(gamma):
-                emitter.emit(report.to_record())
+                emitter.emit(report)
                 verdicts[report.verdict] += 1
     emitter.close()
     n_total = verdicts.total()

@@ -16,6 +16,8 @@ over related elements.  Every check is exact cyclotomic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .charformulas import (
     NEAR_CONSTANT_TERM,
@@ -27,7 +29,7 @@ from .charformulas import (
     mu_hat_orbital,
     theta_virtual,
 )
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, euler_phi
 from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
 from .localfield import FieldConfig, sgn_eps
 from .packets import KLEIN4, virtual_coeffs
@@ -37,11 +39,12 @@ from .torus import Classification, TorusElement, cayley_inverse, invert
 FALSIFY_CHECKS = ("s1", "theta1+theta2")
 
 
+@lru_cache(maxsize=None)
 def epsilon_factor(config: FieldConfig) -> int:
     """Local epsilon factor of the unramified quadratic character, always -1.
 
     Computed as the inverse of that character's value at the uniformizer
-    (a level-one additive character is understood).
+    (a level-one additive character is understood), once per configuration.
     """
     chi_at_pi = sgn_eps(config.padic(config.pi))
     return chi_at_pi  # order <= 2, so the inverse is the value itself
@@ -115,9 +118,40 @@ class VerificationReport:
                 }
         return record
 
+    def to_json(self) -> str:
+        """The jsonl line of this report: json.dumps(self.to_record(), sort_keys=True),
+        written from the sparse values without building the dense coefficient lists."""
+        return "{" + ", ".join(
+            [key + _json_value(getattr(self, name)) for name, key in _JSON_KEYS]
+        ) + "}"
+
 
 # The report schema: the fields of VerificationReport, in declaration order.
 REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
+# (field, its json key and separator), in the sorted key order of a jsonl line.
+_JSON_KEYS = tuple((name, encode_basestring_ascii(name) + ": ") for name in sorted(REPORT_FIELDS))
+
+
+def _json_value(value: "CycNumber | int | str | None") -> str:
+    """json.dumps(value) for a report field; a CycNumber as its record dict,
+    {"coeffs": [...], "conductor": m, "text": "..."}, with one repeated
+    '"0", ' string per run of zero coefficients."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, CycNumber):
+        return int.__repr__(value)
+    parts, start = [], 0
+    for i, c in value.num:
+        parts += ('"0", ' * (i - start), encode_basestring_ascii(str(c)), ", ")
+        start = i + 1
+    parts.append('"0", ' * (euler_phi(value.m) - start))
+    coeffs = "".join(parts)[:-2]  # phi(m) >= 1 items, each followed by ", "
+    return (
+        f'{{"coeffs": [{coeffs}], "conductor": {int.__repr__(value.m)},'
+        f' "text": {encode_basestring_ascii(str(value))}}}'
+    )
 
 
 def _report(

@@ -278,9 +278,21 @@ class TestDeterminism:
                 ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
                 "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
             ),
+            (
+                # pins the csv format with both sides decided
+                ["verify", "--format", "csv", "--seed", "5"],
+                "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
+            ),
+            (
+                # pins jsonl at conductor 1010, where the runs of zero coefficients are long
+                ["verify", "--packet", "regular", "--primes", "1009", "--level", "1",
+                 "--samples", "7", "--seed", "5"],
+                "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
+            ),
         ],
         ids=["regular-p101", "nonregular-s1", "falsify", "table", "properties",
-             "regular-p13-table-format", "nonregular-stable", "nonregular-s2-skips"],
+             "regular-p13-table-format", "nonregular-stable", "nonregular-s2-skips",
+             "nonregular-csv-format", "regular-p1009"],
     )
     def test_stream_digest_pinned(self, argv, digest):
         code, out, _ = run_cli(argv)

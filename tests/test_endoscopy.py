@@ -1,8 +1,11 @@
 """Tests for transfer factors, the two-term right-hand side, and the verifier."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2endo.charformulas import (
     PacketSpec,
@@ -11,9 +14,11 @@ from sl2endo.charformulas import (
     psi0,
     theta_regular,
 )
-from sl2endo.cyclotomic import CycNumber
+from sl2endo.cyclotomic import CycNumber, euler_phi
 from sl2endo.endoscopy import (
     REPORT_FIELDS,
+    VerificationReport,
+    budget_exceeded_reports,
     epsilon_factor,
     falsify_adss152,
     kappa_term,
@@ -237,6 +242,71 @@ class TestVerifyIdentity:
         assert record["lhs"]["coeffs"] and record["lhs"]["text"]
 
 
+def reference_line(report):
+    """The jsonl line of a report as the dense record dict serializes it."""
+    return json.dumps(report.to_record(), sort_keys=True)
+
+
+def report_with(lhs, rhs, verdict="equal", a=7, b=-3):
+    return VerificationReport(3, 8, 2, "nonregular", 2, "s1", a, b, 1, "near", lhs, rhs, verdict)
+
+
+@st.composite
+def sparse_values(draw):
+    """A CycNumber at conductor 1, 4, 12 or 1010, with terms often at the first
+    and the last power-basis index and sometimes none (the zero value)."""
+    m = draw(st.sampled_from([1, 4, 12, 1010]))
+    n = euler_phi(m)
+    indices = draw(st.sets(st.sampled_from([0, n - 1]))) | draw(
+        st.sets(st.integers(0, n - 1), max_size=6)
+    )
+    coeff = st.integers(-(10**30), 10**30).filter(bool)
+    return CycNumber(m, tuple((i, draw(coeff)) for i in sorted(indices)))
+
+
+class TestJsonLine:
+    """to_json writes json.dumps(to_record(), sort_keys=True) from the sparse terms."""
+
+    @pytest.mark.parametrize("p", [3, 13, 101, 1009])
+    def test_every_report_kind(self, p):
+        cfg = FieldConfig(p)
+        nonregular, regular = PacketSpec.nonregular(cfg), PacketSpec.regular(cfg, 1)
+        far, near = sample(p, Classification.FAR, 0, "json"), sample(p, Classification.NEAR, 1, "json")
+        reports = [
+            verify_identity(nonregular, "s1", far),  # equal
+            verify_identity(nonregular, "s1", near),
+            verify_identity(regular, "s1", far),
+            verify_identity(regular, "s1", near),
+            verify_identity(nonregular, "1", far),
+            verify_identity(nonregular, "s2", far),  # lhs set, rhs null
+            verify_identity(nonregular, "s2", near),  # undetermined: both null
+            verify_identity(nonregular, "s1", anti_near(p)),
+            verify_identity(nonregular, "s1", element(cfg, 1, 0)),  # precision exhausted
+            *budget_exceeded_reports(cfg, nonregular, Classification.FAR, ["s1", "s2"]),
+            *falsify_adss152(near),
+        ]
+        verdicts = {r.verdict.partition("(")[0] for r in reports}
+        assert verdicts == {"equal", "unequal", "skipped"}
+        assert any(r.lhs is not None and r.rhs is None for r in reports)
+        for report in reports:
+            assert report.to_json() == reference_line(report)
+
+    @pytest.mark.parametrize("m", [1, 4, 12, 1010])
+    def test_edge_terms_and_zero(self, m):
+        last = euler_phi(m) - 1
+        for terms in [{}, {0: 5}, {last: -1}, {0: -2, last: 3}]:
+            value = CycNumber(m, tuple(sorted(terms.items())))
+            report = report_with(value, CycNumber.zero(m))
+            assert report.to_json() == reference_line(report)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lhs=sparse_values(), rhs=st.none() | sparse_values(), verdict=st.text(max_size=12),
+           a=st.none() | st.integers(-(10**40), 10**40))
+    def test_random_sparse_values(self, lhs, rhs, verdict, a):
+        report = report_with(lhs, rhs, verdict, a=a, b=a)
+        assert report.to_json() == reference_line(report)
+
+
 class TestFalsify:
     def test_p3_v1_values(self):
         g = sample(3, Classification.NEAR, 1, "f1")
@@ -271,18 +341,19 @@ class TestOneClassificationPerElement:
     """v(b) and the class are computed once per element, by the sampler.
 
     Counts the PadicNumber.valuation calls of one verify_identity at
-    p = 1009, the sampling excluded.  The ones left are the epsilon factor's
-    sgn_eps at the uniformizer and, far from the identity on the quadratic
-    level, psi0's sgn_pi at 2(a + 1).  A count that grows means a formula
-    went back to recomputing a fact the element already holds.
+    p = 1009, the sampling excluded, after a first check has filled the
+    per-configuration epsilon factor.  The one left is psi0's sgn_pi at
+    2(a + 1), far from the identity on the quadratic level.  A count that
+    grows means a formula went back to recomputing a fact the element
+    already holds.
     """
 
     @pytest.mark.parametrize(
         "packet,cls,v,calls",
         [
-            ("nonregular", Classification.FAR, 0, 2),
-            ("regular", Classification.FAR, 0, 1),
-            ("regular", Classification.NEAR, 1, 1),
+            ("nonregular", Classification.FAR, 0, 1),
+            ("regular", Classification.FAR, 0, 0),
+            ("regular", Classification.NEAR, 1, 0),
         ],
         ids=["far-nonregular-s1", "far-regular-s1", "near-regular-s1"],
     )
@@ -290,6 +361,7 @@ class TestOneClassificationPerElement:
         cfg = FieldConfig(1009)
         pk = PacketSpec.nonregular(cfg) if packet == "nonregular" else PacketSpec.regular(cfg, 1)
         g = sample(1009, cls, v, "count")
+        verify_identity(pk, "s1", sample(1009, cls, v, "warm"))  # fills epsilon_factor(cfg)
         count = 0
         valuation = PadicNumber.valuation
 
