@@ -41,7 +41,6 @@ from .torus import (
     Classification,
     cayley,
     cayley_inverse,
-    classify,
     f_direct,
     f_via_disc,
     g_conjugate,
@@ -52,11 +51,11 @@ from .torus import (
 
 
 def _far(gammas) -> list:
-    return [g for g in gammas if classify(g) is Classification.FAR]
+    return [g for g in gammas if g.classification is Classification.FAR]
 
 
 def _near(gammas) -> list:
-    return [g for g in gammas if classify(g) is Classification.NEAR]
+    return [g for g in gammas if g.classification is Classification.NEAR]
 
 
 def f_and_discriminant_identities(config: FieldConfig, gammas) -> bool:
@@ -67,7 +66,7 @@ def f_and_discriminant_identities(config: FieldConfig, gammas) -> bool:
         and f_direct(invert(g)) == f_direct(g)
         and f_direct(g_conjugate(g)) == f_direct(g)
         and weyl_DG(g).valuation() == 2 * g.b.valuation()
-        and (classify(g) is not Classification.FAR or f_direct(g) == 1)
+        and (g.classification is not Classification.FAR or f_direct(g) == 1)
         for g in gammas
     )
 
@@ -129,7 +128,7 @@ def inner_form_stability(config: FieldConfig, gammas) -> bool:
         side0, side1 = kottwitz_stable(g)
         if side0 != side1:
             return False
-        far = classify(g) is Classification.FAR
+        far = g.classification is Classification.FAR
         members = theta_nonregular_far(g) if far else theta_nonregular_near_sums(g)
         if theta5(g).scale(2) != -sum(members, CycNumber.zero()):
             return False

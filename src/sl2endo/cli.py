@@ -126,16 +126,13 @@ def _max_precision(p: int, digits: int) -> int:
     return n
 
 
-def _sample_plan(sweep: SweepConfig) -> list[tuple[Classification, int]]:
-    """Deterministic (class, valuation) schedule of length sweep.samples."""
-    near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
+def _sample_plan(samples: int, sample_class: str, near_vals) -> list[tuple[Classification, int]]:
+    """The deterministic (class, v(b)) schedule of every sweep's draws: draw i is near
+    under "near", and under "both" when i is odd; near draws cycle through near_vals."""
     plan = []
     near_i = 0
-    for i in range(sweep.samples):
-        want_near = sweep.sample_class == "near" or (
-            sweep.sample_class == "both" and i % 2 == 1
-        )
-        if want_near:
+    for i in range(samples):
+        if sample_class == "near" or (sample_class == "both" and i % 2 == 1):
             plan.append((Classification.NEAR, near_vals[near_i % len(near_vals)]))
             near_i += 1
         else:
@@ -177,7 +174,7 @@ class Emitter:
         elif self.fmt == "csv":
             self.writer.writerow(self._flatten(report))
         else:
-            self.rows.append([str(v) for v in self._flatten(report)])
+            self.rows.append(["" if v is None else str(v) for v in self._flatten(report)])
 
     def close(self) -> None:
         if self.fmt != "table" or not self.rows:
@@ -197,10 +194,12 @@ class Emitter:
 def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
+    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
+    plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
-            for i, (cls, v) in enumerate(_sample_plan(sweep)):
+            for i, (cls, v) in enumerate(plan):
                 key = (
                     f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}"
                     f"|{sweep.s}|{cls.value}|{v}|{i}"
@@ -227,18 +226,18 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
     n_budget = 0
+    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
+    plan = _sample_plan(sweep.samples, "near", near_vals)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
-        near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
-        for i in range(sweep.samples):
-            v = near_vals[i % len(near_vals)]
+        for i, (cls, v) in enumerate(plan):
             key = f"{sweep.seed}|{p}|falsify|{v}|{i}"
             try:
-                gamma = sample_regular(config, Classification.NEAR, v, seed=key)
+                gamma = sample_regular(config, cls, v, seed=key)
             except SamplingBudgetExceeded:
                 n_budget += 1
                 for report in budget_exceeded_reports(
-                    config, PacketSpec.nonregular(config), Classification.NEAR, FALSIFY_CHECKS
+                    config, PacketSpec.nonregular(config), cls, FALSIFY_CHECKS
                 ):
                     emitter.emit(report)
                 continue
@@ -260,13 +259,9 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
 def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str, bool, str]]:
     """Per-prime algebraic identity checks; each entry is (name, ok, detail)."""
     rng = random.Random(f"{sweep.seed}|{config.p}|properties")
-    gammas = []
-    for i in range(max(10, sweep.samples)):
-        if i % 2 == 0:
-            gammas.append(sample_regular(config, Classification.FAR, 0, rng))
-        else:
-            v = 1 + (i // 2) % min(3, (config.N - 1) // 2)  # v(D_G) = 2v < N
-            gammas.append(sample_regular(config, Classification.NEAR, v, rng))
+    near_vals = range(1, min(3, (config.N - 1) // 2) + 1)  # v(D_G) = 2v < N
+    plan = _sample_plan(max(10, sweep.samples), "both", near_vals)
+    gammas = [sample_regular(config, cls, v, rng) for cls, v in plan]
     return [
         (name, check(config, gammas), detail(gammas))
         for name, check, detail in checks.PROPERTIES

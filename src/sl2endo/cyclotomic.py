@@ -12,8 +12,9 @@ representation faithful; reduction walks only the nonzero coefficients
 of Phi_m.  Scalars must be integers: any other number raises TypeError
 (through operator.index) and is never stored as a coefficient.
 
-root_of_unity(m, k) reads a per-conductor table that is filled one
-exponent at a time, on first use; its entries are immutable and shared.
+Phi_m and its reducer are memoised per conductor, and root_of_unity(m, k)
+per (conductor, exponent mod m), each filled on first use; the values are
+immutable and shared.
 
 Integers live at conductor 1 and embed into every conductor unchanged
 (an integer is at most a constant term); values at two different
@@ -26,15 +27,10 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 from .errors import ConductorMismatch
-
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-# m -> (deg Phi_m, ((j - deg, c_j) for each nonzero non-leading coefficient c_j))
-_REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-# m -> {k: the class of x^k}, for the exponents 0 <= k < m used so far
-_ROOTS: dict[int, dict[int, "CycNumber"]] = {}
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -63,6 +59,7 @@ def _divide_by_x_e_minus_1(poly: list[int], e: int) -> list[int]:
     return quot[e:]
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
 
@@ -73,9 +70,6 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    cached = _CYCLO_CACHE.get(m)
-    if cached is not None:
-        return cached
     mobius = [(1, 1)]  # (d, mu(d)) for the squarefree divisors d of m
     for r in prime_divisors(m):
         mobius += [(d * r, -mu) for d, mu in mobius]
@@ -84,22 +78,25 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         poly = list(map(operator.sub, [0] * e + poly, poly + [0] * e))
     for e in (m // d for d, mu in mobius if mu == -1):
         poly = _divide_by_x_e_minus_1(poly, e)
-    poly = tuple(poly)
-    deg = len(poly) - 1
-    _REDUCERS[m] = (deg, tuple((j - deg, c) for j, c in enumerate(poly[:-1]) if c))
-    _CYCLO_CACHE[m] = poly
-    return poly
+    return tuple(poly)
 
 
 def euler_phi(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
 
 
+@lru_cache(maxsize=None)
+def _reducer(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(deg Phi_m, the pairs (j - deg, c_j) of its nonzero non-leading coefficients)."""
+    poly = cyclotomic_poly(m)
+    deg = len(poly) - 1
+    return deg, tuple((j - deg, c) for j, c in enumerate(poly[:-1]) if c)
+
+
 def _reduce(c: list[int], m: int) -> tuple[tuple[int, int], ...]:
     """Remainder of c (ascending, reduced in place) modulo the monic Phi_m,
     as its nonzero (index, coefficient) pairs."""
-    cyclotomic_poly(m)  # fills _REDUCERS[m] on first use
-    deg, terms = _REDUCERS[m]
+    deg, terms = _reducer(m)
     for i in range(len(c) - 1, deg - 1, -1):
         top = c[i]
         if top:
@@ -244,14 +241,15 @@ class CycNumber:
 
 
 def root_of_unity(m: int, k: int) -> CycNumber:
-    """The class of x^{k mod m} in Q[x]/(Phi_m), from the conductor's table."""
+    """The class of x^{k mod m} in Q[x]/(Phi_m), memoised per (m, k mod m)."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    k %= m
-    table = _ROOTS.setdefault(m, {})
-    value = table.get(k)
-    if value is None:
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        value = table[k] = CycNumber(m, _reduce(coeffs, m))
-    return value
+    return _root(m, k % m)
+
+
+@lru_cache(maxsize=None)
+def _root(m: int, k: int) -> CycNumber:
+    """The class of x^k, for 0 <= k < m."""
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    return CycNumber(m, _reduce(coeffs, m))

@@ -23,6 +23,9 @@ from functools import cached_property
 from .errors import NotASquare, NotNear, PrecisionExhausted, SamplingBudgetExceeded
 from .localfield import FieldConfig, PadicNumber, hensel_sqrt, sgn_eps
 
+# Draws sample_regular makes before it gives up on a class.
+_SAMPLING_BUDGET = 256
+
 
 class TorusVariant(enum.Enum):
     UNRAMIFIED = "unramified"     # entries (a, b; eps*b, a)
@@ -104,11 +107,6 @@ def element(config: FieldConfig, a: int, b: int,
     return TorusElement(config.padic(a), config.padic(b), variant)
 
 
-def classify(gamma: TorusElement) -> Classification:
-    """The class of gamma (see ``TorusElement.classification``)."""
-    return gamma.classification
-
-
 def f_direct(gamma: TorusElement) -> int:
     """The function (-q)^{v(b)} as an exact integer."""
     return (-gamma.config.q) ** gamma.valuation_b
@@ -159,7 +157,7 @@ def cayley_inverse(gamma: TorusElement) -> LieElement:
     In avatar coordinates y = 4b / ((a+1)^2 - eps*b^2); the denominator is
     a unit (= 4 mod p) precisely because gamma is near the identity.
     """
-    if classify(gamma) is not Classification.NEAR:
+    if gamma.classification is not Classification.NEAR:
         raise NotNear("inverse Cayley transform is only taken near the identity")
     a, b = gamma.a, gamma.b
     denom = (a + 1) * (a + 1) - b * b * gamma.config.eps
@@ -182,7 +180,6 @@ def sample_regular(
     classification: Classification,
     v_target: int,
     seed: "int | str | random.Random",
-    budget: int = 256,
 ) -> TorusElement:
     """Draw a pseudo-random regular element of the requested class.
 
@@ -205,7 +202,7 @@ def sample_regular(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     p, eps, modulus = config.p, config.eps, config.modulus
     shift, high = p**v_target, p ** (config.N - v_target - 1)
-    for _ in range(budget):
+    for _ in range(_SAMPLING_BUDGET):
         # unit by construction: nonzero low digit plus arbitrary higher digits
         u = rng.randrange(1, p) + p * rng.randrange(high)
         b = shift * u % modulus
@@ -222,8 +219,8 @@ def sample_regular(
         elif rng.getrandbits(1):
             a = -a % modulus
         gamma = TorusElement(PadicNumber(a, config), PadicNumber(b, config))
-        if classify(gamma) is classification:
+        if gamma.classification is classification:
             return gamma
     raise SamplingBudgetExceeded(
-        f"no {classification.value} element with v(b)={v_target} in {budget} draws"
+        f"no {classification.value} element with v(b)={v_target} in {_SAMPLING_BUDGET} draws"
     )

@@ -16,7 +16,7 @@ from sl2endo.cyclotomic import CycNumber, root_of_unity
 from sl2endo.endoscopy import falsify_adss152, rhs_endoscopic, verify_identity
 from sl2endo.localfield import FieldConfig
 from sl2endo.residue import norm_one_group, regular_levels
-from sl2endo.torus import Classification, classify, f_direct, sample_regular
+from sl2endo.torus import Classification, f_direct, sample_regular
 
 PRIMES = (3, 5, 7, 11, 13)
 PRECISION = 8
@@ -70,7 +70,7 @@ def test_criterion_02_regular_packet_identity():
             for gamma in gammas:
                 report = verify_identity(packet, "s1", gamma)
                 assert report.verdict == "equal", report.to_record()
-                if classify(gamma) is Classification.FAR:
+                if gamma.classification is Classification.FAR:
                     m = group.dlog(group.reduce(gamma))
                     expected = (
                         -root_of_unity(p + 1, level.k * m)

@@ -29,7 +29,6 @@ from sl2endo.torus import (
     Classification,
     TorusVariant,
     cayley_inverse,
-    classify,
     element,
     f_direct,
     g_conjugate,
@@ -259,7 +258,7 @@ def reference_theta_virtual(packet, s, gamma):
     """theta_virtual as it was hand-coded branch by branch: plus +- minus, a
     signed sum of the four far members, and sum12 +- sum34 near the identity
     with s2 and s3 undetermined there."""
-    cls = classify(gamma)
+    cls = gamma.classification
     swapped = gamma.variant is TorusVariant.CONJUGATED
     base = g_conjugate(gamma) if swapped else gamma
 

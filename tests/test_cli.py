@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from sl2endo.cli import SweepConfig, build_parser, main, run, sweep_from_args
 from sl2endo.endoscopy import REPORT_FIELDS
 from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
+from sl2endo.localfield import FieldConfig
+from sl2endo.torus import Classification
 
 
 INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -37,6 +40,75 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# Digests of streams written by earlier implementations (the verify and
+# falsify streams by the Fraction-coefficient core, the table by the
+# O(p^2) norm-one group, the properties stream by the battery written
+# out in the CLI before the checks registry): a change of representation or algorithm must
+# leave every stream byte-identical (acceptance criterion 10 across
+# versions).  name -> (argv, stdout sha256, stderr sha256); every sweep exits 0.
+PINNED_SWEEPS = {
+    "regular-p101": (
+        ["verify", "--packet", "regular", "--primes", "101", "--samples", "4", "--seed", "5"],
+        "ac79706b0c3ed08febcc853d02fc88fc37d475d4de3d43f5d91a8b55f9a0f438",
+        "cce6c3f1be7f60edffe53271f50962c3e8d17f498f7f5139d7c191f462df8bbe",
+    ),
+    "nonregular-s1": (
+        ["verify", "--packet", "nonregular", "--s", "s1", "--primes", "3,5,7,11,13",
+         "--samples", "40", "--seed", "5"],
+        "9bdd03765ecc47c219f72a4101789c429d113ffd9c4ff55899088b1230bdbaeb",
+        "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
+    ),
+    "falsify": (
+        ["falsify", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
+        "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
+        "b4febaa50d830fa57ffd096d8d4e69425681a8d31761388929d24f5305662e8b",
+    ),
+    "table": (
+        # pins the residue point order, the generator and the dlogs
+        ["table", "--primes", "3,5,7,11,13,101"],
+        "d06a5d56a301432fd7137db5d076046956d5a0b937f392938a25b6bc5d3cda58",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "properties": (
+        # pins the property battery's sampling, order, names and details
+        ["properties", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
+        "81758045a5b23a3a9d016bcb3fdb1cd0ec5fe8a0558ea3ae918e7de05fee02cf",
+        "6de4bc079166b9572e75721239b580a1592179eaddb0a0aea227b8d78279fd37",
+    ),
+    "regular-p13-table-format": (
+        # pins the padded table report format
+        ["verify", "--packet", "regular", "--primes", "13", "--format", "table"],
+        "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
+        "00129bbabbcc2bf02e69e48fa44e172e772d49556a8b3ef9f2cab3b27abee7ab",
+    ),
+    "nonregular-stable": (
+        # pins the stable comparison: theta5, psi0 and the inner-form side
+        ["verify", "--s", "1", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
+        "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
+        "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
+    ),
+    "nonregular-s2-skips": (
+        # pins the undetermined and no-comparison skips
+        ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
+        "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
+        "c43afd296bea46a473587bfa2c1d5b098232c15c6dd1613c5e9e4a6e8b088284",
+    ),
+    "nonregular-csv-format": (
+        # pins the csv format with both sides decided
+        ["verify", "--format", "csv", "--seed", "5"],
+        "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
+        "2e9bb5553e530b8667b77f848ef8e757daca66b22847020f97c232967d67c0b6",
+    ),
+    "regular-p1009": (
+        # pins jsonl at conductor 1010, where the runs of zero coefficients are long
+        ["verify", "--packet", "regular", "--primes", "1009", "--level", "1",
+         "--samples", "7", "--seed", "5"],
+        "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
+        "6e3e4d2bdd2c1302accca20d7e86d531ff009dccd246e5ecea8cb040baf288ca",
+    ),
+}
 
 
 class TestVerifyMode:
@@ -230,74 +302,20 @@ class TestDeterminism:
         assert f1.read_bytes() == f2.read_bytes()
         assert f1.read_bytes()  # non-empty
 
-    # Digests of streams written by earlier implementations (the verify and
-    # falsify streams by the Fraction-coefficient core, the table by the
-    # O(p^2) norm-one group, the properties stream by the battery written
-    # out in the CLI before the checks registry): a change of representation or algorithm must
-    # leave every stream byte-identical (acceptance criterion 10 across
-    # versions).
-    @pytest.mark.parametrize(
-        "argv,digest",
-        [
-            (
-                ["verify", "--packet", "regular", "--primes", "101", "--samples", "4", "--seed", "5"],
-                "ac79706b0c3ed08febcc853d02fc88fc37d475d4de3d43f5d91a8b55f9a0f438",
-            ),
-            (
-                ["verify", "--packet", "nonregular", "--s", "s1", "--primes", "3,5,7,11,13",
-                 "--samples", "40", "--seed", "5"],
-                "9bdd03765ecc47c219f72a4101789c429d113ffd9c4ff55899088b1230bdbaeb",
-            ),
-            (
-                ["falsify", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
-                "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
-            ),
-            (
-                # pins the residue point order, the generator and the dlogs
-                ["table", "--primes", "3,5,7,11,13,101"],
-                "d06a5d56a301432fd7137db5d076046956d5a0b937f392938a25b6bc5d3cda58",
-            ),
-            (
-                # pins the property battery's sampling, order, names and details
-                ["properties", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
-                "81758045a5b23a3a9d016bcb3fdb1cd0ec5fe8a0558ea3ae918e7de05fee02cf",
-            ),
-            (
-                # pins the padded table report format
-                ["verify", "--packet", "regular", "--primes", "13", "--format", "table"],
-                "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
-            ),
-            (
-                # pins the stable comparison: theta5, psi0 and the inner-form side
-                ["verify", "--s", "1", "--primes", "3,5,7,11,13", "--samples", "40",
-                 "--seed", "5"],
-                "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
-            ),
-            (
-                # pins the undetermined and no-comparison skips
-                ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
-                "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
-            ),
-            (
-                # pins the csv format with both sides decided
-                ["verify", "--format", "csv", "--seed", "5"],
-                "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
-            ),
-            (
-                # pins jsonl at conductor 1010, where the runs of zero coefficients are long
-                ["verify", "--packet", "regular", "--primes", "1009", "--level", "1",
-                 "--samples", "7", "--seed", "5"],
-                "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
-            ),
-        ],
-        ids=["regular-p101", "nonregular-s1", "falsify", "table", "properties",
-             "regular-p13-table-format", "nonregular-stable", "nonregular-s2-skips",
-             "nonregular-csv-format", "regular-p1009"],
-    )
-    def test_stream_digest_pinned(self, argv, digest):
+    @pytest.mark.parametrize("name", PINNED_SWEEPS)
+    def test_stream_digest_pinned(self, name):
+        argv, digest, _ = PINNED_SWEEPS[name]
         code, out, _ = run_cli(argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", PINNED_SWEEPS)
+    def test_summary_digest_pinned(self, name):
+        # the stderr summary lines, which the benchmark's gate parses, and the exit code
+        argv, _, err_digest = PINNED_SWEEPS[name]
+        code, _, err = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
     def test_different_seed_changes_stream(self, tmp_path):
         base = ["verify", "--primes", "3", "--samples", "8"]
@@ -305,6 +323,104 @@ class TestDeterminism:
         assert main(base + ["--seed", "1", "--out", str(f1)]) == 0
         assert main(base + ["--seed", "2", "--out", str(f2)]) == 0
         assert f1.read_bytes() != f2.read_bytes()
+
+
+class TestSamplePlan:
+    """The one draw schedule against the three it replaced, read off the
+    sampler calls each runner makes."""
+
+    SAMPLES = (1, 2, 7, 10, 40, 41)
+
+    @staticmethod
+    def reference_verify_plan(sweep):
+        """verify's schedule as it was: _sample_plan(sweep)."""
+        near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
+        plan = []
+        near_i = 0
+        for i in range(sweep.samples):
+            want_near = sweep.sample_class == "near" or (
+                sweep.sample_class == "both" and i % 2 == 1
+            )
+            if want_near:
+                plan.append((Classification.NEAR, near_vals[near_i % len(near_vals)]))
+                near_i += 1
+            else:
+                plan.append((Classification.FAR, 0))
+        return plan
+
+    @staticmethod
+    def reference_falsify_plan(sweep):
+        """falsify's schedule as it was, inline in run_falsify."""
+        plan = []
+        near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
+        for i in range(sweep.samples):
+            v = near_vals[i % len(near_vals)]
+            plan.append((Classification.NEAR, v))
+        return plan
+
+    @staticmethod
+    def reference_battery_plan(config, sweep):
+        """The property battery's schedule as it was, inline in _property_battery."""
+        plan = []
+        for i in range(max(10, sweep.samples)):
+            if i % 2 == 0:
+                plan.append((Classification.FAR, 0))
+            else:
+                v = 1 + (i // 2) % min(3, (config.N - 1) // 2)  # v(D_G) = 2v < N
+                plan.append((Classification.NEAR, v))
+        return plan
+
+    @staticmethod
+    def drawn(monkeypatch):
+        """Record the (class, v(b)) of every sampler call; each draw then fails."""
+        import sl2endo.cli as cli_mod
+
+        calls = []
+
+        def record(config, cls, v, seed):
+            calls.append((cls, v))
+            raise SamplingBudgetExceeded(str(seed))
+
+        monkeypatch.setattr(cli_mod, "sample_regular", record)
+        return calls
+
+    @pytest.mark.parametrize("near", [(1, 1), (1, 3), (2, 5)])
+    @pytest.mark.parametrize("sample_class", ["near", "far", "both"])
+    def test_verify(self, monkeypatch, sample_class, near):
+        calls = self.drawn(monkeypatch)
+        for samples in self.SAMPLES:
+            sweep = SweepConfig(mode="verify", primes=[3], samples=samples,
+                                sample_class=sample_class, near_val_lo=near[0],
+                                near_val_hi=near[1])
+            calls.clear()
+            assert run_capture(sweep)[0] == 0
+            assert calls == self.reference_verify_plan(sweep)
+
+    @pytest.mark.parametrize("near", [(1, 1), (1, 3), (2, 5)])
+    def test_falsify(self, monkeypatch, near):
+        calls = self.drawn(monkeypatch)
+        for samples in self.SAMPLES:
+            sweep = SweepConfig(mode="falsify", primes=[3], samples=samples,
+                                near_val_lo=near[0], near_val_hi=near[1])
+            calls.clear()
+            assert run_capture(sweep)[0] == 0
+            assert calls == self.reference_falsify_plan(sweep)
+
+    @pytest.mark.parametrize("precision", range(4, 14))
+    def test_property_battery(self, monkeypatch, precision):
+        import sl2endo.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "sample_regular",
+                            lambda config, cls, v, rng: calls.append((cls, v)))
+        monkeypatch.setattr(cli_mod.checks, "PROPERTIES", ())
+        config = FieldConfig(3, precision)
+        for samples in self.SAMPLES:
+            sweep = SweepConfig(mode="properties", primes=[3], precision=precision,
+                                samples=samples)
+            calls.clear()
+            assert cli_mod._property_battery(config, sweep) == []
+            assert calls == self.reference_battery_plan(config, sweep)
 
 
 class TestExitOne:
@@ -508,6 +624,47 @@ class TestFormats:
         assert code == 0
         assert "verdict" in out.splitlines()[0]
         assert "equal" in out
+
+    @staticmethod
+    def table_cells(out):
+        """The rows of a table report as {field: cell}, cut at the header's columns."""
+        header, _, *rows = out.splitlines()
+        starts = [m.start() for m in re.finditer(r"\S+", header)]
+        assert header.split() == list(REPORT_FIELDS)
+        cuts = list(zip(starts, starts[1:] + [None]))
+        return [
+            {name: row[i:j].strip() for name, (i, j) in zip(REPORT_FIELDS, cuts)}
+            for row in rows
+        ]
+
+    def test_table_null_cells_are_blank(self):
+        # the far row has no endoscopic side; the near row is undetermined
+        code, out, _ = run_cli(
+            ["verify", "--s", "s2", "--primes", "3", "--samples", "2", "--format", "table"]
+        )
+        assert code == 0
+        assert "None" not in out
+        far, near = self.table_cells(out)
+        assert (far["classification"], far["lhs"], far["rhs"]) == ("far", "0", "")
+        assert (near["classification"], near["lhs"], near["rhs"]) == ("near", "", "")
+        assert near["a"] and near["b"] and near["valuation_b"] == "1"
+
+    def test_table_budget_exceeded_row_is_blank(self, monkeypatch):
+        import sl2endo.cli as cli_mod
+
+        def always_over_budget(config, cls, v, seed):
+            raise SamplingBudgetExceeded(seed)
+
+        monkeypatch.setattr(cli_mod, "sample_regular", always_over_budget)
+        for mode in ("verify", "falsify"):
+            code, out, _ = run_cli([mode, "--primes", "3", "--samples", "2", "--format", "table"])
+            assert code == 0
+            assert "None" not in out
+            rows = self.table_cells(out)
+            assert len(rows) == (2 if mode == "verify" else 4)
+            for row in rows:
+                assert [row[k] for k in ("a", "b", "valuation_b", "lhs", "rhs")] == [""] * 5
+                assert (row["p"], row["verdict"]) == ("3", "skipped(sampling budget exceeded)")
 
     def test_sweep_from_args_roundtrip(self):
         args = build_parser().parse_args(

@@ -34,7 +34,6 @@ from sl2endo.torus import (
     Classification,
     LieElement,
     cayley,
-    classify,
     element,
     f_direct,
     f_via_disc,
@@ -95,7 +94,7 @@ ZERO_Y = LieElement(FieldConfig(3).padic(0))
 @pytest.mark.parametrize(
     "fn,arg",
     [
-        (classify, ZERO_B),
+        (lambda g: g.classification, ZERO_B),
         (f_direct, ZERO_B),
         (f_via_disc, ZERO_B),
         (cayley, ZERO_Y),
@@ -125,7 +124,7 @@ class TestRelatedElements:
         for cls, v in ((Classification.FAR, 0), (Classification.NEAR, 2)):
             g = sample(5, cls, v, "rel")
             d1, d2 = related_elements(g)
-            assert classify(d1) == classify(d2) == cls
+            assert d1.classification == d2.classification == cls
 
 
 class TestRhsEndoscopic:

@@ -19,7 +19,6 @@ from sl2endo.torus import (
     TorusVariant,
     cayley,
     cayley_inverse,
-    classify,
     element,
     f_direct,
     f_via_disc,
@@ -42,7 +41,7 @@ def near_example(cfg):
 def in_first_filtration(gamma):
     """Membership in the first congruence subgroup: a = 1 mod p, b = 0 mod p.
 
-    The definitional near-the-identity test, the oracle for classify.
+    The definitional near-the-identity test, the oracle for TorusElement.classification.
     """
     p = gamma.config.p
     return gamma.a.residue % p == 1 and gamma.b.residue % p == 0
@@ -140,29 +139,29 @@ class TestImEps:
 
 class TestClassify:
     def test_far(self):
-        assert classify(element(FieldConfig(3), 3, -2)) is Classification.FAR
+        assert element(FieldConfig(3), 3, -2).classification is Classification.FAR
 
     def test_near_from_hensel_example(self):
         cfg = FieldConfig(3)
         g = near_example(cfg)
         assert g.a.residue % 27 == 10  # the canonical sqrt of 19 lifts 10 mod 27
-        assert classify(g) is Classification.NEAR
+        assert g.classification is Classification.NEAR
 
     def test_anti_near_is_negated_near(self):
         cfg = FieldConfig(3)
         g = near_example(cfg)
         h = element(cfg, -g.a.residue, g.b.residue)
-        assert classify(h) is Classification.ANTI_NEAR
+        assert h.classification is Classification.ANTI_NEAR
 
     def test_precision_exhausted(self):
         with pytest.raises(PrecisionExhausted):
-            classify(element(FieldConfig(3), 1, 0))
+            element(FieldConfig(3), 1, 0).classification
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_agrees_with_filtration_definition(self, p):
         cfg = FieldConfig(p)
         for g in mixed_samples(cfg, 40, "cls"):
-            cls = classify(g)
+            cls = g.classification
             minus_g = element(cfg, -g.a.residue, -g.b.residue)
             assert (cls is Classification.NEAR) == in_first_filtration(g)
             assert (cls is Classification.ANTI_NEAR) == in_first_filtration(minus_g)
@@ -310,7 +309,7 @@ class TestSampler:
     def test_far_contract(self, p):
         cfg = FieldConfig(p)
         g = sample_regular(cfg, Classification.FAR, 0, seed=f"far{p}")
-        assert classify(g) is Classification.FAR
+        assert g.classification is Classification.FAR
         assert g.b.valuation() == 0
         assert g.a.residue % p not in (1, p - 1)
 
@@ -319,13 +318,13 @@ class TestSampler:
     def test_near_contract(self, p, v):
         cfg = FieldConfig(p)
         g = sample_regular(cfg, Classification.NEAR, v, seed=f"n{p}:{v}")
-        assert classify(g) is Classification.NEAR
+        assert g.classification is Classification.NEAR
         assert g.b.valuation() == v
 
     def test_anti_near_contract(self):
         cfg = FieldConfig(5)
         g = sample_regular(cfg, Classification.ANTI_NEAR, 1, seed="anti")
-        assert classify(g) is Classification.ANTI_NEAR
+        assert g.classification is Classification.ANTI_NEAR
 
     def test_determinism(self):
         cfg = FieldConfig(7)
@@ -342,7 +341,13 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_regular(cfg, Classification.FAR, 1, seed=0)
 
-    def test_budget_exhaustion(self):
-        cfg = FieldConfig(3)
-        with pytest.raises(SamplingBudgetExceeded):
-            sample_regular(cfg, Classification.FAR, 0, seed=0, budget=0)
+    def test_budget_exhaustion(self, monkeypatch):
+        import sl2endo.torus as torus_mod
+
+        def no_root(x):
+            raise NotASquare(x)
+
+        # every draw is rejected, so the sampler gives up after its fixed budget
+        monkeypatch.setattr(torus_mod, "hensel_sqrt", no_root)
+        with pytest.raises(SamplingBudgetExceeded, match=r"v\(b\)=0 in 256 draws$"):
+            sample_regular(FieldConfig(3), Classification.FAR, 0, seed=0)
