@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, linear_combination
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
 from .localfield import FieldConfig, legendre, sgn_eps, sgn_pi
 from .packets import KLEIN4, Z2, virtual_coeffs
@@ -161,7 +161,7 @@ def theta_regular(level: CharacterLevel, gamma: TorusElement) -> tuple[CycNumber
     pt = group.reduce(gamma)
     value = group.character_value(level, pt)
     value_inv = group.character_value(level, group.inverse(pt))
-    return (-value - value_inv, CycNumber.zero(level.modulus))
+    return (linear_combination(((-1, value), (-1, value_inv))), CycNumber.zero(level.modulus))
 
 
 def theta_nonregular_far(gamma: TorusElement) -> tuple[CycNumber, ...]:
@@ -227,11 +227,7 @@ def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
     if swapped:
         half = len(values) // 2
         values = values[half:] + values[:half]
-    # the first row is the trivial character, and every entry is +-1
-    total = values[0]
-    for c, v in zip(coeffs[1:], values[1:]):
-        total = total + v if c == 1 else total - v
-    return total
+    return linear_combination(zip(coeffs, values))
 
 
 def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:

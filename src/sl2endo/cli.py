@@ -22,6 +22,7 @@ import json
 import random
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import checks
@@ -126,18 +127,19 @@ def _max_precision(p: int, digits: int) -> int:
     return n
 
 
-def _sample_plan(samples: int, sample_class: str, near_vals) -> list[tuple[Classification, int]]:
-    """The deterministic (class, v(b)) schedule of every sweep's draws: draw i is near
-    under "near", and under "both" when i is odd; near draws cycle through near_vals."""
-    plan = []
+def _sample_plan(
+    samples: int, sample_class: str, near_vals
+) -> Iterator[tuple[Classification, int]]:
+    """The deterministic (class, v(b)) schedule of every sweep's draws, yielded one
+    at a time: draw i is near under "near", and under "both" when i is odd; near
+    draws cycle through near_vals."""
     near_i = 0
     for i in range(samples):
         if sample_class == "near" or (sample_class == "both" and i % 2 == 1):
-            plan.append((Classification.NEAR, near_vals[near_i % len(near_vals)]))
+            yield Classification.NEAR, near_vals[near_i % len(near_vals)]
             near_i += 1
         else:
-            plan.append((Classification.FAR, 0))
-    return plan
+            yield Classification.FAR, 0
 
 
 def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
@@ -195,10 +197,10 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
     near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
-    plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
+            plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
             for i, (cls, v) in enumerate(plan):
                 key = (
                     f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}"
@@ -227,21 +229,19 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
     verdicts = Counter()
     n_budget = 0
     near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
-    plan = _sample_plan(sweep.samples, "near", near_vals)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
-        for i, (cls, v) in enumerate(plan):
+        packet = PacketSpec.nonregular(config)
+        for i, (cls, v) in enumerate(_sample_plan(sweep.samples, "near", near_vals)):
             key = f"{sweep.seed}|{p}|falsify|{v}|{i}"
             try:
                 gamma = sample_regular(config, cls, v, seed=key)
             except SamplingBudgetExceeded:
                 n_budget += 1
-                for report in budget_exceeded_reports(
-                    config, PacketSpec.nonregular(config), cls, FALSIFY_CHECKS
-                ):
+                for report in budget_exceeded_reports(config, packet, cls, FALSIFY_CHECKS):
                     emitter.emit(report)
                 continue
-            for report in falsify_adss152(gamma):
+            for report in falsify_adss152(packet, gamma):
                 emitter.emit(report)
                 verdicts[report.verdict] += 1
     emitter.close()

@@ -19,7 +19,9 @@ immutable and shared.
 Integers live at conductor 1 and embed into every conductor unchanged
 (an integer is at most a constant term); values at two different
 conductors above 1 do not mix, and combining them raises
-ConductorMismatch.
+ConductorMismatch.  An integer linear combination of values is one
+linear_combination call: one accumulator and one result, under the
+conductor rule of chained +.
 """
 
 from __future__ import annotations
@@ -238,6 +240,36 @@ class CycNumber:
 
     def __repr__(self) -> str:
         return f"CycNumber({self})"
+
+
+def linear_combination(terms) -> CycNumber:
+    """sum of c*v over the (integer c, CycNumber v) pairs of terms, in one pass.
+
+    The conductor rule is that of chained +: the result sits at the common
+    conductor above 1 of the operands (zero ones included), else at 1, and
+    two different conductors above 1 raise ConductorMismatch.  A zero
+    coefficient or value adds nothing, and a lone surviving term with
+    coefficient 1 keeps its terms as they are.
+    """
+    m, live = 1, []
+    for c, v in terms:
+        c = operator.index(c)
+        if v.m != m:
+            if m != 1 and v.m != 1:
+                raise ConductorMismatch(f"conductor {v.m} does not embed into {m}")
+            if m == 1:
+                m = v.m
+        if c and v.num:
+            live.append((c, v))
+    if len(live) == 1 and live[0][0] == 1:
+        v = live[0][1]
+        return v if v.m == m else CycNumber(m, v.num)
+    acc = {}
+    get = acc.get
+    for c, v in live:
+        for i, x in v.num:
+            acc[i] = get(i, 0) + c * x
+    return CycNumber(m, tuple(sorted([t for t in acc.items() if t[1]])))
 
 
 def root_of_unity(m: int, k: int) -> CycNumber:

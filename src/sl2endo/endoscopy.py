@@ -29,7 +29,7 @@ from .charformulas import (
     mu_hat_orbital,
     theta_virtual,
 )
-from .cyclotomic import CycNumber, euler_phi
+from .cyclotomic import CycNumber, euler_phi, linear_combination
 from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
 from .localfield import FieldConfig, sgn_eps
 from .packets import KLEIN4, virtual_coeffs
@@ -81,10 +81,9 @@ def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
     if gamma.classification is Classification.ANTI_NEAR:
         raise AntiNearUnsupported("right-hand side undefined on anti-near elements")
     factor = transfer_factor(gamma)
-    total = CycNumber.zero(gamma.config.q + 1)
-    for delta in related_elements(gamma):
-        total = total + character_value_on(delta, packet.level).scale(factor)
-    return total
+    return linear_combination(
+        (factor, character_value_on(delta, packet.level)) for delta in related_elements(gamma)
+    )
 
 
 @dataclass
@@ -235,24 +234,27 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
     return _decide(report, report.lhs, rhs)
 
 
-def falsify_adss152(gamma: TorusElement) -> tuple[VerificationReport, VerificationReport]:
+def falsify_adss152(
+    packet: PacketSpec, gamma: TorusElement
+) -> tuple[VerificationReport, VerificationReport]:
     """Exhibit the clash between the ADSS-15.2 values and the trusted routes.
 
-    Report one compares the s1 virtual character assembled from the 15.2
-    member values (identically zero) with the endoscopic right-hand side
-    (-2f, never zero near the identity).  Report two compares the 15.2
-    member sum theta_1 + theta_2 (identically -1) with the orbital-integral
-    route (-1 - f).  Both are unequal for every near regular element.
+    packet is the four-member packet at gamma's configuration, as in
+    verify_identity; a regular packet raises ValueError.  Report one
+    compares the s1 virtual character assembled from the 15.2 member values
+    (identically zero) with the endoscopic right-hand side (-2f, never zero
+    near the identity).  Report two compares the 15.2 member sum theta_1 +
+    theta_2 (identically -1) with the orbital-integral route (-1 - f).  Both
+    are unequal for every near regular element.
     """
+    if packet.kind is not PacketKind.NONREGULAR:
+        raise ValueError("the ADSS-15.2 values concern the four-member packet")
     if gamma.classification is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")
     cfg = gamma.config
-    packet = PacketSpec.nonregular(cfg)
 
     thetas = adss152_theta(gamma)
-    lhs1 = CycNumber.zero()
-    for c, theta in zip(virtual_coeffs(KLEIN4, "s1"), thetas):
-        lhs1 = lhs1 + theta.scale(c)
+    lhs1 = linear_combination(zip(virtual_coeffs(KLEIN4, "s1"), thetas))
     report1 = _decide(
         _report(packet, FALSIFY_CHECKS[0], cfg, gamma), lhs1, rhs_endoscopic(packet, gamma)
     )

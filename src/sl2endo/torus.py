@@ -154,14 +154,17 @@ def g_conjugate(gamma: TorusElement) -> TorusElement:
 def cayley_inverse(gamma: TorusElement) -> LieElement:
     """Inverse Cayley transform X = 2(gamma - 1)/(gamma + 1) for near elements.
 
-    In avatar coordinates y = 4b / ((a+1)^2 - eps*b^2); the denominator is
-    a unit (= 4 mod p) precisely because gamma is near the identity.
+    In avatar coordinates y = 4b / ((a+1)^2 - eps*b^2), computed on the
+    residues mod p^N; the denominator is a unit (= 4 mod p) precisely
+    because gamma is near the identity, and the modular inverse of one that
+    is not raises ValueError.
     """
     if gamma.classification is not Classification.NEAR:
         raise NotNear("inverse Cayley transform is only taken near the identity")
-    a, b = gamma.a, gamma.b
-    denom = (a + 1) * (a + 1) - b * b * gamma.config.eps
-    return LieElement((b * 4) / denom, gamma.variant)
+    cfg = gamma.config
+    a, b, modulus = gamma.a.residue, gamma.b.residue, cfg.modulus
+    inv = pow((a + 1) * (a + 1) - cfg.eps * b * b, -1, modulus)
+    return LieElement(PadicNumber(4 * b * inv % modulus, cfg), gamma.variant)
 
 
 def cayley(Y: LieElement) -> TorusElement:

@@ -98,12 +98,13 @@ def test_criterion_04_adss152_falsification():
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
+        packet = PacketSpec.nonregular(config)
         rng = random.Random(f"acc4:{p}")
         for i in range(100):
             v = NEAR_VALUATIONS[i % len(NEAR_VALUATIONS)]
             gamma = sample_regular(config, Classification.NEAR, v, rng)
             f = f_direct(gamma)
-            rep1, rep2 = falsify_adss152(gamma)
+            rep1, rep2 = falsify_adss152(packet, gamma)
             assert rep1.verdict == "unequal"
             assert rep1.lhs == 0
             assert rep1.rhs == -2 * f and not rep1.rhs.is_zero

@@ -2,14 +2,16 @@
 
 import argparse
 import hashlib
+import inspect
 import io
+import itertools
 import json
 import re
 import sys
 
 import pytest
 
-from sl2endo.cli import SweepConfig, build_parser, main, run, sweep_from_args
+from sl2endo.cli import SweepConfig, _sample_plan, build_parser, main, run, sweep_from_args
 from sl2endo.endoscopy import REPORT_FIELDS
 from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
 from sl2endo.localfield import FieldConfig
@@ -395,6 +397,9 @@ class TestSamplePlan:
             calls.clear()
             assert run_capture(sweep)[0] == 0
             assert calls == self.reference_verify_plan(sweep)
+            near_vals = range(near[0], near[1] + 1)
+            plan = list(_sample_plan(samples, sample_class, near_vals))
+            assert plan == self.reference_verify_plan(sweep)
 
     @pytest.mark.parametrize("near", [(1, 1), (1, 3), (2, 5)])
     def test_falsify(self, monkeypatch, near):
@@ -405,6 +410,8 @@ class TestSamplePlan:
             calls.clear()
             assert run_capture(sweep)[0] == 0
             assert calls == self.reference_falsify_plan(sweep)
+            plan = list(_sample_plan(samples, "near", range(near[0], near[1] + 1)))
+            assert plan == self.reference_falsify_plan(sweep)
 
     @pytest.mark.parametrize("precision", range(4, 14))
     def test_property_battery(self, monkeypatch, precision):
@@ -421,6 +428,20 @@ class TestSamplePlan:
             calls.clear()
             assert cli_mod._property_battery(config, sweep) == []
             assert calls == self.reference_battery_plan(config, sweep)
+            near_vals = range(1, min(3, (precision - 1) // 2) + 1)
+            plan = list(_sample_plan(max(10, samples), "both", near_vals))
+            assert plan == self.reference_battery_plan(config, sweep)
+
+    def test_schedule_is_lazy(self):
+        # a generator function yields its first draw without building the rest;
+        # checked first, so a list-building schedule fails here instead of
+        # allocating 10^12 entries below
+        assert inspect.isgeneratorfunction(_sample_plan)
+        plan = _sample_plan(10**12, "both", range(1, 4))
+        near, far = Classification.NEAR, Classification.FAR
+        assert list(itertools.islice(plan, 7)) == [
+            (far, 0), (near, 1), (far, 0), (near, 2), (far, 0), (near, 3), (far, 0),
+        ]
 
 
 class TestExitOne:
@@ -447,8 +468,8 @@ class TestExitOne:
 
         real = cli_mod.falsify_adss152
 
-        def sabotage(gamma):
-            r1, r2 = real(gamma)
+        def sabotage(packet, gamma):
+            r1, r2 = real(packet, gamma)
             r1.verdict = "equal"
             return (r1, r2)
 

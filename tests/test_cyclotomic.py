@@ -14,6 +14,7 @@ from sl2endo.cyclotomic import (
     _divide_by_x_e_minus_1,
     cyclotomic_poly,
     euler_phi,
+    linear_combination,
     prime_divisors,
     root_of_unity,
 )
@@ -417,3 +418,88 @@ class TestSparseCanonicalForm:
         for value in (z, w, z + w, z - w, w - z, -z, z * w, z.scale(r),
                       z.promote(family), r - z, z + r):
             assert_canonical(value)
+
+
+def chained(terms):
+    """The sum as built before linear_combination: + for 1, - for -1, else + of a scale."""
+    total = CycNumber.zero()
+    for c, v in terms:
+        if c == 1:
+            total = total + v
+        elif c == -1:
+            total = total - v
+        else:
+            total = total + v.scale(c)
+    return total
+
+
+def outcome(fn, terms):
+    """(conductor, pairs) of fn(terms), or the ConductorMismatch it raises."""
+    try:
+        value = fn(terms)
+    except ConductorMismatch:
+        return ConductorMismatch
+    assert_canonical(value)
+    return value.m, value.num
+
+
+@st.composite
+def combination_terms(draw):
+    """(c, v) pairs at a family's conductor and at 1, zeros and zero coefficients
+    included, now and then with a value at a second conductor above 1."""
+    family = draw(st.sampled_from(FAMILIES))
+    stray = draw(st.sampled_from(FAMILIES)) if draw(st.booleans()) else family
+    values = st.one_of(
+        elements(family).map(lambda pair: pair[0]),
+        st.sampled_from([CycNumber.zero(), CycNumber.zero(family), CycNumber.one()]),
+        elements(stray).map(lambda pair: pair[0]),
+    )
+    coeffs = st.one_of(st.sampled_from([0, 1, -1]), integers, st.integers(-(10**20), 10**20))
+    return draw(st.lists(st.tuples(coeffs, values), max_size=5))
+
+
+class TestLinearCombination:
+    """linear_combination against the chained +, - and scale it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=combination_terms())
+    def test_matches_chained_operators(self, terms):
+        assert outcome(linear_combination, terms) == outcome(chained, terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [],
+            [(0, root_of_unity(12, 1))],
+            [(5, CycNumber.zero(12))],
+            [(3, CycNumber.from_int(2)), (-1, CycNumber.from_int(7)), (0, CycNumber.one())],
+            [(1, root_of_unity(12, 5))],
+            [(-1, root_of_unity(12, 5))],
+            [(1, root_of_unity(12, 1)), (-1, root_of_unity(12, 1))],
+            [(2, CycNumber.from_int(3)), (1, root_of_unity(1010, 700)), (-3, CycNumber.one())],
+            [(1, CycNumber.from_int(-4)), (1, CycNumber.zero(1010))],
+            [(0, CycNumber.zero(1010)), (1, CycNumber.from_int(6))],
+            [(1, root_of_unity(1010, 3)), (-1, CycNumber.zero(1010))],
+            [(1, CycNumber.zero(1010)), (-1, root_of_unity(1010, 3))],
+            [(1, root_of_unity(4, 1)), (0, root_of_unity(6, 1))],
+            [(0, CycNumber.zero(4)), (1, CycNumber.zero(6))],
+            [(1, root_of_unity(102, 1)), (1, CycNumber.one()), (1, root_of_unity(1010, 1))],
+        ],
+        ids=["empty", "zero-coefficient", "zero-value", "integers-only", "single-term",
+             "single-negated", "cancelling", "q+1-mixed-with-1", "integer-plus-zero-at-q+1",
+             "zero-at-q+1-first", "theta-plus-minus-zero", "zero-minus-root",
+             "mismatch-zero-coefficient", "mismatch-zero-values", "mismatch-after-integer"],
+    )
+    def test_edge_cases(self, terms):
+        assert outcome(linear_combination, terms) == outcome(chained, terms)
+
+    def test_lone_unit_term_is_kept(self):
+        theta = root_of_unity(1010, 777)
+        assert linear_combination([(1, theta), (-1, CycNumber.zero(1010))]) is theta
+        moved = linear_combination([(1, CycNumber.from_int(4)), (3, CycNumber.zero(1010))])
+        assert (moved.m, moved.num) == (1010, ((0, 4),))
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(0)])
+    def test_non_integer_coefficient_raises(self, bad):
+        with pytest.raises(TypeError):
+            linear_combination([(bad, root_of_unity(6, 1))])

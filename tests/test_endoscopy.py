@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from sl2endo.charformulas import (
     mu_hat_orbital,
     psi0,
     theta_regular,
+    theta_virtual,
 )
 from sl2endo.cyclotomic import CycNumber, euler_phi
 from sl2endo.endoscopy import (
@@ -34,9 +36,11 @@ from sl2endo.torus import (
     Classification,
     LieElement,
     cayley,
+    cayley_inverse,
     element,
     f_direct,
     f_via_disc,
+    g_conjugate,
     invert,
     sample_regular,
 )
@@ -282,7 +286,7 @@ class TestJsonLine:
             verify_identity(nonregular, "s1", anti_near(p)),
             verify_identity(nonregular, "s1", element(cfg, 1, 0)),  # precision exhausted
             *budget_exceeded_reports(cfg, nonregular, Classification.FAR, ["s1", "s2"]),
-            *falsify_adss152(near),
+            *falsify_adss152(nonregular, near),
         ]
         verdicts = {r.verdict.partition("(")[0] for r in reports}
         assert verdicts == {"equal", "unequal", "skipped"}
@@ -309,7 +313,7 @@ class TestJsonLine:
 class TestFalsify:
     def test_p3_v1_values(self):
         g = sample(3, Classification.NEAR, 1, "f1")
-        rep1, rep2 = falsify_adss152(g)
+        rep1, rep2 = falsify_adss152(PacketSpec.nonregular(g.config), g)
         assert rep1.verdict == "unequal"
         assert rep1.lhs == 0 and rep1.rhs == 6
         assert rep2.verdict == "unequal"
@@ -317,23 +321,29 @@ class TestFalsify:
 
     def test_p5_v2_values(self):
         g = sample(5, Classification.NEAR, 2, "f2")
-        rep1, _ = falsify_adss152(g)
+        rep1, _ = falsify_adss152(PacketSpec.nonregular(g.config), g)
         assert rep1.lhs == 0 and rep1.rhs == -50  # f = 25
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_always_unequal(self, p):
         cfg = FieldConfig(p)
+        packet = PacketSpec.nonregular(cfg)
         rng = random.Random(f"fal{p}")
         for i in range(15):
             g = sample_regular(cfg, Classification.NEAR, 1 + i % 3, rng)
-            rep1, rep2 = falsify_adss152(g)
+            rep1, rep2 = falsify_adss152(packet, g)
             assert rep1.verdict == "unequal"
             assert rep2.verdict == "unequal"
             assert not rep1.rhs.is_zero  # f is a nonzero power, the clash always fires
 
     def test_far_rejected(self):
         with pytest.raises(NotNear):
-            falsify_adss152(far_p3())
+            falsify_adss152(PacketSpec.nonregular(FieldConfig(3)), far_p3())
+
+    def test_regular_packet_rejected(self):
+        g = sample(3, Classification.NEAR, 1, "f1")
+        with pytest.raises(ValueError):
+            falsify_adss152(PacketSpec.regular(g.config, 1), g)
 
 
 class TestOneClassificationPerElement:
@@ -373,3 +383,78 @@ class TestOneClassificationPerElement:
         report = verify_identity(pk, "s1", g)
         assert report.verdict == "equal"
         assert count == calls
+
+
+class TestOneResultPerSum:
+    """Each linear combination of character values is one linear_combination
+    call, and the inverse Cayley transform builds one PadicNumber.
+
+    Counts the CycNumber operators that the chained sums used, and the
+    PadicNumber constructions of cayley_inverse, on sampled elements at
+    p = 11 and 1009.  A count that grows means a sum went back to building
+    an intermediate value per term.
+    """
+
+    CHAINED = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "scale")
+
+    @classmethod
+    def count_chained(cls, monkeypatch):
+        counts = Counter()
+        for name in cls.CHAINED:
+            original = getattr(CycNumber, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(CycNumber, name, counting)
+        return counts
+
+    @staticmethod
+    def elements(p):
+        far = sample(p, Classification.FAR, 0, "sums")
+        near = sample(p, Classification.NEAR, 1, "sums")
+        return [far, near, g_conjugate(far), g_conjugate(near)]
+
+    @pytest.mark.parametrize("p", [11, 1009])
+    def test_theta_virtual_and_rhs(self, monkeypatch, p):
+        cfg = FieldConfig(p)
+        checks = [(PacketSpec.regular(cfg, 1), s) for s in ("1", "s1")]
+        checks += [(PacketSpec.nonregular(cfg), s) for s in ("1", "s1")]
+        gammas = self.elements(p)
+        counts = self.count_chained(monkeypatch)
+        theta_virtual(PacketSpec.nonregular(cfg), "s3", gammas[0])  # far: all four members
+        for packet, s in checks:
+            for gamma in gammas:
+                theta_virtual(packet, s, gamma)
+            rhs_endoscopic(packet, gammas[0])
+            rhs_endoscopic(packet, gammas[1])
+        assert counts == Counter()
+
+    @pytest.mark.parametrize("p", [11, 1009])
+    def test_falsify_s1_sum(self, monkeypatch, p):
+        cfg = FieldConfig(p)
+        packet, gamma = PacketSpec.nonregular(cfg), sample(p, Classification.NEAR, 2, "sums")
+        counts = self.count_chained(monkeypatch)
+        report1, report2 = falsify_adss152(packet, gamma)
+        # the one + is the theta_1 + theta_2 of the second report
+        assert counts == Counter({"__add__": 1})
+        assert report1.lhs == 0 and report2.lhs == -1
+
+    @pytest.mark.parametrize("p", [11, 1009])
+    def test_cayley_inverse_builds_one_padic(self, monkeypatch, p):
+        gammas = self.elements(p)[1::2]
+        count = 0
+        post_init = PadicNumber.__post_init__
+
+        def counting(self):
+            nonlocal count
+            count += 1
+            post_init(self)
+
+        monkeypatch.setattr(PadicNumber, "__post_init__", counting)
+        for gamma in gammas:
+            count = 0
+            Y = cayley_inverse(gamma)
+            assert count == 1
+            assert Y.y.valuation() == 1 and Y.variant is gamma.variant

@@ -15,6 +15,7 @@ from sl2endo.errors import (
 from sl2endo.localfield import FieldConfig, hensel_sqrt, sgn_eps
 from sl2endo.torus import (
     Classification,
+    LieElement,
     TorusElement,
     TorusVariant,
     cayley,
@@ -296,6 +297,33 @@ class TestCayley:
             g = sample_regular(cfg, Classification.NEAR, v, seed=f"disc{v}")
             Y = cayley_inverse(g)
             assert weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
+
+    @staticmethod
+    def reference_cayley_inverse(gamma):
+        """The PadicNumber expression cayley_inverse evaluated before it moved to residues."""
+        a, b = gamma.a, gamma.b
+        denom = (a + 1) * (a + 1) - b * b * gamma.config.eps
+        return LieElement((b * 4) / denom, gamma.variant)
+
+    @pytest.mark.parametrize("p,N", [(3, 8), (3, 12), (5, 8), (7, 8), (11, 8), (13, 8),
+                                     (101, 8), (1009, 8)])
+    def test_matches_padic_expression(self, p, N):
+        cfg = FieldConfig(p, N)
+        for v in range(1, N - 2):
+            for i in range(4):
+                g = sample_regular(cfg, Classification.NEAR, v, seed=f"cayref{v}:{i}")
+                for gamma in (g, g_conjugate(g)):
+                    assert cayley_inverse(gamma) == self.reference_cayley_inverse(gamma)
+
+    def test_non_unit_denominator_raises(self):
+        # an anti-near element forced to read as near: (a+1)^2 - eps*b^2 is then 0 mod p
+        cfg = FieldConfig(5)
+        g = sample_regular(cfg, Classification.ANTI_NEAR, 1, seed="unit")
+        g.__dict__["classification"] = Classification.NEAR
+        with pytest.raises(ValueError):
+            self.reference_cayley_inverse(g)
+        with pytest.raises(ValueError):
+            cayley_inverse(g)
 
     def test_denominator_is_four_mod_p(self):
         cfg = FieldConfig(7)
