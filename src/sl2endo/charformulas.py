@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, linear_combination
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
-from .localfield import FieldConfig, legendre, sgn_eps, sgn_pi
+from .localfield import FieldConfig, legendre, sgn_pi
 from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level
 from .torus import (
@@ -245,8 +245,9 @@ def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
     vy = Y.y.valuation()
     if vy < 1:
         raise ValueError("the expansion applies for v(y) >= 1")
-    arg = Y.y if eta == 1 else Y.y.shift_down(1)
-    b_eps = UNRAMIFIED_ADDITIVE_SIGN * cfg.q * sgn_eps(arg)
+    # sgn_eps(eta^{-1} y) = (-1)^{v(y) - v(eta)}, read off the one v(y)
+    sgn = -1 if (vy if eta == 1 else vy - 1) % 2 else 1
+    b_eps = UNRAMIFIED_ADDITIVE_SIGN * cfg.q * sgn
     return CycNumber.from_int(a_term + cfg.q ** (vy - 1) * b_eps)
 
 

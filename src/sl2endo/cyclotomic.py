@@ -224,19 +224,23 @@ class CycNumber:
     __hash__ = None  # equality crosses to integers; not intended as a dict key
 
     def __str__(self) -> str:
-        if self.is_zero:
+        """The value as a sum of terms c*z{m}^i, e.g. "3 - z12 + 2*z12^3"."""
+        if not self.num:
             return "0"
-        m, parts = self.m, []
+        z, parts = f"z{self.m}", []
         for i, c in self.num:
-            parts.append(" - " if c < 0 else " + ")
-            c = abs(c)
-            if i == 0:
-                parts.append(str(c))
+            if c < 0:
+                sign, c = " - ", -c
             else:
-                z = f"z{m}" if i == 1 else f"z{m}^{i}"
-                parts.append(z if c == 1 else f"{c}*{z}")
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+                sign = " + "
+            if i > 1:
+                parts.append(f"{sign}{z}^{i}" if c == 1 else f"{sign}{c}*{z}^{i}")
+            elif i:
+                parts.append(f"{sign}{z}" if c == 1 else f"{sign}{c}*{z}")
+            else:
+                parts.append(f"{sign}{c}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"CycNumber({self})"

@@ -119,38 +119,48 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """The jsonl line of this report: json.dumps(self.to_record(), sort_keys=True),
-        written from the sparse values without building the dense coefficient lists."""
-        return "{" + ", ".join(
-            [key + _json_value(getattr(self, name)) for name, key in _JSON_KEYS]
-        ) + "}"
+        written in one pass from the sparse values, a value that both sides
+        share rendered once."""
+        lhs, rhs = self.lhs, self.rhs
+        lhs_json = _json_value(lhs)
+        if rhs is not None and lhs is not None and rhs.m == lhs.m and rhs.num == lhs.num:
+            rhs_json = lhs_json
+        else:
+            rhs_json = _json_value(rhs)
+        a, b, vb = self.a, self.b, self.valuation_b
+        return (
+            f'{{"N": {self.N}, "a": {"null" if a is None else a},'
+            f' "b": {"null" if b is None else b},'
+            f' "classification": {encode_basestring_ascii(self.classification)},'
+            f' "eps": {self.eps}, "level": {self.level}, "lhs": {lhs_json}, "p": {self.p},'
+            f' "packet": {encode_basestring_ascii(self.packet)}, "rhs": {rhs_json},'
+            f' "s": {encode_basestring_ascii(self.s)},'
+            f' "valuation_b": {"null" if vb is None else vb},'
+            f' "verdict": {encode_basestring_ascii(self.verdict)}}}'
+        )
 
 
 # The report schema: the fields of VerificationReport, in declaration order.
 REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
-# (field, its json key and separator), in the sorted key order of a jsonl line.
-_JSON_KEYS = tuple((name, encode_basestring_ascii(name) + ": ") for name in sorted(REPORT_FIELDS))
+
+_ZERO = '"0", '
 
 
-def _json_value(value: "CycNumber | int | str | None") -> str:
-    """json.dumps(value) for a report field; a CycNumber as its record dict,
-    {"coeffs": [...], "conductor": m, "text": "..."}, with one repeated
-    '"0", ' string per run of zero coefficients."""
+def _json_value(value: "CycNumber | None") -> str:
+    """json.dumps of a side of the report record: null, or the record dict
+    {"coeffs": [...], "conductor": m, "text": "..."} in one pass over the
+    nonzero terms, with one repeated '"0", ' string per run of zero
+    coefficients.  Coefficients and the text hold only digits, signs, "z",
+    "^", "*" and spaces, so they need no escaping."""
     if value is None:
         return "null"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if not isinstance(value, CycNumber):
-        return int.__repr__(value)
     parts, start = [], 0
     for i, c in value.num:
-        parts += ('"0", ' * (i - start), encode_basestring_ascii(str(c)), ", ")
+        parts.append(f'{_ZERO * (i - start)}"{c}", ')
         start = i + 1
-    parts.append('"0", ' * (euler_phi(value.m) - start))
+    parts.append(_ZERO * (euler_phi(value.m) - start))
     coeffs = "".join(parts)[:-2]  # phi(m) >= 1 items, each followed by ", "
-    return (
-        f'{{"coeffs": [{coeffs}], "conductor": {int.__repr__(value.m)},'
-        f' "text": {encode_basestring_ascii(str(value))}}}'
-    )
+    return f'{{"coeffs": [{coeffs}], "conductor": {value.m}, "text": "{value}"}}'
 
 
 def _report(

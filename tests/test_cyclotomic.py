@@ -503,3 +503,62 @@ class TestLinearCombination:
     def test_non_integer_coefficient_raises(self, bad):
         with pytest.raises(TypeError):
             linear_combination([(bad, root_of_unity(6, 1))])
+
+
+def reference_text(value):
+    """CycNumber.__str__ as written before the one-loop version: a sign
+    part and a term part per coefficient, the leading sign fixed at the end."""
+    if value.is_zero:
+        return "0"
+    m, parts = value.m, []
+    for i, c in value.num:
+        parts.append(" - " if c < 0 else " + ")
+        c = abs(c)
+        if i == 0:
+            parts.append(str(c))
+        else:
+            z = f"z{m}" if i == 1 else f"z{m}^{i}"
+            parts.append(z if c == 1 else f"{c}*{z}")
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
+
+
+@st.composite
+def text_values(draw):
+    """A CycNumber at conductor 1, 4, 12 or 1010 whose terms sit at index 0,
+    1 and above, with coefficients +-1 and larger (the leading one often
+    negative)."""
+    m = draw(st.sampled_from([1, 4, 12, 1010]))
+    n = euler_phi(m)
+    indices = draw(st.sets(st.sampled_from(sorted({0, min(1, n - 1), n - 1})))) | draw(
+        st.sets(st.integers(0, n - 1), max_size=8)
+    )
+    coeff = st.sampled_from([1, -1]) | st.integers(-(10**25), 10**25).filter(bool)
+    terms = [(i, draw(coeff)) for i in sorted(indices)]
+    if terms and draw(st.booleans()):
+        terms[0] = (terms[0][0], -abs(terms[0][1]))
+    return CycNumber(m, tuple(terms))
+
+
+class TestText:
+    """str(CycNumber) is the text of the csv, table and jsonl formats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=text_values())
+    def test_matches_reference(self, value):
+        assert str(value) == reference_text(value)
+
+    @pytest.mark.parametrize(
+        "m,terms,text",
+        [
+            (1, (), "0"),
+            (1, ((0, -7),), "-7"),
+            (4, ((1, -1),), "-z4"),
+            (12, ((0, 3), (1, -1), (3, 2)), "3 - z12 + 2*z12^3"),
+            (12, ((1, -5), (2, 1), (3, -1)), "-5*z12 + z12^2 - z12^3"),
+            (1010, ((399, -12),), "-12*z1010^399"),
+        ],
+    )
+    def test_examples(self, m, terms, text):
+        value = CycNumber(m, terms)
+        assert str(value) == text == reference_text(value)

@@ -16,7 +16,7 @@ from sl2endo.charformulas import (
     theta_regular,
     theta_virtual,
 )
-from sl2endo.cyclotomic import CycNumber, euler_phi
+from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, root_of_unity
 from sl2endo.endoscopy import (
     REPORT_FIELDS,
     VerificationReport,
@@ -30,7 +30,7 @@ from sl2endo.endoscopy import (
     verify_identity,
 )
 from sl2endo.errors import AntiNearUnsupported, NotNear, PrecisionExhausted
-from sl2endo.localfield import FieldConfig, PadicNumber
+from sl2endo.localfield import FieldConfig, PadicNumber, sgn_eps
 from sl2endo.residue import norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
@@ -302,12 +302,66 @@ class TestJsonLine:
             report = report_with(value, CycNumber.zero(m))
             assert report.to_json() == reference_line(report)
 
-    @settings(max_examples=80, deadline=None)
-    @given(lhs=sparse_values(), rhs=st.none() | sparse_values(), verdict=st.text(max_size=12),
-           a=st.none() | st.integers(-(10**40), 10**40))
+    @settings(max_examples=120, deadline=None)
+    @given(lhs=sparse_values(), rhs=st.none() | sparse_values() | st.sampled_from(["lhs", "copy"]),
+           verdict=st.text(max_size=12), a=st.none() | st.integers(-(10**40), 10**40))
     def test_random_sparse_values(self, lhs, rhs, verdict, a):
+        if rhs == "lhs":
+            rhs = lhs
+        elif rhs == "copy":
+            rhs = CycNumber(lhs.m, tuple(list(lhs.num)))
         report = report_with(lhs, rhs, verdict, a=a, b=a)
         assert report.to_json() == reference_line(report)
+
+    def test_every_exponent_at_p1009(self):
+        # -(z^k + z^-k) is the regular far value; at conductor 1010 it has 1 to
+        # 243 terms, and both sides are one object or two equal ones
+        for k in range(1010):
+            pair = [(-1, root_of_unity(1010, k)), (-1, root_of_unity(1010, -k))]
+            lhs = linear_combination(pair)
+            for rhs in (lhs, linear_combination(pair)):
+                report = report_with(lhs, rhs)
+                assert report.to_json() == reference_line(report), k
+
+    def test_equal_value_at_two_conductors(self):
+        # a near check of a regular packet: lhs an integer at conductor 1,
+        # rhs the same integer at q + 1; each side keeps its own conductor
+        lhs, rhs = CycNumber.from_int(14), CycNumber.from_int(14, 8)
+        line = report_with(lhs, rhs).to_json()
+        assert line == reference_line(report_with(lhs, rhs))
+        record = json.loads(line)
+        assert record["lhs"]["coeffs"] == ["14"] and record["lhs"]["conductor"] == 1
+        assert record["rhs"]["coeffs"] == ["14", "0", "0", "0"] and record["rhs"]["conductor"] == 8
+
+    @staticmethod
+    def text_calls(monkeypatch, report):
+        count = 0
+        text = CycNumber.__str__
+
+        def counting(self):
+            nonlocal count
+            count += 1
+            return text(self)
+
+        monkeypatch.setattr(CycNumber, "__str__", counting)
+        line = report.to_json()
+        monkeypatch.setattr(CycNumber, "__str__", text)
+        assert line == reference_line(report)
+        return count
+
+    def test_shared_value_rendered_once(self, monkeypatch):
+        cfg = FieldConfig(1009)
+        far = sample(1009, Classification.FAR, 0, "once")
+        near = sample(1009, Classification.NEAR, 1, "once")
+        equal_far = verify_identity(PacketSpec.regular(cfg, 1), "s1", far)
+        assert equal_far.verdict == "equal" and equal_far.lhs is not equal_far.rhs
+        assert self.text_calls(monkeypatch, equal_far) == 1
+        unequal, _ = falsify_adss152(PacketSpec.nonregular(cfg), near)
+        assert self.text_calls(monkeypatch, unequal) == 2
+        two_conductors = verify_identity(PacketSpec.regular(cfg, 1), "s1", near)
+        assert two_conductors.verdict == "equal"
+        assert (two_conductors.lhs.m, two_conductors.rhs.m) == (1, 1010)
+        assert self.text_calls(monkeypatch, two_conductors) == 2
 
 
 class TestFalsify:
@@ -346,6 +400,19 @@ class TestFalsify:
             falsify_adss152(PacketSpec.regular(g.config, 1), g)
 
 
+def counting_valuations(monkeypatch):
+    """Patch PadicNumber.valuation to count its calls; returns the counter."""
+    counts = Counter()
+    valuation = PadicNumber.valuation
+
+    def counting(self):
+        counts["valuation"] += 1
+        return valuation(self)
+
+    monkeypatch.setattr(PadicNumber, "valuation", counting)
+    return counts
+
+
 class TestOneClassificationPerElement:
     """v(b) and the class are computed once per element, by the sampler.
 
@@ -371,18 +438,43 @@ class TestOneClassificationPerElement:
         pk = PacketSpec.nonregular(cfg) if packet == "nonregular" else PacketSpec.regular(cfg, 1)
         g = sample(1009, cls, v, "count")
         verify_identity(pk, "s1", sample(1009, cls, v, "warm"))  # fills epsilon_factor(cfg)
-        count = 0
-        valuation = PadicNumber.valuation
-
-        def counting(self):
-            nonlocal count
-            count += 1
-            return valuation(self)
-
-        monkeypatch.setattr(PadicNumber, "valuation", counting)
+        counts = counting_valuations(monkeypatch)
         report = verify_identity(pk, "s1", g)
         assert report.verdict == "equal"
-        assert count == calls
+        assert counts["valuation"] == calls
+
+
+class TestOneValuationPerOrbitalValue:
+    """mu_hat_orbital takes v(y) once, for both eta, and reads the sign of
+    eta^{-1} y off it as (-1)^{v(y) - v(eta)}; a warmed falsify_adss152 then
+    makes that one valuation call and no other."""
+
+    @staticmethod
+    def reference(Y, a_term, eta):
+        """The value as computed from sgn_eps of eta^{-1} y itself."""
+        q, vy = Y.config.q, Y.y.valuation()
+        arg = Y.y if eta == 1 else Y.y.shift_down(1)
+        return a_term + q ** (vy - 1) * -q * sgn_eps(arg)
+
+    @pytest.mark.parametrize("p", [3, 1009])
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    @pytest.mark.parametrize("eta_is_pi", [False, True], ids=["eta=1", "eta=pi"])
+    def test_one_valuation_call(self, monkeypatch, p, v, eta_is_pi):
+        Y = cayley_inverse(sample(p, Classification.NEAR, v, "mu"))
+        eta = p if eta_is_pi else 1
+        expected = self.reference(Y, -1, eta)
+        counts = counting_valuations(monkeypatch)
+        assert mu_hat_orbital(Y, -1, eta) == expected
+        assert counts == Counter(valuation=1)
+
+    @pytest.mark.parametrize("p", [3, 11, 1009])
+    def test_falsify_one_valuation_call(self, monkeypatch, p):
+        packet = PacketSpec.nonregular(FieldConfig(p))
+        falsify_adss152(packet, sample(p, Classification.NEAR, 1, "warm"))  # fills epsilon_factor
+        gamma = sample(p, Classification.NEAR, 2, "count")
+        counts = counting_valuations(monkeypatch)
+        falsify_adss152(packet, gamma)
+        assert counts == Counter(valuation=1)
 
 
 class TestOneResultPerSum:
