@@ -326,9 +326,9 @@ class TestJsonLine:
     def test_equal_value_at_two_conductors(self):
         # a near check of a regular packet: lhs an integer at conductor 1,
         # rhs the same integer at q + 1; each side keeps its own conductor
-        lhs, rhs = CycNumber.from_int(14), CycNumber.from_int(14, 8)
-        line = report_with(lhs, rhs).to_json()
-        assert line == reference_line(report_with(lhs, rhs))
+        report = report_with(CycNumber.from_int(14), CycNumber.from_int(14, 8))
+        line = report.to_json()
+        assert line == reference_line(report)
         record = json.loads(line)
         assert record["lhs"]["coeffs"] == ["14"] and record["lhs"]["conductor"] == 1
         assert record["rhs"]["coeffs"] == ["14", "0", "0", "0"] and record["rhs"]["conductor"] == 8
