@@ -230,25 +230,24 @@ def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
     return linear_combination(zip(coeffs, values))
 
 
-def mu_hat_orbital(Y: LieElement, a_term: int, eta: int) -> CycNumber:
+def mu_hat_orbital(Y: LieElement) -> CycNumber:
     """Orbital-integral Fourier transform value on a topologically nilpotent Y.
 
-    Evaluates  a_term + q^{-1} * (1/D(Y)) * b_eps(eta^{-1} * y)  with
-    1/D(Y) = q^{v(y)} and the eps-orbit coefficient b_eps = -q * sgn_eps,
-    an integer since v(y) >= 1;
-    eta is 1 on the unramified-class torus and the uniformizer on its
-    conjugate, where the twist flips the sign character.
+    Evaluates  NEAR_CONSTANT_TERM + q^{-1} * (1/D(Y)) * b_eps(eta^{-1} * y)
+    with 1/D(Y) = q^{v(y)} and the eps-orbit coefficient b_eps = -q * sgn_eps,
+    an integer since v(y) >= 1.  eta is read off Y.variant: 1 on the
+    unramified-class torus and the uniformizer on its conjugate, where the
+    twist flips the sign character.
     """
     cfg = Y.config
-    if eta not in (1, cfg.pi):
-        raise ValueError(f"eta must be 1 or the uniformizer, got {eta}")
     vy = Y.y.valuation()
     if vy < 1:
         raise ValueError("the expansion applies for v(y) >= 1")
     # sgn_eps(eta^{-1} y) = (-1)^{v(y) - v(eta)}, read off the one v(y)
-    sgn = -1 if (vy if eta == 1 else vy - 1) % 2 else 1
+    v_eta = 1 if Y.variant is TorusVariant.CONJUGATED else 0
+    sgn = -1 if (vy - v_eta) % 2 else 1
     b_eps = UNRAMIFIED_ADDITIVE_SIGN * cfg.q * sgn
-    return CycNumber.from_int(a_term + cfg.q ** (vy - 1) * b_eps)
+    return CycNumber.from_int(NEAR_CONSTANT_TERM + cfg.q ** (vy - 1) * b_eps)
 
 
 def adss152_theta(gamma: TorusElement) -> tuple[CycNumber, ...]:

@@ -107,13 +107,14 @@ def psi0_dual_route_and_uniqueness(config: FieldConfig, gammas) -> bool:
 
 def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:
     """On near elements the orbital-integral route gives the member sums
-    -1 - f and -1 + f, the Lie discriminant has the group's valuation, and
-    the Cayley transform inverts the inverse Cayley transform."""
+    -1 - f at gamma and -1 + f at its conjugate, the Lie discriminant has
+    the group's valuation, and the Cayley transform inverts the inverse
+    Cayley transform."""
     for g in _near(gammas):
         f, Y = f_direct(g), cayley_inverse(g)
         if not (
-            mu_hat_orbital(Y, -1, 1) == CycNumber.from_int(-1 - f)
-            and mu_hat_orbital(Y, -1, config.pi) == CycNumber.from_int(-1 + f)
+            mu_hat_orbital(Y) == CycNumber.from_int(-1 - f)
+            and mu_hat_orbital(cayley_inverse(g_conjugate(g))) == CycNumber.from_int(-1 + f)
             and weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
             and cayley(Y) == g
         ):

@@ -19,9 +19,9 @@ immutable and shared.
 Integers live at conductor 1 and embed into every conductor unchanged
 (an integer is at most a constant term); values at two different
 conductors above 1 do not mix, and combining them raises
-ConductorMismatch.  An integer linear combination of values is one
-linear_combination call: one accumulator and one result, under the
-conductor rule of chained +.
+ConductorMismatch; _conductor is that rule, for every operation.  The one
+sum is linear_combination, one accumulator and one result: +, -, unary -
+and scale are each one call of it.
 """
 
 from __future__ import annotations
@@ -107,13 +107,18 @@ def _reduce(c: list[int], m: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, c[i]) for i in compress(range(deg), c))
 
 
-def _combine(x, y, sign: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero pairs of x + sign*y, for x and y given as sorted nonzero pairs."""
-    acc = dict(x)
-    get = acc.get
-    for i, c in y:
-        acc[i] = get(i, 0) + sign * c
-    return tuple(sorted([t for t in acc.items() if t[1]]))
+def _conductor(m: int, n: int) -> int:
+    """The conductor where values at m and n meet: an integer (conductor 1)
+    moves, and two different conductors above 1 raise ConductorMismatch."""
+    if m == n or n == 1:
+        return m
+    if m == 1:
+        return n
+    raise ConductorMismatch(f"conductor {n} does not embed into {m}")
+
+
+def _lift(x: "CycNumber | int") -> "CycNumber":
+    return x if isinstance(x, CycNumber) else CycNumber.from_int(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,60 +171,44 @@ class CycNumber:
         """This value at conductor L; only an integer (conductor 1) moves."""
         if L == self.m:
             return self
-        if self.m != 1:
-            raise ConductorMismatch(f"conductor {self.m} does not embed into {L}")
-        return CycNumber(L, self.num)
-
-    def _pair(self, other: "CycNumber | int"):
-        if not isinstance(other, CycNumber):
-            other = CycNumber.from_int(other)
-        if self.m == other.m:
-            return self, other
-        if self.m == 1:
-            return self.promote(other.m), other
-        return self, other.promote(self.m)
+        if L == 1:
+            raise ConductorMismatch(f"conductor {self.m} does not embed into 1")
+        return CycNumber(_conductor(L, self.m), self.num)
 
     def __add__(self, other) -> "CycNumber":
-        a, b = self._pair(other)
-        if not b.num:
-            return a
-        if not a.num:
-            return b
-        return CycNumber(a.m, _combine(a.num, b.num, 1))
+        return linear_combination(((1, self), (1, _lift(other))))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycNumber":
-        a, b = self._pair(other)
-        if not b.num:
-            return a
-        return CycNumber(a.m, _combine(a.num, b.num, -1))
+        return linear_combination(((1, self), (-1, _lift(other))))
 
     def __rsub__(self, other) -> "CycNumber":
-        return CycNumber.from_int(other) - self
+        return linear_combination(((1, CycNumber.from_int(other)), (-1, self)))
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.m, tuple((i, -c) for i, c in self.num))
+        return linear_combination(((-1, self),))
 
     def __mul__(self, other) -> "CycNumber":
-        a, b = self._pair(other)
-        prod = [0] * (2 * euler_phi(a.m) - 1)
-        for i, x in a.num:
-            for j, y in b.num:
+        other = _lift(other)
+        m = _conductor(self.m, other.m)
+        prod = [0] * (2 * euler_phi(m) - 1)
+        for i, x in self.num:
+            for j, y in other.num:
                 prod[i + j] += x * y
-        return CycNumber(a.m, _reduce(prod, a.m))
+        return CycNumber(m, _reduce(prod, m))
 
     __rmul__ = __mul__
 
     def scale(self, n) -> "CycNumber":
-        n = operator.index(n)
-        return CycNumber(self.m, tuple((i, c * n) for i, c in self.num) if n else ())
+        return linear_combination(((n, self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (CycNumber, numbers.Number)):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.num == b.num
+        other = _lift(other)
+        _conductor(self.m, other.m)  # raises unless the conductors meet
+        return self.num == other.num
 
     __hash__ = None  # equality crosses to integers; not intended as a dict key
 
@@ -249,20 +238,16 @@ class CycNumber:
 def linear_combination(terms) -> CycNumber:
     """sum of c*v over the (integer c, CycNumber v) pairs of terms, in one pass.
 
-    The conductor rule is that of chained +: the result sits at the common
-    conductor above 1 of the operands (zero ones included), else at 1, and
-    two different conductors above 1 raise ConductorMismatch.  A zero
-    coefficient or value adds nothing, and a lone surviving term with
-    coefficient 1 keeps its terms as they are.
+    The result sits at the common conductor above 1 of the operands (zero
+    ones included), else at 1, and two different conductors above 1 raise
+    ConductorMismatch (_conductor).  A zero coefficient or value adds
+    nothing, and a lone surviving term with coefficient 1 keeps its terms.
     """
     m, live = 1, []
     for c, v in terms:
         c = operator.index(c)
         if v.m != m:
-            if m != 1 and v.m != 1:
-                raise ConductorMismatch(f"conductor {v.m} does not embed into {m}")
-            if m == 1:
-                m = v.m
+            m = _conductor(m, v.m)
         if c and v.num:
             live.append((c, v))
     if len(live) == 1 and live[0][0] == 1:

@@ -20,7 +20,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .charformulas import (
-    NEAR_CONSTANT_TERM,
     PacketKind,
     PacketSpec,
     adss152_theta,
@@ -270,6 +269,6 @@ def falsify_adss152(
     )
 
     lhs2 = thetas[0] + thetas[1]
-    rhs2 = mu_hat_orbital(cayley_inverse(gamma), NEAR_CONSTANT_TERM, eta=1)
+    rhs2 = mu_hat_orbital(cayley_inverse(gamma))
     report2 = _decide(_report(packet, FALSIFY_CHECKS[1], cfg, gamma), lhs2, rhs2)
     return (report1, report2)

@@ -23,6 +23,10 @@ from functools import cached_property, lru_cache
 
 from .errors import NotASquare, PrecisionExhausted, ZeroInput
 
+# Primes from this on are refused before any work: the per-prime tables (the
+# q + 1 residue torus points, Phi_{q+1}) and the primality test grow with p.
+PRIME_BOUND = 1 << 20
+
 
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
@@ -97,6 +101,8 @@ class FieldConfig:
     N: int = 8
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"p must be below 2^20 = {PRIME_BOUND}, got {self.p}")
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.N < 4:
@@ -147,18 +153,6 @@ class PadicNumber:
             r //= self.config.p
             v += 1
         return v
-
-    def shift_down(self, k: int = 1) -> "PadicNumber":
-        """Exact division by p^k (requires valuation >= k).
-
-        The top k digits of the result are not determined by the input
-        residue; only valuation-level facts about the result should be used.
-        """
-        if k == 0:
-            return self
-        if self.valuation() < k:
-            raise ValueError(f"cannot divide by p^{k}: valuation too small")
-        return PadicNumber(self.residue // self.config.p**k, self.config)
 
     def _coerce(self, other: "PadicNumber | int") -> "PadicNumber":
         if isinstance(other, PadicNumber):

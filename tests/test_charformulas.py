@@ -27,6 +27,7 @@ from sl2endo.localfield import FieldConfig, legendre, sgn_eps
 from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
+    LieElement,
     TorusVariant,
     cayley_inverse,
     element,
@@ -35,6 +36,8 @@ from sl2endo.torus import (
     invert,
     sample_regular,
 )
+
+from oracles import shift_down
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -319,20 +322,22 @@ class TestMuHatOrbital:
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("v", [1, 2])
     def test_matches_near_sums(self, p, v):
-        cfg = FieldConfig(p)
         g = near_sample(p, v)
-        Y = cayley_inverse(g)
-        assert mu_hat_orbital(Y, -1, 1) == theta_nonregular_near_sums(g)[0]
-        assert mu_hat_orbital(Y, -1, cfg.pi) == theta_nonregular_near_sums(g)[1]
+        assert mu_hat_orbital(cayley_inverse(g)) == theta_nonregular_near_sums(g)[0]
+        assert mu_hat_orbital(cayley_inverse(g_conjugate(g))) == theta_nonregular_near_sums(g)[1]
 
     def test_p3_value(self):
         Y = cayley_inverse(near_sample(3, 1))
-        assert mu_hat_orbital(Y, -1, 1) == 2
+        assert mu_hat_orbital(Y) == 2
 
-    def test_eta_validation(self):
-        Y = cayley_inverse(near_sample(3, 1))
-        with pytest.raises(ValueError):
-            mu_hat_orbital(Y, -1, 2)
+    def test_eta_follows_variant(self):
+        # eta is 1 on the unramified torus and the uniformizer on its
+        # conjugate: the same y gives -1 - f on one and -1 + f on the other
+        g = near_sample(3, 1)  # f = -3
+        y = cayley_inverse(g).y
+        assert mu_hat_orbital(LieElement(y)) == 2
+        assert mu_hat_orbital(LieElement(y, TorusVariant.CONJUGATED)) == -4
+        assert cayley_inverse(g_conjugate(g)) == LieElement(y, TorusVariant.CONJUGATED)
 
 
 class TestAdss152:
@@ -371,15 +376,15 @@ class TestAdss152:
             expected = Fraction(-f - 1 if j in (1, 4) else f - 1, 2)
             assert expected.denominator == 1
             assert theta.as_int() == expected
-        Y = cayley_inverse(g)
-        vy = Y.y.valuation()
-        for a_term in (-1, 0, 2):
-            for eta in (1, cfg.pi):
-                arg = Y.y if eta == 1 else Y.y.shift_down(1)
-                b_eps = -cfg.q * sgn_eps(arg)
-                expected = Fraction(a_term) + Fraction(cfg.q**vy, cfg.q) * b_eps
-                assert expected.denominator == 1
-                assert mu_hat_orbital(Y, a_term, eta).as_int() == expected
+        for Y, arg in (
+            (cayley_inverse(g), cayley_inverse(g).y),  # eta = 1
+            (cayley_inverse(g_conjugate(g)), shift_down(cayley_inverse(g).y)),  # eta = pi
+        ):
+            vy = Y.y.valuation()
+            b_eps = -cfg.q * sgn_eps(arg)
+            expected = Fraction(-1) + Fraction(cfg.q**vy, cfg.q) * b_eps
+            assert expected.denominator == 1
+            assert mu_hat_orbital(Y).as_int() == expected
 
     def test_sum_matches_stable_value(self):
         for p in (3, 5):

@@ -2,12 +2,14 @@
 
 import argparse
 import hashlib
+import importlib.util
 import inspect
 import io
 import itertools
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -549,6 +551,24 @@ class TestUsageErrors:
         sweep.validate()
         assert calls == ([] if level is None else [(101, 1), (1009, 1)])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--primes", "1048583", "--samples", "1"],
+         ["table", "--primes", "100000000000000000039"]],
+        ids=["verify", "table"],
+    )
+    def test_prime_from_the_bound_on_rejected_before_any_work(self, monkeypatch, argv):
+        # neither the primality test nor a per-prime table may start
+        import sl2endo.localfield as localfield
+
+        def refuse(n):
+            raise AssertionError(f"primality test ran on {n}")
+
+        monkeypatch.setattr(localfield, "is_odd_prime", refuse)
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: p must be below 2^20 = 1048576, got {argv[2]}\n"
+
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing" / "reports.jsonl"
         code, out, err = run_cli(["verify", "--primes", "3", "--out", str(target)])
@@ -695,3 +715,17 @@ class TestFormats:
         assert sweep.primes == [3, 7]
         assert sweep.samples == 9
         assert (sweep.near_val_lo, sweep.near_val_hi) == (2, 3)
+
+
+def test_every_traced_method_is_in_its_class_dict():
+    # bench/spans.py patches each METHODS attribute through its class's
+    # __dict__; renaming or deleting one must fail here, not only in a traced
+    # benchmark run.  spans.py imports only the standard library.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.METHODS
+    for span, (layer, cls_name, attrs) in spans.METHODS.items():
+        owner = getattr(importlib.import_module(f"sl2endo.{layer}"), cls_name)
+        assert [attr for attr in attrs if attr not in vars(owner)] == [], span

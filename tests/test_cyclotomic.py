@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sl2endo.cyclotomic import (
     CycNumber,
     _divide_by_x_e_minus_1,
+    _reduce,
     cyclotomic_poly,
     euler_phi,
     linear_combination,
@@ -154,6 +156,8 @@ class TestRingOps:
             CycNumber.one(3).promote(4)
         with pytest.raises(ConductorMismatch):
             root_of_unity(2, 1).promote(4)
+        with pytest.raises(ConductorMismatch, match="^conductor 4 does not embed into 1$"):
+            root_of_unity(4, 1).promote(1)
         with pytest.raises(ConductorMismatch):
             root_of_unity(2, 1) == root_of_unity(4, 2)
         with pytest.raises(ConductorMismatch):
@@ -420,25 +424,100 @@ class TestSparseCanonicalForm:
             assert_canonical(value)
 
 
+# The operators as written before they became linear_combination calls: a
+# conductor pairing (_pair) and a two-operand sparse sum (_combine).  They are
+# the reference for linear_combination and for the operators that now call it.
+
+
+def ref_promote(v, L):
+    if L == v.m:
+        return v
+    if v.m != 1:
+        raise ConductorMismatch(f"conductor {v.m} does not embed into {L}")
+    return CycNumber(L, v.num)
+
+
+def ref_pair(a, b):
+    if not isinstance(b, CycNumber):
+        b = CycNumber.from_int(b)
+    if a.m == b.m:
+        return a, b
+    if a.m == 1:
+        return ref_promote(a, b.m), b
+    return a, ref_promote(b, a.m)
+
+
+def ref_combine(x, y, sign):
+    acc = dict(x)
+    for i, c in y:
+        acc[i] = acc.get(i, 0) + sign * c
+    return tuple(sorted([t for t in acc.items() if t[1]]))
+
+
+def ref_add(x, y):
+    a, b = ref_pair(x, y)
+    if not b.num:
+        return a
+    if not a.num:
+        return b
+    return CycNumber(a.m, ref_combine(a.num, b.num, 1))
+
+
+def ref_sub(x, y):
+    a, b = ref_pair(x, y)
+    if not b.num:
+        return a
+    return CycNumber(a.m, ref_combine(a.num, b.num, -1))
+
+
+def ref_rsub(n, x):
+    return ref_sub(CycNumber.from_int(n), x)
+
+
+def ref_neg(x):
+    return CycNumber(x.m, tuple((i, -c) for i, c in x.num))
+
+
+def ref_mul(x, y):
+    a, b = ref_pair(x, y)
+    prod = [0] * (2 * euler_phi(a.m) - 1)
+    for i, c in a.num:
+        for j, d in b.num:
+            prod[i + j] += c * d
+    return CycNumber(a.m, _reduce(prod, a.m))
+
+
+def ref_scale(x, n):
+    return CycNumber(x.m, tuple((i, c * n) for i, c in x.num) if n else ())
+
+
+def ref_eq(x, y):
+    a, b = ref_pair(x, y)
+    return a.num == b.num
+
+
 def chained(terms):
     """The sum as built before linear_combination: + for 1, - for -1, else + of a scale."""
     total = CycNumber.zero()
     for c, v in terms:
         if c == 1:
-            total = total + v
+            total = ref_add(total, v)
         elif c == -1:
-            total = total - v
+            total = ref_sub(total, v)
         else:
-            total = total + v.scale(c)
+            total = ref_add(total, ref_scale(v, c))
     return total
 
 
-def outcome(fn, terms):
-    """(conductor, pairs) of fn(terms), or the ConductorMismatch it raises."""
+def outcome(fn, *args):
+    """(conductor, pairs) of fn(*args), a bool, or the ConductorMismatch it
+    raises with its message."""
     try:
-        value = fn(terms)
-    except ConductorMismatch:
-        return ConductorMismatch
+        value = fn(*args)
+    except ConductorMismatch as exc:
+        return ConductorMismatch, str(exc)
+    if isinstance(value, bool):
+        return value
     assert_canonical(value)
     return value.m, value.num
 
@@ -459,7 +538,7 @@ def combination_terms(draw):
 
 
 class TestLinearCombination:
-    """linear_combination against the chained +, - and scale it replaces."""
+    """linear_combination against chained reference +, - and scale."""
 
     @settings(max_examples=200, deadline=None)
     @given(terms=combination_terms())
@@ -503,6 +582,62 @@ class TestLinearCombination:
     def test_non_integer_coefficient_raises(self, bad):
         with pytest.raises(TypeError):
             linear_combination([(bad, root_of_unity(6, 1))])
+
+
+@st.composite
+def operands(draw):
+    """Two values at a family's conductor or at 1, now and then the second
+    at another conductor above 1, and an integer."""
+    family = draw(st.sampled_from(FAMILIES))
+    stray = draw(st.sampled_from(FAMILIES)) if draw(st.booleans()) else family
+    zeros = st.sampled_from([CycNumber.zero(), CycNumber.zero(family), CycNumber.one()])
+    a = draw(st.one_of(elements(family).map(lambda pair: pair[0]), zeros))
+    b = draw(st.one_of(elements(stray).map(lambda pair: pair[0]), zeros))
+    n = draw(st.one_of(st.sampled_from([0, 1, -1]), integers, st.integers(-(10**20), 10**20)))
+    return a, b, n
+
+
+OPERATORS = [
+    ("a + b", lambda a, b, n: a + b, lambda a, b, n: ref_add(a, b)),
+    ("a - b", lambda a, b, n: a - b, lambda a, b, n: ref_sub(a, b)),
+    ("a + n", lambda a, b, n: a + n, lambda a, b, n: ref_add(a, n)),
+    ("n + a", lambda a, b, n: n + a, lambda a, b, n: ref_add(a, n)),
+    ("a - n", lambda a, b, n: a - n, lambda a, b, n: ref_sub(a, n)),
+    ("n - a", lambda a, b, n: n - a, lambda a, b, n: ref_rsub(n, a)),
+    ("-a", lambda a, b, n: -a, lambda a, b, n: ref_neg(a)),
+    ("a.scale(n)", lambda a, b, n: a.scale(n), lambda a, b, n: ref_scale(a, n)),
+    ("a * b", lambda a, b, n: a * b, lambda a, b, n: ref_mul(a, b)),
+    ("a * n", lambda a, b, n: a * n, lambda a, b, n: ref_mul(a, n)),
+    ("a == b", lambda a, b, n: a == b, lambda a, b, n: ref_eq(a, b)),
+    ("a == n", lambda a, b, n: a == n, lambda a, b, n: ref_eq(a, n)),
+]
+
+
+class TestOperatorsAgainstPairAndCombine:
+    """Each operator, now one linear_combination call or one _conductor check,
+    against the _pair/_combine operators it replaced: the same conductor and
+    terms, or the same ConductorMismatch with the same message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(args=operands())
+    def test_matches_reference(self, args):
+        for name, op, ref in OPERATORS:
+            assert outcome(op, *args) == outcome(ref, *args), name
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (root_of_unity(4, 1), root_of_unity(6, 1)),
+            (CycNumber.zero(1010), root_of_unity(102, 3)),
+            (root_of_unity(2, 1), CycNumber.zero(4)),
+        ],
+        ids=["roots", "zero-first", "dividing-conductors"],
+    )
+    def test_mismatch_messages(self, a, b):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(ConductorMismatch) as exc:
+                op(a, b)
+            assert str(exc.value) == f"conductor {b.m} does not embed into {a.m}"
 
 
 def reference_text(value):

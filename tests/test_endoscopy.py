@@ -35,6 +35,7 @@ from sl2endo.residue import norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
     LieElement,
+    TorusVariant,
     cayley,
     cayley_inverse,
     element,
@@ -44,6 +45,8 @@ from sl2endo.torus import (
     invert,
     sample_regular,
 )
+
+from oracles import shift_down
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -103,7 +106,7 @@ ZERO_Y = LieElement(FieldConfig(3).padic(0))
         (f_via_disc, ZERO_B),
         (cayley, ZERO_Y),
         (psi0, MINUS_ONE),
-        (lambda y: mu_hat_orbital(y, 0, 1), ZERO_Y),
+        (mu_hat_orbital, ZERO_Y),
         (kappa_term, ZERO_B),
         (transfer_factor, ZERO_B),
     ],
@@ -445,26 +448,26 @@ class TestOneClassificationPerElement:
 
 
 class TestOneValuationPerOrbitalValue:
-    """mu_hat_orbital takes v(y) once, for both eta, and reads the sign of
+    """mu_hat_orbital takes v(y) once, on both tori, and reads the sign of
     eta^{-1} y off it as (-1)^{v(y) - v(eta)}; a warmed falsify_adss152 then
     makes that one valuation call and no other."""
 
     @staticmethod
-    def reference(Y, a_term, eta):
+    def reference(Y):
         """The value as computed from sgn_eps of eta^{-1} y itself."""
         q, vy = Y.config.q, Y.y.valuation()
-        arg = Y.y if eta == 1 else Y.y.shift_down(1)
-        return a_term + q ** (vy - 1) * -q * sgn_eps(arg)
+        arg = Y.y if Y.variant is TorusVariant.UNRAMIFIED else shift_down(Y.y)
+        return -1 + q ** (vy - 1) * -q * sgn_eps(arg)
 
     @pytest.mark.parametrize("p", [3, 1009])
     @pytest.mark.parametrize("v", [1, 2, 3])
     @pytest.mark.parametrize("eta_is_pi", [False, True], ids=["eta=1", "eta=pi"])
     def test_one_valuation_call(self, monkeypatch, p, v, eta_is_pi):
-        Y = cayley_inverse(sample(p, Classification.NEAR, v, "mu"))
-        eta = p if eta_is_pi else 1
-        expected = self.reference(Y, -1, eta)
+        g = sample(p, Classification.NEAR, v, "mu")
+        Y = cayley_inverse(g_conjugate(g) if eta_is_pi else g)
+        expected = self.reference(Y)
         counts = counting_valuations(monkeypatch)
-        assert mu_hat_orbital(Y, -1, eta) == expected
+        assert mu_hat_orbital(Y) == expected
         assert counts == Counter(valuation=1)
 
     @pytest.mark.parametrize("p", [3, 11, 1009])

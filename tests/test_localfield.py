@@ -37,6 +37,16 @@ class TestFieldConfig:
         with pytest.raises(ValueError):
             FieldConfig(2)
 
+    def test_rejects_primes_from_the_bound_on(self):
+        # 1048583 is the first prime above 2^20 and 1048573 the last below it;
+        # the bound is checked before the trial-division primality test, which
+        # would not finish on 10^20 + 39
+        with pytest.raises(ValueError, match=r"^p must be below 2\^20 = 1048576, got 1048583$"):
+            FieldConfig(1048583)
+        with pytest.raises(ValueError, match=r"below 2\^20"):
+            FieldConfig(10**20 + 39)
+        assert FieldConfig(1048573).p == 1048573
+
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
             FieldConfig(5, 3)
