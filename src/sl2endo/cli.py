@@ -85,7 +85,9 @@ class SweepConfig:
         if self.mode in NEAR_MODES:
             if self.near_val_lo < 1 or self.near_val_hi < self.near_val_lo:
                 raise ValueError("near valuation range must satisfy 1 <= lo <= hi")
-            if self.near_val_hi > self.precision - 3:
+            # a far-only verify sweep draws no near element, so its precision bounds none
+            draws_near = self.mode == "falsify" or self.sample_class != "far"
+            if draws_near and self.near_val_hi > self.precision - 3:
                 raise ValueError(
                     f"near valuations must stay <= N-3 = {self.precision - 3}"
                 )

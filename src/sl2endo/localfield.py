@@ -3,9 +3,10 @@
 Elements of the ring of integers are stored as residues modulo p^N for a
 fixed working precision N.  Arithmetic is exact modulo p^N; any operation
 that needs the valuation of a residue that is 0 mod p^N raises
-PrecisionExhausted instead of guessing.  On top of the ring we provide
-the two quadratic characters of the multiplicative group that the
-character formulas need:
+PrecisionExhausted instead of guessing (``hensel_sqrt``, which answers
+whether a root exists at precision, answers None there).  On top of the
+ring we provide the two quadratic characters of the multiplicative group
+that the character formulas need:
 
 * ``sgn_eps``: the unramified character (-1)^{v(x)}, trivial exactly on
   norms from the unramified quadratic extension.
@@ -59,33 +60,46 @@ def smallest_nonresidue(p: int) -> int:
     return u
 
 
+def _tonelli_shanks(a: int, p: int) -> "int | None":
+    """The smaller square root of the unit a (reduced mod p), or None for a nonresidue.
+
+    Tonelli-Shanks with a deterministic nonresidue, so repeated runs agree.
+    Writing p - 1 = 2^s * t with t odd, the chain starts from w = a^t, and
+    w^(2^(s-1)) = a^((p-1)/2) is Euler's criterion: the one square test.
+    """
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    t = (p - 1) >> s
+    w = pow(a, t, p)
+    if pow(w, 1 << (s - 1), p) != 1:
+        return None
+    r = pow(a, (t + 1) // 2, p)
+    if w != 1:
+        c, m = pow(smallest_nonresidue(p), t, p), s
+        while w != 1:
+            k, x = 0, w
+            while x != 1:
+                x = x * x % p
+                k += 1
+            b = pow(c, 1 << (m - k - 1), p)
+            r = r * b % p
+            c = b * b % p
+            w = w * c % p
+            m = k
+    return min(r, p - r)
+
+
 def sqrt_mod_p(a: int, p: int) -> int:
     """Canonical square root of a unit square mod p: the smaller of the two roots.
 
-    Tonelli-Shanks with a deterministic nonresidue, so repeated runs agree.
+    Raises ZeroInput when p divides a and NotASquare for a nonresidue.
     """
     a %= p
-    if legendre(a, p) == -1:
+    if a == 0:
+        raise ZeroInput(f"{a} is divisible by {p}")
+    r = _tonelli_shanks(a, p)
+    if r is None:
         raise NotASquare(f"{a} is not a square mod {p}")
-    # write p - 1 = 2^s * t with t odd
-    t, s = p - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    z = pow(smallest_nonresidue(p), t, p)
-    r = pow(a, (t + 1) // 2, p)
-    c, w, m = z, pow(a, t, p), s
-    while w != 1:
-        k, x = 0, w
-        while x != 1:
-            x = x * x % p
-            k += 1
-        b = pow(c, 1 << (m - k - 1), p)
-        r = r * b % p
-        c = b * b % p
-        w = w * c % p
-        m = k
-    return min(r, p - r)
+    return r
 
 
 @dataclass(frozen=True)
@@ -215,28 +229,33 @@ def sgn_pi(x: PadicNumber) -> int:
     return value
 
 
-def hensel_sqrt(x: PadicNumber) -> PadicNumber:
-    """A square root of x mod p^N, found by lifting the canonical root mod p.
+def hensel_sqrt(x: int, config: FieldConfig) -> "int | None":
+    """A square root of x mod p^N, found by lifting the canonical root mod p, or None.
 
-    Requires even valuation and a square unit part; the second root is the
+    x is read as a residue mod p^N and the root comes back as one.  None
+    means x has no square root at precision: x is 0 mod p^N, its valuation
+    is odd, or its unit part is a nonresidue mod p.  The second root is the
     negative of the returned one.  Deterministic: the lift starts from the
     smaller square root of the unit part mod p.
     """
-    cfg = x.config
-    p = cfg.p
-    v = x.valuation()
+    p, modulus = config.p, config.modulus
+    u = x % modulus
+    if u == 0:
+        return None
+    v = 0
+    while u % p == 0:
+        u //= p
+        v += 1
     if v % 2:
-        raise NotASquare(f"odd valuation {v}")
-    u = x.residue // p**v
-    try:
-        s = sqrt_mod_p(u, p)  # the one Euler test of the unit part
-    except NotASquare:
-        raise NotASquare(f"unit part {u % p} is a nonresidue mod {p}") from None
-    # Newton lift: s <- (s + u/s)/2, doubling the exact precision each pass;
-    # (mod + 1) // 2 is 1/2 mod the odd modulus.
-    k = 1
-    while k < cfg.N:
-        k = min(2 * k, cfg.N)
-        mod = p**k
-        s = (s + u * pow(s, -1, mod)) * ((mod + 1) // 2) % mod
-    return cfg.padic(p ** (v // 2) * s)
+        return None
+    s = _tonelli_shanks(u % p, p)  # the one Euler test of the unit part
+    if s is None:
+        return None
+    # Newton lift of r = 1/sqrt(u): r <- r(3 - u r^2)/2 doubles the exact
+    # precision each pass with no modular inverse, and ceil(log2 N) passes
+    # reach p^N; (modulus + 1) // 2 is 1/2 mod the odd modulus.  Then u*r is
+    # the root of u that is s mod p, which Hensel's lemma makes unique.
+    r, half = pow(s, -1, p), (modulus + 1) // 2
+    for _ in range((config.N - 1).bit_length()):
+        r = r * (3 - u * r * r) * half % modulus
+    return p ** (v // 2) * u * r % modulus

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotASquare, NotNear, PrecisionExhausted, SamplingBudgetExceeded
+from .errors import NotNear, SamplingBudgetExceeded
 from .localfield import FieldConfig, PadicNumber, hensel_sqrt, sgn_eps
 
 # Draws sample_regular makes before it gives up on a class.
@@ -191,7 +191,8 @@ def sample_regular(
     the sign carries no information).  Near/anti-near draws always
     succeed; far draws are accepted only when 1 + eps*b^2 is a square,
     which happens for a positive fraction of units that can drop to ~1/8
-    at p = 3, hence the generous retry budget.
+    at p = 3, hence the generous retry budget.  A rejected draw raises
+    nothing: hensel_sqrt answers None and the next draw follows.
     """
     if classification is Classification.FAR:
         if v_target != 0:
@@ -209,9 +210,8 @@ def sample_regular(
         # unit by construction: nonzero low digit plus arbitrary higher digits
         u = rng.randrange(1, p) + p * rng.randrange(high)
         b = shift * u % modulus
-        try:
-            a = hensel_sqrt(PadicNumber((eps * b * b + 1) % modulus, config)).residue
-        except (NotASquare, PrecisionExhausted):
+        a = hensel_sqrt(eps * b * b + 1, config)
+        if a is None:
             continue
         if classification is Classification.NEAR:
             if a % p != 1:

@@ -1,6 +1,10 @@
 """Reference helpers that several test modules share (not collected: no test_ prefix)."""
 
-from sl2endo.localfield import PadicNumber
+import random
+
+from sl2endo.errors import NotASquare, PrecisionExhausted, SamplingBudgetExceeded
+from sl2endo.localfield import FieldConfig, PadicNumber, legendre, smallest_nonresidue
+from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement
 
 
 def shift_down(x: PadicNumber, k: int = 1) -> PadicNumber:
@@ -12,3 +16,115 @@ def shift_down(x: PadicNumber, k: int = 1) -> PadicNumber:
     if x.valuation() < k:
         raise ValueError(f"cannot divide by p^{k}: valuation too small")
     return PadicNumber(x.residue // x.config.p**k, x.config)
+
+
+# The sampler as it was while a rejected draw raised: sqrt_mod_p, hensel_sqrt
+# on PadicNumber (NotASquare or PrecisionExhausted for "no root") and
+# sample_regular catching both, kept verbatim as the reference of the
+# integer sampler's tests.
+
+def sqrt_mod_p(a: int, p: int) -> int:
+    """Canonical square root of a unit square mod p: the smaller of the two roots.
+
+    Tonelli-Shanks with a deterministic nonresidue, so repeated runs agree.
+    """
+    a %= p
+    if legendre(a, p) == -1:
+        raise NotASquare(f"{a} is not a square mod {p}")
+    # write p - 1 = 2^s * t with t odd
+    t, s = p - 1, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    z = pow(smallest_nonresidue(p), t, p)
+    r = pow(a, (t + 1) // 2, p)
+    c, w, m = z, pow(a, t, p), s
+    while w != 1:
+        k, x = 0, w
+        while x != 1:
+            x = x * x % p
+            k += 1
+        b = pow(c, 1 << (m - k - 1), p)
+        r = r * b % p
+        c = b * b % p
+        w = w * c % p
+        m = k
+    return min(r, p - r)
+
+
+def hensel_sqrt(x: PadicNumber) -> PadicNumber:
+    """A square root of x mod p^N, found by lifting the canonical root mod p.
+
+    Requires even valuation and a square unit part; the second root is the
+    negative of the returned one.  Deterministic: the lift starts from the
+    smaller square root of the unit part mod p.
+    """
+    cfg = x.config
+    p = cfg.p
+    v = x.valuation()
+    if v % 2:
+        raise NotASquare(f"odd valuation {v}")
+    u = x.residue // p**v
+    try:
+        s = sqrt_mod_p(u, p)  # the one Euler test of the unit part
+    except NotASquare:
+        raise NotASquare(f"unit part {u % p} is a nonresidue mod {p}") from None
+    # Newton lift: s <- (s + u/s)/2, doubling the exact precision each pass;
+    # (mod + 1) // 2 is 1/2 mod the odd modulus.
+    k = 1
+    while k < cfg.N:
+        k = min(2 * k, cfg.N)
+        mod = p**k
+        s = (s + u * pow(s, -1, mod)) * ((mod + 1) // 2) % mod
+    return cfg.padic(p ** (v // 2) * s)
+
+
+def sample_regular(
+    config: FieldConfig,
+    classification: Classification,
+    v_target: int,
+    seed: "int | str | random.Random",
+) -> TorusElement:
+    """Draw a pseudo-random regular element of the requested class.
+
+    b is p^{v_target} times a random unit; a is the Hensel square root of
+    1 + eps*b^2 with its sign forced by the class (random for far, where
+    the sign carries no information).  Near/anti-near draws always
+    succeed; far draws are accepted only when 1 + eps*b^2 is a square,
+    which happens for a positive fraction of units that can drop to ~1/8
+    at p = 3, hence the generous retry budget.
+    """
+    if classification is Classification.FAR:
+        if v_target != 0:
+            raise ValueError("far elements have v(b) = 0")
+    else:
+        if v_target < 1:
+            raise ValueError("near elements need v(b) >= 1")
+    if v_target >= config.N - 2:
+        raise ValueError(f"v_target={v_target} leaves too little precision (N={config.N})")
+
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    p, eps, modulus = config.p, config.eps, config.modulus
+    shift, high = p**v_target, p ** (config.N - v_target - 1)
+    for _ in range(_SAMPLING_BUDGET):
+        # unit by construction: nonzero low digit plus arbitrary higher digits
+        u = rng.randrange(1, p) + p * rng.randrange(high)
+        b = shift * u % modulus
+        try:
+            a = hensel_sqrt(PadicNumber((eps * b * b + 1) % modulus, config)).residue
+        except (NotASquare, PrecisionExhausted):
+            continue
+        if classification is Classification.NEAR:
+            if a % p != 1:
+                a = -a % modulus
+        elif classification is Classification.ANTI_NEAR:
+            if a % p != p - 1:
+                a = -a % modulus
+        elif rng.getrandbits(1):
+            a = -a % modulus
+        gamma = TorusElement(PadicNumber(a, config), PadicNumber(b, config))
+        if gamma.classification is classification:
+            return gamma
+    raise SamplingBudgetExceeded(
+        f"no {classification.value} element with v(b)={v_target} in {_SAMPLING_BUDGET} draws"
+    )

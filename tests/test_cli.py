@@ -105,6 +105,12 @@ PINNED_SWEEPS = {
         "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
         "2e9bb5553e530b8667b77f848ef8e757daca66b22847020f97c232967d67c0b6",
     ),
+    "far-p3": (
+        # pins the rejection-heavy sampling path: about 87 % of far draws at p = 3 are rejected
+        ["verify", "--primes", "3", "--class", "far", "--samples", "200", "--seed", "5"],
+        "fb863b5feba5e739797334a60a095b329a2c4a90b8c98886ad50add53669774b",
+        "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
+    ),
     "regular-p1009": (
         # pins jsonl at conductor 1010, where the runs of zero coefficients are long
         ["verify", "--packet", "regular", "--primes", "1009", "--level", "1",
@@ -503,6 +509,19 @@ class TestUsageErrors:
     def test_near_valuations_exceeding_precision(self):
         code, _, _ = run_cli(["verify", "--precision", "5", "--near-valuations", "1:3"])
         assert code == 2
+
+    def test_far_only_sweep_ignores_the_near_valuation_bound(self):
+        # N = 4 leaves room for near valuations up to 1 only, below the default 1:3,
+        # but a far-only sweep draws no near element
+        code, out, err = run_cli(
+            ["verify", "--primes", "3", "--class", "far", "--precision", "4", "--samples", "2"]
+        )
+        assert code == 0 and out.count("\n") == 2
+        assert err == "verify: 2 equal, 0 unequal, 0 skipped\n"
+        for sample_class in ("near", "both"):
+            code, _, err = run_cli(["verify", "--primes", "3", "--class", sample_class,
+                                    "--precision", "4", "--samples", "2"])
+            assert code == 2 and err == "error: near valuations must stay <= N-3 = 1\n"
 
     def test_sample_class_validated_for_a_config_built_in_code(self):
         # no parser stands between this config and run: validate must catch it

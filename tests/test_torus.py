@@ -30,6 +30,7 @@ from sl2endo.torus import (
     weyl_D_lie,
 )
 
+import oracles
 from oracles import shift_down
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -37,8 +38,7 @@ PRIMES = [3, 5, 7, 11, 13]
 
 def near_example(cfg):
     """The element (sqrt(1 + eps*9), 3): near with v(b) = 1."""
-    a = hensel_sqrt(cfg.padic(1 + cfg.eps * 9))
-    return element(cfg, a.residue, 3)
+    return element(cfg, hensel_sqrt(1 + cfg.eps * 9, cfg), 3)
 
 
 def in_first_filtration(gamma):
@@ -109,11 +109,9 @@ class TestNormCheckAgainstReference:
         residues = st.integers(min_value=0, max_value=cfg.modulus - 1)
         b = cfg.padic(data.draw(residues))
         candidates = [cfg.padic(data.draw(residues))]
-        try:
-            root = hensel_sqrt(b * b * cfg.eps + 1)
-        except (NotASquare, PrecisionExhausted):
-            pass
-        else:  # both roots, and a root moved by p^k
+        root = hensel_sqrt((b * b * cfg.eps + 1).residue, cfg)
+        if root is not None:  # both roots, and a root moved by p^k
+            root = cfg.padic(root)
             k = data.draw(st.integers(min_value=0, max_value=cfg.N - 1))
             candidates += [root, -root, root + p**k]
         for a in candidates:
@@ -374,10 +372,71 @@ class TestSampler:
     def test_budget_exhaustion(self, monkeypatch):
         import sl2endo.torus as torus_mod
 
-        def no_root(x):
-            raise NotASquare(x)
+        draws = []
+
+        def no_root(x, config):
+            draws.append(x)
+            return None
 
         # every draw is rejected, so the sampler gives up after its fixed budget
         monkeypatch.setattr(torus_mod, "hensel_sqrt", no_root)
         with pytest.raises(SamplingBudgetExceeded, match=r"v\(b\)=0 in 256 draws$"):
             sample_regular(FieldConfig(3), Classification.FAR, 0, seed=0)
+        assert len(draws) == 256
+
+    def test_rejected_draws_raise_nothing(self, monkeypatch):
+        import sl2endo.torus as torus_mod
+
+        made, roots = [], []
+        for exc_class in (NotASquare, PrecisionExhausted):
+            def counting_init(self, *args, _init=exc_class.__init__):
+                made.append(type(self).__name__)
+                _init(self, *args)
+
+            monkeypatch.setattr(exc_class, "__init__", counting_init)
+
+        def counting_sqrt(x, config, _sqrt=torus_mod.hensel_sqrt):
+            roots.append(_sqrt(x, config))
+            return roots[-1]
+
+        monkeypatch.setattr(torus_mod, "hensel_sqrt", counting_sqrt)
+        cfg, rng = FieldConfig(3), random.Random("far-draws")
+        for _ in range(200):
+            sample_regular(cfg, Classification.FAR, 0, rng)
+        # 1 + 2b^2 = 0 mod 3 for every unit b, so far draws at p = 3 are mostly rejected
+        assert roots.count(None) > 200
+        assert made == []
+
+
+def sampled(sample, config, classification, v, seed):
+    """sample(...) as (a, b, variant), or the class and message of the exception it raises."""
+    try:
+        g = sample(config, classification, v, seed)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return g.a.residue, g.b.residue, g.variant
+
+
+class TestSamplerAgainstReference:
+    """sample_regular against the sampler whose rejected draws raised (oracles):
+    the same elements, the same exceptions and the same random stream."""
+
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009, 65537])
+    def test_same_draws(self, p, N):
+        cfg = FieldConfig(p, N)
+        # one generator over many calls, as the property battery draws
+        shared = [random.Random(f"differential-{p}-{N}") for _ in range(2)]
+        for cls in Classification:
+            for v in range(N):  # every allowed v(b), and the refused ones
+                for seed in (*range(4), *(f"{cls.value}|{v}|{i}" for i in range(4))):
+                    assert sampled(sample_regular, cfg, cls, v, seed) == sampled(
+                        oracles.sample_regular, cfg, cls, v, seed
+                    ), seed
+                for _ in range(16):
+                    outcomes = [
+                        sampled(fn, cfg, cls, v, rng)
+                        for fn, rng in zip((sample_regular, oracles.sample_regular), shared)
+                    ]
+                    assert outcomes[0] == outcomes[1]
+                    assert shared[0].getstate() == shared[1].getstate()
