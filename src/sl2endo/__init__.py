@@ -11,7 +11,7 @@ elements.
 from .charformulas import PacketKind, PacketSpec
 from .cyclotomic import CycNumber, root_of_unity
 from .endoscopy import VerificationReport, verify_identity
-from .localfield import FieldConfig, PadicNumber
+from .localfield import FieldConfig
 from .residue import CharacterLevel
 from .torus import Classification, TorusElement, TorusVariant
 
@@ -24,7 +24,6 @@ __all__ = [
     "FieldConfig",
     "PacketKind",
     "PacketSpec",
-    "PadicNumber",
     "TorusElement",
     "TorusVariant",
     "VerificationReport",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, linear_combination
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
-from .localfield import FieldConfig, legendre, sgn_pi
+from .localfield import FieldConfig, legendre, sgn_pi, valuation
 from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level
 from .torus import (
@@ -104,14 +104,14 @@ def psi0(gamma: TorusElement) -> int:
     property, not an assumption.
     """
     cfg = gamma.config
-    if gamma.b.is_zero_at_precision:
+    if gamma.b == 0:
         # a^2 = 1 exactly at precision forces the avatar to be +-1.
-        if gamma.a.residue == 1:
+        if gamma.a == 1:
             return 1
         return -legendre(cfg.p - 1, cfg.p)
     if gamma.classification is Classification.NEAR:
         return 1
-    return sgn_pi((gamma.a + 1) * 2)
+    return sgn_pi(2 * (gamma.a + 1), cfg)
 
 
 def psi0_via_level(gamma: TorusElement) -> int:
@@ -240,7 +240,7 @@ def mu_hat_orbital(Y: LieElement) -> CycNumber:
     twist flips the sign character.
     """
     cfg = Y.config
-    vy = Y.y.valuation()
+    vy = valuation(Y.y, cfg)
     if vy < 1:
         raise ValueError("the expansion applies for v(y) >= 1")
     # sgn_eps(eta^{-1} y) = (-1)^{v(y) - v(eta)}, read off the one v(y)

@@ -23,7 +23,7 @@ from .charformulas import (
 )
 from .cyclotomic import CycNumber
 from .endoscopy import related_elements, transfer_factor
-from .localfield import FieldConfig
+from .localfield import FieldConfig, valuation
 from .packets import (
     KLEIN4,
     PROJ_S1,
@@ -65,7 +65,7 @@ def f_and_discriminant_identities(config: FieldConfig, gammas) -> bool:
         f_direct(g) == f_via_disc(g)
         and f_direct(invert(g)) == f_direct(g)
         and f_direct(g_conjugate(g)) == f_direct(g)
-        and weyl_DG(g).valuation() == 2 * g.b.valuation()
+        and valuation(weyl_DG(g), config) == 2 * valuation(g.b, config)
         and (g.classification is not Classification.FAR or f_direct(g) == 1)
         for g in gammas
     )
@@ -115,7 +115,7 @@ def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:
         if not (
             mu_hat_orbital(Y) == CycNumber.from_int(-1 - f)
             and mu_hat_orbital(cayley_inverse(g_conjugate(g))) == CycNumber.from_int(-1 + f)
-            and weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
+            and valuation(weyl_D_lie(Y), config) == valuation(weyl_DG(g), config)
             and cayley(Y) == g
         ):
             return False

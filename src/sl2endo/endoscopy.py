@@ -45,7 +45,7 @@ def epsilon_factor(config: FieldConfig) -> int:
     Computed as the inverse of that character's value at the uniformizer
     (a level-one additive character is understood), once per configuration.
     """
-    chi_at_pi = sgn_eps(config.padic(config.pi))
+    chi_at_pi = sgn_eps(config.pi, config)
     return chi_at_pi  # order <= 2, so the inverse is the value itself
 
 
@@ -179,7 +179,7 @@ def _report(
     if isinstance(drawn, Classification):
         cls_name = drawn.value
     else:
-        a, b = drawn.a.residue, drawn.b.residue
+        a, b = drawn.a, drawn.b
         try:
             vb, cls_name = drawn.valuation_b, drawn.classification.value
         except PrecisionExhausted:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Everything failure-related is loud and specific: truncated p-adic
-arithmetic refuses to guess when precision runs out, and character
+Everything failure-related is loud and specific: a p-adic valuation
+refuses to guess when precision runs out, and character
 evaluation refuses to answer where no formula is available.
 """
 
@@ -12,10 +12,6 @@ class Sl2EndoError(Exception):
 
 class ZeroInput(Sl2EndoError):
     """A quadratic-residue test received an argument divisible by p."""
-
-
-class NotASquare(Sl2EndoError):
-    """Square root requested of an element outside the square class."""
 
 
 class ConductorMismatch(Sl2EndoError):

@@ -1,12 +1,14 @@
-"""Truncated p-adic arithmetic over Q_p (p odd) with quadratic sign characters.
+"""p-adic integers of Q_p (p odd) as residues mod p^N, with quadratic sign characters.
 
-Elements of the ring of integers are stored as residues modulo p^N for a
-fixed working precision N.  Arithmetic is exact modulo p^N; any operation
-that needs the valuation of a residue that is 0 mod p^N raises
-PrecisionExhausted instead of guessing (``hensel_sqrt``, which answers
-whether a root exists at precision, answers None there).  On top of the
-ring we provide the two quadratic characters of the multiplicative group
-that the character formulas need:
+An element of the ring of integers is its canonical residue, an int in
+[0, p^N) for a fixed working precision N, read together with the one
+``FieldConfig`` that fixes p and N; callers do their ring arithmetic on
+those ints mod ``config.modulus``.  Any function that needs the valuation
+of a residue that is 0 mod p^N raises PrecisionExhausted instead of
+guessing (``hensel_sqrt``, which answers whether a root exists at
+precision, answers None there).  On top of the ring we provide the two
+quadratic characters of the multiplicative group that the character
+formulas need:
 
 * ``sgn_eps``: the unramified character (-1)^{v(x)}, trivial exactly on
   norms from the unramified quadratic extension.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import NotASquare, PrecisionExhausted, ZeroInput
+from .errors import PrecisionExhausted, ZeroInput
 
 # Primes from this on are refused before any work: the per-prime tables (the
 # q + 1 residue torus points, Phi_{q+1}) and the primality test grow with p.
@@ -88,20 +90,6 @@ def _tonelli_shanks(a: int, p: int) -> "int | None":
     return min(r, p - r)
 
 
-def sqrt_mod_p(a: int, p: int) -> int:
-    """Canonical square root of a unit square mod p: the smaller of the two roots.
-
-    Raises ZeroInput when p divides a and NotASquare for a nonresidue.
-    """
-    a %= p
-    if a == 0:
-        raise ZeroInput(f"{a} is divisible by {p}")
-    r = _tonelli_shanks(a, p)
-    if r is None:
-        raise NotASquare(f"{a} is not a square mod {p}")
-    return r
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """The base field Q_p at working precision N, with fixed square-class data.
@@ -138,82 +126,35 @@ class FieldConfig:
     def modulus(self) -> int:
         return self.p**self.N
 
-    def padic(self, value: int) -> "PadicNumber":
-        return PadicNumber(value % self.modulus, self)
+
+def _split(x: int, config: FieldConfig) -> tuple[int, int]:
+    """(v, u) with x = p^v * u mod p^N and u a unit, for x read as a residue.
+
+    Raises PrecisionExhausted when x is 0 mod p^N: its valuation is then
+    undefined at precision.
+    """
+    p = config.p
+    u = x % config.modulus
+    if u == 0:
+        raise PrecisionExhausted(f"residue is 0 mod {p}^{config.N}")
+    v = 0
+    while u % p == 0:
+        u //= p
+        v += 1
+    return v, u
 
 
-@dataclass(frozen=True)
-class PadicNumber:
-    """A residue mod p^N standing for an element of the ring of integers."""
-
-    residue: int
-    config: FieldConfig
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.residue < self.config.modulus:
-            object.__setattr__(self, "residue", self.residue % self.config.modulus)
-
-    @property
-    def is_zero_at_precision(self) -> bool:
-        return self.residue == 0
-
-    def valuation(self) -> int:
-        if self.residue == 0:
-            raise PrecisionExhausted(
-                f"residue is 0 mod {self.config.p}^{self.config.N}"
-            )
-        v, r = 0, self.residue
-        while r % self.config.p == 0:
-            r //= self.config.p
-            v += 1
-        return v
-
-    def _coerce(self, other: "PadicNumber | int") -> "PadicNumber":
-        if isinstance(other, PadicNumber):
-            if other.config != self.config:
-                raise ValueError("mixed field configurations")
-            return other
-        return self.config.padic(other)
-
-    def __add__(self, other: "PadicNumber | int") -> "PadicNumber":
-        o = self._coerce(other)
-        return PadicNumber((self.residue + o.residue) % self.config.modulus, self.config)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "PadicNumber | int") -> "PadicNumber":
-        o = self._coerce(other)
-        return PadicNumber((self.residue - o.residue) % self.config.modulus, self.config)
-
-    def __rsub__(self, other: int) -> "PadicNumber":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: "PadicNumber | int") -> "PadicNumber":
-        o = self._coerce(other)
-        return PadicNumber(self.residue * o.residue % self.config.modulus, self.config)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PadicNumber":
-        return PadicNumber(-self.residue % self.config.modulus, self.config)
-
-    def __truediv__(self, other: "PadicNumber | int") -> "PadicNumber":
-        o = self._coerce(other)
-        if o.valuation() != 0:
-            raise ValueError("division is only defined by units (valuation 0)")
-        inv = pow(o.residue, -1, self.config.modulus)
-        return PadicNumber(self.residue * inv % self.config.modulus, self.config)
-
-    def __repr__(self) -> str:
-        return f"PadicNumber({self.residue} mod {self.config.p}^{self.config.N})"
+def valuation(x: int, config: FieldConfig) -> int:
+    """v(x) of x read as a residue mod p^N; PrecisionExhausted when it is 0."""
+    return _split(x, config)[0]
 
 
-def sgn_eps(x: PadicNumber) -> int:
+def sgn_eps(x: int, config: FieldConfig) -> int:
     """The unramified quadratic character: (-1)^{v(x)}."""
-    return -1 if x.valuation() % 2 else 1
+    return -1 if valuation(x, config) % 2 else 1
 
 
-def sgn_pi(x: PadicNumber) -> int:
+def sgn_pi(x: int, config: FieldConfig) -> int:
     """The quadratic character trivial exactly on norms from F(sqrt(pi)).
 
     For x = u * p^n with u a unit this is legendre(u) * legendre(-1)^n.
@@ -221,9 +162,9 @@ def sgn_pi(x: PadicNumber) -> int:
     squares, and the formula is checked against that description by the
     norm oracle in the test suite.
     """
-    p = x.config.p
-    n = x.valuation()
-    value = legendre(x.residue // p**n, p)
+    p = config.p
+    n, u = _split(x, config)
+    value = legendre(u, p)
     if n % 2:
         value *= legendre(p - 1, p)
     return value
@@ -239,13 +180,9 @@ def hensel_sqrt(x: int, config: FieldConfig) -> "int | None":
     smaller square root of the unit part mod p.
     """
     p, modulus = config.p, config.modulus
-    u = x % modulus
-    if u == 0:
+    if x % modulus == 0:
         return None
-    v = 0
-    while u % p == 0:
-        u //= p
-        v += 1
+    v, u = _split(x, config)
     if v % 2:
         return None
     s = _tonelli_shanks(u % p, p)  # the one Euler test of the unit part

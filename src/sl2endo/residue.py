@@ -109,9 +109,9 @@ class NormOneGroup:
         return self._dlog[point]
 
     def reduce(self, element) -> ResTorusPoint:
-        """Residue image of a p-adic torus element (anything with .a/.b residues)."""
+        """Residue-field image of a torus element: its residues a and b, reduced mod p."""
         p = self.config.p
-        return ResTorusPoint(element.a.residue % p, element.b.residue % p)
+        return ResTorusPoint(element.a % p, element.b % p)
 
     def character_value(self, level: CharacterLevel, point: ResTorusPoint) -> CycNumber:
         if level.modulus != self.order:

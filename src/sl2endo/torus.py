@@ -1,11 +1,13 @@
 """Elements of the unramified elliptic torus and its conjugate.
 
-A torus element is stored as the pair (a, b) with a^2 - eps*b^2 = 1 at
-precision (the avatar a + b*sqrt(eps) of the norm-one group), tagged with
-which of the two conjugacy classes of the torus it belongs to.  The 2x2
-matrix forms are reconstructible views; every formula downstream consumes
-only (a, b, v(b)).  An element computes v(b) and its class once, on first
-read, and every formula reads them from it.
+A torus element is stored as its field configuration and the pair (a, b)
+of residues mod p^N with a^2 - eps*b^2 = 1 at precision (the avatar
+a + b*sqrt(eps) of the norm-one group), tagged with which of the two
+conjugacy classes of the torus it belongs to; a Lie algebra element is its
+configuration and the residue y.  Every map between them computes on those
+residues.  The 2x2 matrix forms are reconstructible views; every formula
+downstream consumes only (a, b, v(b)).  An element computes v(b) and its
+class once, on first read, and every formula reads them from it.
 
 Regular elements split into three classes: far from the identity
 (v(b) = 0), near the identity (v(b) >= 1 and a = 1 mod p), and the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotNear, SamplingBudgetExceeded
-from .localfield import FieldConfig, PadicNumber, hensel_sqrt, sgn_eps
+from .localfield import FieldConfig, hensel_sqrt, sgn_eps, valuation
 
 # Draws sample_regular makes before it gives up on a class.
 _SAMPLING_BUDGET = 256
@@ -40,21 +42,20 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class TorusElement:
-    a: PadicNumber
-    b: PadicNumber
+    """The avatar a + b*sqrt(eps), a and b residues mod p^N; element() reduces ints."""
+
+    config: FieldConfig
+    a: int
+    b: int
     variant: TorusVariant = TorusVariant.UNRAMIFIED
 
     def __post_init__(self) -> None:
-        cfg = self.a.config
-        if self.b.config != cfg:
-            raise ValueError("a and b from different field configurations")
-        a, b = self.a.residue, self.b.residue
-        if (a * a - cfg.eps * b * b) % cfg.modulus != 1:
+        cfg, a, b = self.config, self.a, self.b
+        modulus = cfg.modulus
+        if not (0 <= a < modulus and 0 <= b < modulus):
+            raise ValueError(f"({a}, {b}) are not residues mod {cfg.p}^{cfg.N}")
+        if (a * a - cfg.eps * b * b) % modulus != 1:
             raise ValueError(f"({a}, {b}) is not norm-one at precision")
-
-    @property
-    def config(self) -> FieldConfig:
-        return self.a.config
 
     @cached_property
     def valuation_b(self) -> int:
@@ -63,7 +64,7 @@ class TorusElement:
         An element with b = 0 at precision still builds; reading this then
         raises PrecisionExhausted, every time, and nothing is cached.
         """
-        return self.b.valuation()
+        return valuation(self.b, self.config)
 
     @cached_property
     def classification(self) -> "Classification":
@@ -76,7 +77,7 @@ class TorusElement:
         if self.valuation_b == 0:
             return Classification.FAR
         p = self.config.p
-        a_mod_p = self.a.residue % p
+        a_mod_p = self.a % p
         if a_mod_p == 1:
             return Classification.NEAR
         if a_mod_p == p - 1:
@@ -85,26 +86,30 @@ class TorusElement:
 
     def __repr__(self) -> str:
         return (
-            f"TorusElement(a={self.a.residue}, b={self.b.residue},"
+            f"TorusElement(a={self.a}, b={self.b},"
             f" {self.variant.value}, p={self.config.p})"
         )
 
 
 @dataclass(frozen=True)
 class LieElement:
-    """Trace-zero torus Lie algebra element with off-diagonal avatar y."""
+    """Trace-zero torus Lie algebra element with off-diagonal avatar y, a residue mod p^N."""
 
-    y: PadicNumber
+    config: FieldConfig
+    y: int
     variant: TorusVariant = TorusVariant.UNRAMIFIED
 
-    @property
-    def config(self) -> FieldConfig:
-        return self.y.config
+    def __post_init__(self) -> None:
+        cfg = self.config
+        if not 0 <= self.y < cfg.modulus:
+            raise ValueError(f"{self.y} is not a residue mod {cfg.p}^{cfg.N}")
 
 
 def element(config: FieldConfig, a: int, b: int,
             variant: TorusVariant = TorusVariant.UNRAMIFIED) -> TorusElement:
-    return TorusElement(config.padic(a), config.padic(b), variant)
+    """The torus element with avatar (a mod p^N, b mod p^N)."""
+    modulus = config.modulus
+    return TorusElement(config, a % modulus, b % modulus, variant)
 
 
 def f_direct(gamma: TorusElement) -> int:
@@ -118,23 +123,24 @@ def f_via_disc(gamma: TorusElement) -> int:
     sgn_eps(b) divided by the normalized Weyl discriminant |b| = q^{-v(b)},
     i.e. sgn_eps(b) * q^{v(b)}.
     """
-    return sgn_eps(gamma.b) * gamma.config.q ** gamma.valuation_b
+    return sgn_eps(gamma.b, gamma.config) * gamma.config.q ** gamma.valuation_b
 
 
-def weyl_DG(gamma: TorusElement) -> PadicNumber:
-    """Weyl discriminant (trace)^2 - 4 of the matrix form; equals 4*eps*b^2."""
-    two_a = gamma.a + gamma.a
-    return two_a * two_a - 4
+def weyl_DG(gamma: TorusElement) -> int:
+    """Weyl discriminant (trace)^2 - 4 of the matrix form, a residue; equals 4*eps*b^2."""
+    two_a = 2 * gamma.a
+    return (two_a * two_a - 4) % gamma.config.modulus
 
 
-def weyl_D_lie(Y: LieElement) -> PadicNumber:
-    """Lie-algebra discriminant: char-poly discriminant 4*eps*y^2."""
-    return Y.y * Y.y * (4 * Y.config.eps)
+def weyl_D_lie(Y: LieElement) -> int:
+    """Lie-algebra discriminant, a residue: char-poly discriminant 4*eps*y^2."""
+    return 4 * Y.config.eps * Y.y * Y.y % Y.config.modulus
 
 
 def invert(gamma: TorusElement) -> TorusElement:
     """Inverse = Galois conjugate for norm-one elements: (a, -b)."""
-    return TorusElement(gamma.a, -gamma.b, gamma.variant)
+    cfg = gamma.config
+    return TorusElement(cfg, gamma.a, -gamma.b % cfg.modulus, gamma.variant)
 
 
 def g_conjugate(gamma: TorusElement) -> TorusElement:
@@ -148,7 +154,7 @@ def g_conjugate(gamma: TorusElement) -> TorusElement:
         if gamma.variant is TorusVariant.UNRAMIFIED
         else TorusVariant.UNRAMIFIED
     )
-    return TorusElement(gamma.a, gamma.b, other)
+    return TorusElement(gamma.config, gamma.a, gamma.b, other)
 
 
 def cayley_inverse(gamma: TorusElement) -> LieElement:
@@ -162,20 +168,26 @@ def cayley_inverse(gamma: TorusElement) -> LieElement:
     if gamma.classification is not Classification.NEAR:
         raise NotNear("inverse Cayley transform is only taken near the identity")
     cfg = gamma.config
-    a, b, modulus = gamma.a.residue, gamma.b.residue, cfg.modulus
+    a, b, modulus = gamma.a, gamma.b, cfg.modulus
     inv = pow((a + 1) * (a + 1) - cfg.eps * b * b, -1, modulus)
-    return LieElement(PadicNumber(4 * b * inv % modulus, cfg), gamma.variant)
+    return LieElement(cfg, 4 * b * inv % modulus, gamma.variant)
 
 
 def cayley(Y: LieElement) -> TorusElement:
-    """Cayley transform (1 + X/2)/(1 - X/2) back to the torus."""
-    if Y.y.valuation() < 1:
+    """Cayley transform (1 + X/2)/(1 - X/2) back to the torus.
+
+    In avatar coordinates, with t = eps*y^2/4, a = (1 + t)/(1 - t) and
+    b = y/(1 - t); scaled by 4 these are a = (4 + eps*y^2)/(4 - eps*y^2) and
+    b = 4y/(4 - eps*y^2), computed on the residues mod p^N with one modular
+    inverse.  The denominator is 4 mod p because v(y) >= 1; the modular
+    inverse of one that is not a unit raises ValueError.
+    """
+    cfg, y = Y.config, Y.y
+    if valuation(y, cfg) < 1:
         raise ValueError("Cayley transform requires v(y) >= 1")
-    quarter_eps_y2 = Y.y * Y.y * Y.config.eps / 4
-    denom = 1 - quarter_eps_y2
-    a = (1 + quarter_eps_y2) / denom
-    b = Y.y / denom
-    return TorusElement(a, b, Y.variant)
+    modulus, eps_y2 = cfg.modulus, cfg.eps * y * y
+    inv = pow(4 - eps_y2, -1, modulus)
+    return TorusElement(cfg, (4 + eps_y2) * inv % modulus, 4 * y * inv % modulus, Y.variant)
 
 
 def sample_regular(
@@ -221,7 +233,7 @@ def sample_regular(
                 a = -a % modulus
         elif rng.getrandbits(1):
             a = -a % modulus
-        gamma = TorusElement(PadicNumber(a, config), PadicNumber(b, config))
+        gamma = TorusElement(config, a, b)
         if gamma.classification is classification:
             return gamma
     raise SamplingBudgetExceeded(

@@ -1,10 +1,138 @@
 """Reference helpers that several test modules share (not collected: no test_ prefix)."""
 
 import random
+from dataclasses import dataclass
 
-from sl2endo.errors import NotASquare, PrecisionExhausted, SamplingBudgetExceeded
-from sl2endo.localfield import FieldConfig, PadicNumber, legendre, smallest_nonresidue
+from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
+from sl2endo.localfield import FieldConfig, legendre, smallest_nonresidue
 from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement
+
+
+class NotASquare(Exception):
+    """The reference square roots' answer for an element with no square root."""
+
+
+# The p-adic integer as it was while the package wrapped every residue,
+# kept verbatim (FieldConfig.padic, which its _coerce called, is padic
+# below) as the reference for the functions that now compute on the plain
+# residues, and the functions that took and returned it.
+
+def padic(config: FieldConfig, value: int) -> "PadicNumber":
+    return PadicNumber(value % config.modulus, config)
+
+
+@dataclass(frozen=True)
+class PadicNumber:
+    """A residue mod p^N standing for an element of the ring of integers."""
+
+    residue: int
+    config: FieldConfig
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.residue < self.config.modulus:
+            object.__setattr__(self, "residue", self.residue % self.config.modulus)
+
+    @property
+    def is_zero_at_precision(self) -> bool:
+        return self.residue == 0
+
+    def valuation(self) -> int:
+        if self.residue == 0:
+            raise PrecisionExhausted(
+                f"residue is 0 mod {self.config.p}^{self.config.N}"
+            )
+        v, r = 0, self.residue
+        while r % self.config.p == 0:
+            r //= self.config.p
+            v += 1
+        return v
+
+    def _coerce(self, other: "PadicNumber | int") -> "PadicNumber":
+        if isinstance(other, PadicNumber):
+            if other.config != self.config:
+                raise ValueError("mixed field configurations")
+            return other
+        return padic(self.config, other)
+
+    def __add__(self, other: "PadicNumber | int") -> "PadicNumber":
+        o = self._coerce(other)
+        return PadicNumber((self.residue + o.residue) % self.config.modulus, self.config)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "PadicNumber | int") -> "PadicNumber":
+        o = self._coerce(other)
+        return PadicNumber((self.residue - o.residue) % self.config.modulus, self.config)
+
+    def __rsub__(self, other: int) -> "PadicNumber":
+        return self._coerce(other) - self
+
+    def __mul__(self, other: "PadicNumber | int") -> "PadicNumber":
+        o = self._coerce(other)
+        return PadicNumber(self.residue * o.residue % self.config.modulus, self.config)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "PadicNumber":
+        return PadicNumber(-self.residue % self.config.modulus, self.config)
+
+    def __truediv__(self, other: "PadicNumber | int") -> "PadicNumber":
+        o = self._coerce(other)
+        if o.valuation() != 0:
+            raise ValueError("division is only defined by units (valuation 0)")
+        inv = pow(o.residue, -1, self.config.modulus)
+        return PadicNumber(self.residue * inv % self.config.modulus, self.config)
+
+    def __repr__(self) -> str:
+        return f"PadicNumber({self.residue} mod {self.config.p}^{self.config.N})"
+
+
+def sgn_eps(x: PadicNumber) -> int:
+    """The unramified quadratic character: (-1)^{v(x)}."""
+    return -1 if x.valuation() % 2 else 1
+
+
+def sgn_pi(x: PadicNumber) -> int:
+    """The quadratic character trivial exactly on norms from F(sqrt(pi))."""
+    p = x.config.p
+    n = x.valuation()
+    value = legendre(x.residue // p**n, p)
+    if n % 2:
+        value *= legendre(p - 1, p)
+    return value
+
+
+def weyl_DG(a: PadicNumber) -> PadicNumber:
+    """Weyl discriminant (trace)^2 - 4 of the torus element with first entry a."""
+    two_a = a + a
+    return two_a * two_a - 4
+
+
+def weyl_D_lie(y: PadicNumber) -> PadicNumber:
+    """Lie-algebra discriminant 4*eps*y^2."""
+    return y * y * (4 * y.config.eps)
+
+
+def cayley(y: PadicNumber) -> "tuple[PadicNumber, PadicNumber]":
+    """Cayley transform (1 + X/2)/(1 - X/2): the avatar (a, b) of the image of y."""
+    if y.valuation() < 1:
+        raise ValueError("Cayley transform requires v(y) >= 1")
+    quarter_eps_y2 = y * y * y.config.eps / 4
+    denom = 1 - quarter_eps_y2
+    return (1 + quarter_eps_y2) / denom, y / denom
+
+
+def psi0(gamma: TorusElement) -> int:
+    """The quadratic character of the norm-one torus, through sgn_pi(2(a+1))."""
+    cfg = gamma.config
+    a, b = padic(cfg, gamma.a), padic(cfg, gamma.b)
+    if b.is_zero_at_precision:
+        if a.residue == 1:
+            return 1
+        return -legendre(cfg.p - 1, cfg.p)
+    if gamma.classification is Classification.NEAR:
+        return 1
+    return sgn_pi((a + 1) * 2)
 
 
 def shift_down(x: PadicNumber, k: int = 1) -> PadicNumber:
@@ -76,7 +204,7 @@ def hensel_sqrt(x: PadicNumber) -> PadicNumber:
         k = min(2 * k, cfg.N)
         mod = p**k
         s = (s + u * pow(s, -1, mod)) * ((mod + 1) // 2) % mod
-    return cfg.padic(p ** (v // 2) * s)
+    return padic(cfg, p ** (v // 2) * s)
 
 
 def sample_regular(
@@ -122,7 +250,7 @@ def sample_regular(
                 a = -a % modulus
         elif rng.getrandbits(1):
             a = -a % modulus
-        gamma = TorusElement(PadicNumber(a, config), PadicNumber(b, config))
+        gamma = TorusElement(config, a, b)
         if gamma.classification is classification:
             return gamma
     raise SamplingBudgetExceeded(

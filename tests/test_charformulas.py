@@ -23,7 +23,7 @@ from sl2endo.charformulas import (
 )
 from sl2endo.cyclotomic import CycNumber, root_of_unity
 from sl2endo.errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
-from sl2endo.localfield import FieldConfig, legendre, sgn_eps
+from sl2endo.localfield import FieldConfig, legendre, valuation
 from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
@@ -37,7 +37,8 @@ from sl2endo.torus import (
     sample_regular,
 )
 
-from oracles import shift_down
+import oracles
+from oracles import padic, shift_down
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -56,7 +57,7 @@ def far_sample(p, tag=""):
 
 def anti_near(p):
     g = near_sample(p, 1, "anti")
-    return element(g.config, -g.a.residue, g.b.residue)
+    return element(g.config, -g.a, g.b)
 
 
 class TestPacketSpec:
@@ -335,9 +336,10 @@ class TestMuHatOrbital:
         # conjugate: the same y gives -1 - f on one and -1 + f on the other
         g = near_sample(3, 1)  # f = -3
         y = cayley_inverse(g).y
-        assert mu_hat_orbital(LieElement(y)) == 2
-        assert mu_hat_orbital(LieElement(y, TorusVariant.CONJUGATED)) == -4
-        assert cayley_inverse(g_conjugate(g)) == LieElement(y, TorusVariant.CONJUGATED)
+        cfg = g.config
+        assert mu_hat_orbital(LieElement(cfg, y)) == 2
+        assert mu_hat_orbital(LieElement(cfg, y, TorusVariant.CONJUGATED)) == -4
+        assert cayley_inverse(g_conjugate(g)) == LieElement(cfg, y, TorusVariant.CONJUGATED)
 
 
 class TestAdss152:
@@ -376,12 +378,13 @@ class TestAdss152:
             expected = Fraction(-f - 1 if j in (1, 4) else f - 1, 2)
             assert expected.denominator == 1
             assert theta.as_int() == expected
+        y = padic(cfg, cayley_inverse(g).y)
         for Y, arg in (
-            (cayley_inverse(g), cayley_inverse(g).y),  # eta = 1
-            (cayley_inverse(g_conjugate(g)), shift_down(cayley_inverse(g).y)),  # eta = pi
+            (cayley_inverse(g), y),  # eta = 1
+            (cayley_inverse(g_conjugate(g)), shift_down(y)),  # eta = pi
         ):
-            vy = Y.y.valuation()
-            b_eps = -cfg.q * sgn_eps(arg)
+            vy = valuation(Y.y, cfg)
+            b_eps = -cfg.q * oracles.sgn_eps(arg)
             expected = Fraction(-1) + Fraction(cfg.q**vy, cfg.q) * b_eps
             assert expected.denominator == 1
             assert mu_hat_orbital(Y).as_int() == expected

@@ -93,6 +93,13 @@ PINNED_SWEEPS = {
         "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
+    "falsify-precision-12": (
+        # pins a stream at N = 12: the residues, v(b) up to 9 and the Cayley transform
+        ["falsify", "--primes", "3,5,7", "--precision", "12", "--near-valuations", "1:9",
+         "--samples", "30", "--seed", "5"],
+        "453dfa15dca1065399b16cb3fcc36ea1b1416221b5db6d81129d628560740e54",
+        "f9c6b817dec03033ab1cd9d041c1fee1b5b6569854eae2b180dc9799374ae936",
+    ),
     "nonregular-s2-skips": (
         # pins the undetermined and no-comparison skips
         ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],

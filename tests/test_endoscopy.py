@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2endo import localfield
 from sl2endo.charformulas import (
     PacketSpec,
     kottwitz_stable,
@@ -30,7 +31,7 @@ from sl2endo.endoscopy import (
     verify_identity,
 )
 from sl2endo.errors import AntiNearUnsupported, NotNear, PrecisionExhausted
-from sl2endo.localfield import FieldConfig, PadicNumber, sgn_eps
+from sl2endo.localfield import FieldConfig, valuation
 from sl2endo.residue import norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
@@ -46,7 +47,8 @@ from sl2endo.torus import (
     sample_regular,
 )
 
-from oracles import shift_down
+import oracles
+from oracles import padic, shift_down
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -61,7 +63,7 @@ def sample(p, cls, v, tag=""):
 
 def anti_near(p):
     g = sample(p, Classification.NEAR, 1, "anti")
-    return element(g.config, -g.a.residue, g.b.residue)
+    return element(g.config, -g.a, g.b)
 
 
 class TestConstituents:
@@ -95,7 +97,7 @@ class TestConstituents:
 # b = 0 mod 3^8; and a = -1 with b = 3^4, where 2(a+1) = 0 mod 3^8 but b is not.
 ZERO_B = element(FieldConfig(3), 1, 0)
 MINUS_ONE = element(FieldConfig(3), -1, 3**4)
-ZERO_Y = LieElement(FieldConfig(3).padic(0))
+ZERO_Y = LieElement(FieldConfig(3), 0)
 
 
 @pytest.mark.parametrize(
@@ -114,7 +116,7 @@ ZERO_Y = LieElement(FieldConfig(3).padic(0))
          "kappa_term", "transfer_factor"],
 )
 def test_undefined_valuation_raises_precision_exhausted(fn, arg):
-    # the one exception, raised by PadicNumber.valuation itself
+    # the one exception, raised by localfield.valuation itself
     with pytest.raises(PrecisionExhausted, match=r"^residue is 0 mod 3\^8$"):
         fn(arg)
 
@@ -125,7 +127,7 @@ class TestRelatedElements:
         first, second = related_elements(g)
         assert first == g
         assert second == invert(g)
-        assert second.b.residue == FieldConfig(3).padic(2).residue
+        assert second.b == 2
 
     def test_share_classification(self):
         for cls, v in ((Classification.FAR, 0), (Classification.NEAR, 2)):
@@ -404,22 +406,23 @@ class TestFalsify:
 
 
 def counting_valuations(monkeypatch):
-    """Patch PadicNumber.valuation to count its calls; returns the counter."""
+    """Patch localfield._split, through which valuation, sgn_eps and sgn_pi
+    take every valuation, to count its calls; returns the counter."""
     counts = Counter()
-    valuation = PadicNumber.valuation
+    split = localfield._split
 
-    def counting(self):
+    def counting(x, config):
         counts["valuation"] += 1
-        return valuation(self)
+        return split(x, config)
 
-    monkeypatch.setattr(PadicNumber, "valuation", counting)
+    monkeypatch.setattr(localfield, "_split", counting)
     return counts
 
 
 class TestOneClassificationPerElement:
     """v(b) and the class are computed once per element, by the sampler.
 
-    Counts the PadicNumber.valuation calls of one verify_identity at
+    Counts the valuations taken by one verify_identity at
     p = 1009, the sampling excluded, after a first check has filled the
     per-configuration epsilon factor.  The one left is psi0's sgn_pi at
     2(a + 1), far from the identity on the quadratic level.  A count that
@@ -455,9 +458,10 @@ class TestOneValuationPerOrbitalValue:
     @staticmethod
     def reference(Y):
         """The value as computed from sgn_eps of eta^{-1} y itself."""
-        q, vy = Y.config.q, Y.y.valuation()
-        arg = Y.y if Y.variant is TorusVariant.UNRAMIFIED else shift_down(Y.y)
-        return -1 + q ** (vy - 1) * -q * sgn_eps(arg)
+        y = padic(Y.config, Y.y)
+        q, vy = Y.config.q, y.valuation()
+        arg = y if Y.variant is TorusVariant.UNRAMIFIED else shift_down(y)
+        return -1 + q ** (vy - 1) * -q * oracles.sgn_eps(arg)
 
     @pytest.mark.parametrize("p", [3, 1009])
     @pytest.mark.parametrize("v", [1, 2, 3])
@@ -482,10 +486,11 @@ class TestOneValuationPerOrbitalValue:
 
 class TestOneResultPerSum:
     """Each linear combination of character values is one linear_combination
-    call, and the inverse Cayley transform builds one PadicNumber.
+    call, and the inverse Cayley transform builds one p-adic value: the
+    LieElement it returns.
 
     Counts the CycNumber operators that the chained sums used, and the
-    PadicNumber constructions of cayley_inverse, on sampled elements at
+    LieElement constructions of cayley_inverse, on sampled elements at
     p = 11 and 1009.  A count that grows means a sum went back to building
     an intermediate value per term.
     """
@@ -540,16 +545,16 @@ class TestOneResultPerSum:
     def test_cayley_inverse_builds_one_padic(self, monkeypatch, p):
         gammas = self.elements(p)[1::2]
         count = 0
-        post_init = PadicNumber.__post_init__
+        post_init = LieElement.__post_init__
 
         def counting(self):
             nonlocal count
             count += 1
             post_init(self)
 
-        monkeypatch.setattr(PadicNumber, "__post_init__", counting)
+        monkeypatch.setattr(LieElement, "__post_init__", counting)
         for gamma in gammas:
             count = 0
             Y = cayley_inverse(gamma)
             assert count == 1
-            assert Y.y.valuation() == 1 and Y.variant is gamma.variant
+            assert valuation(Y.y, Y.config) == 1 and Y.variant is gamma.variant

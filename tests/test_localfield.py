@@ -1,4 +1,4 @@
-"""Tests for truncated p-adic arithmetic and the quadratic sign characters."""
+"""Tests for p-adic integers as residues mod p^N and the quadratic sign characters."""
 
 import random
 
@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2endo.errors import NotASquare, PrecisionExhausted, ZeroInput
+from sl2endo.errors import PrecisionExhausted, ZeroInput
 from sl2endo.localfield import (
     FieldConfig,
+    _tonelli_shanks,
     hensel_sqrt,
     is_odd_prime,
     legendre,
     sgn_eps,
     sgn_pi,
     smallest_nonresidue,
-    sqrt_mod_p,
+    valuation,
 )
 
 import oracles
+from oracles import NotASquare, padic
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -60,20 +62,22 @@ class TestFieldConfig:
 
 class TestValuation:
     def test_unit(self):
-        assert FieldConfig(3, 6).padic(10).valuation() == 0
+        assert valuation(10, FieldConfig(3, 6)) == 0
 
     def test_eighteen(self):
-        assert FieldConfig(3, 6).padic(18).valuation() == 2
+        assert valuation(18, FieldConfig(3, 6)) == 2
 
     def test_zero_residue_raises(self):
+        cfg = FieldConfig(5, 6)
+        with pytest.raises(PrecisionExhausted, match=r"^residue is 0 mod 5\^6$"):
+            valuation(0, cfg)
         with pytest.raises(PrecisionExhausted):
-            FieldConfig(5, 6).padic(0).valuation()
+            valuation(cfg.modulus, cfg)  # read as its residue, 0
 
     def test_valuation_below_precision(self):
         cfg = FieldConfig(3, 5)
         for k in range(5):
-            x = cfg.padic(2 * 3**k)
-            assert x.valuation() == k
+            assert valuation(2 * 3**k, cfg) == k
 
 
 class TestLegendre:
@@ -103,36 +107,36 @@ class TestLegendre:
 class TestSgnEps:
     def test_unit_value(self):
         cfg = FieldConfig(5)
-        assert sgn_eps(cfg.padic(7)) == 1
+        assert sgn_eps(7, cfg) == 1
 
     def test_uniformizer(self):
         cfg = FieldConfig(5)
-        assert sgn_eps(cfg.padic(5)) == -1
+        assert sgn_eps(5, cfg) == -1
 
     def test_even_valuation(self):
         cfg = FieldConfig(5)
-        assert sgn_eps(cfg.padic(25 * 3)) == 1
+        assert sgn_eps(25 * 3, cfg) == 1
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_multiplicative_and_trivial_on_squares(self, p):
         cfg = FieldConfig(p)
         rng = random.Random(f"sgn-eps-{p}")
         for _ in range(200):
-            x = cfg.padic(rng.randrange(1, cfg.modulus))
-            y = cfg.padic(rng.randrange(1, cfg.modulus))
-            if x.residue == 0 or y.residue == 0 or (x * y).residue == 0:
+            x = rng.randrange(1, cfg.modulus)
+            y = rng.randrange(1, cfg.modulus)
+            if x * y % cfg.modulus == 0:
                 continue
-            assert sgn_eps(x * y) == sgn_eps(x) * sgn_eps(y)
-            if (x * x).residue != 0:
-                assert sgn_eps(x * x) == 1
+            assert sgn_eps(x * y, cfg) == sgn_eps(x, cfg) * sgn_eps(y, cfg)
+            if x * x % cfg.modulus != 0:
+                assert sgn_eps(x * x, cfg) == 1
 
 
 class TestSgnPi:
     def test_spec_values(self):
         cfg = FieldConfig(3)
-        assert sgn_pi(cfg.padic(8)) == -1   # unit 8 = 2 mod 3, a nonresidue
-        assert sgn_pi(cfg.padic(-3)) == 1   # -pi is a norm from F(sqrt(pi))
-        assert sgn_pi(cfg.padic(1)) == 1
+        assert sgn_pi(8, cfg) == -1   # unit 8 = 2 mod 3, a nonresidue
+        assert sgn_pi(-3, cfg) == 1   # -pi is a norm from F(sqrt(pi))
+        assert sgn_pi(1, cfg) == 1
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_norm_oracle(self, p):
@@ -143,10 +147,10 @@ class TestSgnPi:
         while checked < 1000:
             a = rng.randrange(cfg.modulus)
             b = rng.randrange(cfg.modulus)
-            x = cfg.padic(a * a - p * b * b)
-            if x.residue == 0:
+            x = (a * a - p * b * b) % cfg.modulus
+            if x == 0:
                 continue
-            assert sgn_pi(x) == 1
+            assert sgn_pi(x, cfg) == 1
             checked += 1
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -154,11 +158,11 @@ class TestSgnPi:
         # representatives 1, eps, p, eps*p of the four square classes: the norms
         # 1 and -p have sign 1, and exactly the other two classes have sign -1
         cfg = FieldConfig(p)
-        assert sgn_pi(cfg.padic(1)) == 1 and sgn_pi(cfg.padic(-p)) == 1
+        assert sgn_pi(1, cfg) == 1 and sgn_pi(-p, cfg) == 1
         reps = (1, cfg.eps, p, cfg.eps * p)
         # -p lies in the class of p when -1 is a square mod p, else in that of eps*p
         minus_p_rep = p if legendre(p - 1, p) == 1 else cfg.eps * p
-        signs = {rep: sgn_pi(cfg.padic(rep)) for rep in reps}
+        signs = {rep: sgn_pi(rep, cfg) for rep in reps}
         assert signs == {rep: 1 if rep in (1, minus_p_rep) else -1 for rep in reps}
         assert list(signs.values()).count(-1) == 2
 
@@ -167,11 +171,11 @@ class TestSgnPi:
         cfg = FieldConfig(p)
         rng = random.Random(f"sgn-pi-mult-{p}")
         for _ in range(200):
-            x = cfg.padic(rng.randrange(1, cfg.modulus))
-            y = cfg.padic(rng.randrange(1, cfg.modulus))
-            if x.residue == 0 or y.residue == 0 or (x * y).residue == 0:
+            x = rng.randrange(1, cfg.modulus)
+            y = rng.randrange(1, cfg.modulus)
+            if x * y % cfg.modulus == 0:
                 continue
-            assert sgn_pi(x * y) == sgn_pi(x) * sgn_pi(y)
+            assert sgn_pi(x * y, cfg) == sgn_pi(x, cfg) * sgn_pi(y, cfg)
 
 
 class TestHenselSqrt:
@@ -217,7 +221,7 @@ class TestHenselSqrt:
         x = 9 * 7  # v = 2, unit part 7 = 1 mod 3 is a square
         a = hensel_sqrt(x, cfg)
         assert a * a % cfg.modulus == x
-        assert cfg.padic(a).valuation() == 1
+        assert valuation(a, cfg) == 1
 
 
 def reference_hensel_sqrt(x):
@@ -240,13 +244,13 @@ def reference_hensel_sqrt(x):
         k = min(2 * k, cfg.N)
         mod = cfg.p**k
         s = (s + u * pow(s, -1, mod)) * pow(2, -1, mod) % mod
-    return cfg.padic(cfg.p ** (v // 2) * s)
+    return padic(cfg, cfg.p ** (v // 2) * s)
 
 
 def reference_root(r, cfg):
     """The reference's root of the residue r, or None where it raises."""
     try:
-        return reference_hensel_sqrt(cfg.padic(r)).residue
+        return reference_hensel_sqrt(padic(cfg, r)).residue
     except (NotASquare, PrecisionExhausted):
         return None
 
@@ -291,32 +295,33 @@ def test_smallest_nonresidue_is_eps_and_cached():
     assert smallest_nonresidue.cache_info().hits == hits + 1
 
 
+def reference_sqrt_mod_p(a, p):
+    """The reference square root of the unit a, or None where it raises NotASquare."""
+    try:
+        return oracles.sqrt_mod_p(a, p)
+    except NotASquare:
+        return None
+
+
 def test_sqrt_mod_p_rejects_zero_and_nonresidues():
-    with pytest.raises(ZeroInput, match="^0 is divisible by 7$"):
-        sqrt_mod_p(14, 7)
-    with pytest.raises(NotASquare, match="^3 is not a square mod 7$"):
-        sqrt_mod_p(10, 7)
+    # _tonelli_shanks answers None exactly on 0 and the nonresidues
+    for p in filter(is_odd_prime, range(3, 200)):
+        squares = brute_force_squares(p)
+        assert _tonelli_shanks(0, p) is None
+        for a in range(1, p):
+            assert (_tonelli_shanks(a, p) is None) == (a not in squares), (a, p)
 
 
 def test_sqrt_mod_p_is_the_smaller_root():
-    # primes of both classes mod 4: Tonelli-Shanks with and without its loop
+    # primes of both classes mod 4: Tonelli-Shanks with and without its loop,
+    # against the reference square root on every unit
     for p in filter(is_odd_prime, range(3, 200)):
-        for a in brute_force_squares(p):
-            r = sqrt_mod_p(a, p)
-            assert r * r % p == a and r <= p - r, (a, p)
+        for a in range(1, p):
+            r = _tonelli_shanks(a, p)
+            assert r == reference_sqrt_mod_p(a, p), (a, p)
+            assert r is None or (r * r % p == a and r <= p - r), (a, p)
 
 
 def test_is_odd_prime():
     assert [n for n in range(2, 20) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19]
 
-
-def test_padic_arithmetic_basics():
-    cfg = FieldConfig(5, 6)
-    x, y = cfg.padic(7), cfg.padic(12)
-    assert (x + y).residue == 19
-    assert (x - y) == cfg.padic(-5)
-    assert (x * y).residue == 84
-    assert (y / x) * x == y
-    with pytest.raises(ValueError):
-        cfg.padic(1) / cfg.padic(5)  # non-unit divisor
-    assert (cfg.padic(1) / x) * x == cfg.padic(1)  # x^-1 through division

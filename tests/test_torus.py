@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2endo.errors import (
-    NotASquare,
     NotNear,
     PrecisionExhausted,
     SamplingBudgetExceeded,
+    Sl2EndoError,
 )
-from sl2endo.localfield import FieldConfig, hensel_sqrt, sgn_eps
+from sl2endo.localfield import FieldConfig, hensel_sqrt, sgn_eps, valuation
 from sl2endo.torus import (
     Classification,
     LieElement,
@@ -31,7 +31,7 @@ from sl2endo.torus import (
 )
 
 import oracles
-from oracles import shift_down
+from oracles import PadicNumber, padic, shift_down
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -47,7 +47,7 @@ def in_first_filtration(gamma):
     The definitional near-the-identity test, the oracle for TorusElement.classification.
     """
     p = gamma.config.p
-    return gamma.a.residue % p == 1 and gamma.b.residue % p == 0
+    return gamma.a % p == 1 and gamma.b % p == 0
 
 
 def mixed_samples(cfg, n, tag=""):
@@ -69,15 +69,34 @@ class TestConstruction:
 
     def test_far_example_is_valid(self):
         g = element(FieldConfig(3), 3, -2)  # 9 - 2*4 = 1 exactly
-        assert not g.b.is_zero_at_precision
+        assert g.b != 0
 
     def test_identity_not_regular(self):
-        assert element(FieldConfig(5), 1, 0).b.is_zero_at_precision
+        assert element(FieldConfig(5), 1, 0).b == 0
+
+    def test_residues_out_of_range_rejected(self):
+        # element() is the one constructor that reduces arbitrary ints
+        cfg = FieldConfig(3)
+        with pytest.raises(ValueError, match=r"^\(1, -1\) are not residues mod 3\^8$"):
+            TorusElement(cfg, 1, -1)
+        with pytest.raises(ValueError, match="not residues"):
+            TorusElement(cfg, 1 + cfg.modulus, 0)
+        with pytest.raises(ValueError, match=r"^6561 is not a residue mod 3\^8$"):
+            LieElement(cfg, cfg.modulus)
+        assert element(cfg, 1 + cfg.modulus, -cfg.modulus) == TorusElement(cfg, 1, 0)
+
+    def test_norm_checked_by_invert_and_g_conjugate(self):
+        # both build through the constructor, so a corrupted element is caught
+        g = element(FieldConfig(3), 3, -2)
+        object.__setattr__(g, "a", 4)
+        for fn in (invert, g_conjugate):
+            with pytest.raises(ValueError, match="not norm-one"):
+                fn(g)
 
 
-def builds(a, b):
+def builds(config, a, b):
     try:
-        TorusElement(a, b)
+        TorusElement(config, a, b)
     except ValueError:
         return False
     return True
@@ -86,10 +105,10 @@ def builds(a, b):
 class TestNormCheckAgainstReference:
     @pytest.mark.parametrize("p", [3, 5])
     def test_every_pair_mod_p4(self, p):
-        # the reference is the norm in PadicNumber arithmetic,
+        # the reference is the norm in PadicNumber arithmetic (oracles),
         # (a*a - b*b*eps).residue == 1, with both squares hoisted out of the grid
         cfg = FieldConfig(p, 4)
-        xs = [cfg.padic(r) for r in range(cfg.modulus)]
+        xs = [padic(cfg, r) for r in range(cfg.modulus)]
         squares = [x * x for x in xs]
         eps_squares = [x * x * cfg.eps for x in xs]
         expected = [
@@ -98,7 +117,8 @@ class TestNormCheckAgainstReference:
             for b, bb in enumerate(eps_squares)
             if (aa - bb).residue == 1
         ]
-        accepted = [(a.residue, b.residue) for a in xs for b in xs if builds(a, b)]
+        accepted = [(a, b) for a in range(cfg.modulus) for b in range(cfg.modulus)
+                    if builds(cfg, a, b)]
         assert accepted == expected
         assert len(expected) == (p + 1) * p**3  # the order of the norm-one group mod p^4
 
@@ -107,30 +127,26 @@ class TestNormCheckAgainstReference:
     def test_random_pairs_mod_p8(self, p, data):
         cfg = FieldConfig(p, 8)
         residues = st.integers(min_value=0, max_value=cfg.modulus - 1)
-        b = cfg.padic(data.draw(residues))
-        candidates = [cfg.padic(data.draw(residues))]
+        b = padic(cfg, data.draw(residues))
+        candidates = [padic(cfg, data.draw(residues))]
         root = hensel_sqrt((b * b * cfg.eps + 1).residue, cfg)
         if root is not None:  # both roots, and a root moved by p^k
-            root = cfg.padic(root)
+            root = padic(cfg, root)
             k = data.draw(st.integers(min_value=0, max_value=cfg.N - 1))
             candidates += [root, -root, root + p**k]
         for a in candidates:
-            assert builds(a, b) == ((a * a - b * b * cfg.eps).residue == 1)
-
-    def test_mixed_configurations_rejected(self):
-        with pytest.raises(ValueError, match="different field configurations"):
-            TorusElement(FieldConfig(3).padic(1), FieldConfig(3, 6).padic(0))
+            assert builds(cfg, a.residue, b.residue) == ((a * a - b * b * cfg.eps).residue == 1)
 
 
 class TestImEps:
     """b is the coefficient of sqrt(eps) in the avatar a + b*sqrt(eps)."""
 
     def test_identity(self):
-        assert element(FieldConfig(5), 1, 0).b.residue == 0
+        assert element(FieldConfig(5), 1, 0).b == 0
 
     def test_far_example(self):
         cfg = FieldConfig(3)
-        assert element(cfg, 3, -2).b == cfg.padic(-2)
+        assert element(cfg, 3, -2).b == cfg.modulus - 2
 
     def test_invariant_under_g_conjugation(self):
         cfg = FieldConfig(3)
@@ -145,13 +161,13 @@ class TestClassify:
     def test_near_from_hensel_example(self):
         cfg = FieldConfig(3)
         g = near_example(cfg)
-        assert g.a.residue % 27 == 10  # the canonical sqrt of 19 lifts 10 mod 27
+        assert g.a % 27 == 10  # the canonical sqrt of 19 lifts 10 mod 27
         assert g.classification is Classification.NEAR
 
     def test_anti_near_is_negated_near(self):
         cfg = FieldConfig(3)
         g = near_example(cfg)
-        h = element(cfg, -g.a.residue, g.b.residue)
+        h = element(cfg, -g.a, g.b)
         assert h.classification is Classification.ANTI_NEAR
 
     def test_precision_exhausted(self):
@@ -163,7 +179,7 @@ class TestClassify:
         cfg = FieldConfig(p)
         for g in mixed_samples(cfg, 40, "cls"):
             cls = g.classification
-            minus_g = element(cfg, -g.a.residue, -g.b.residue)
+            minus_g = element(cfg, -g.a, -g.b)
             assert (cls is Classification.NEAR) == in_first_filtration(g)
             assert (cls is Classification.ANTI_NEAR) == in_first_filtration(minus_g)
             assert (cls is Classification.FAR) == (
@@ -208,24 +224,24 @@ class TestF:
 
 class TestWeylDiscriminant:
     def test_identity_element(self):
-        assert weyl_DG(element(FieldConfig(5), 1, 0)).residue == 0
+        assert weyl_DG(element(FieldConfig(5), 1, 0)) == 0
 
     def test_far_example(self):
         cfg = FieldConfig(3)
-        assert weyl_DG(element(cfg, 3, -2)) == cfg.padic(32)
+        assert weyl_DG(element(cfg, 3, -2)) == 32
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_equals_4_eps_b_squared(self, p):
         cfg = FieldConfig(p)
         for g in mixed_samples(cfg, 20, "weyl"):
-            assert weyl_DG(g) == g.b * g.b * (4 * cfg.eps)
+            assert weyl_DG(g) == g.b * g.b * (4 * cfg.eps) % cfg.modulus
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_norm_relation(self, p):
         # |D_G|^{1/2} = q^{-v(b)}, i.e. v(D_G) = 2 v(b)
         cfg = FieldConfig(p)
         for g in mixed_samples(cfg, 20, "norm"):
-            assert weyl_DG(g).valuation() == 2 * g.b.valuation()
+            assert valuation(weyl_DG(g), cfg) == 2 * valuation(g.b, cfg)
 
 
 class TestInvertAndConjugate:
@@ -239,16 +255,16 @@ class TestInvertAndConjugate:
 
     def test_im_negates(self):
         g = element(FieldConfig(3), 3, -2)
-        assert invert(g).b == -g.b
+        assert invert(g).b == -g.b % g.config.modulus
 
     def test_inverse_is_group_inverse(self):
         # (a + b sqrt(eps))(a - b sqrt(eps)) = a^2 - eps b^2 = 1
         cfg = FieldConfig(7)
         g = sample_regular(cfg, Classification.FAR, 0, seed="inv")
         h = invert(g)
-        prod_a = g.a * h.a + g.b * h.b * cfg.eps
-        prod_b = g.a * h.b + g.b * h.a
-        assert prod_a == cfg.padic(1) and prod_b.residue == 0
+        prod_a = (g.a * h.a + g.b * h.b * cfg.eps) % cfg.modulus
+        prod_b = (g.a * h.b + g.b * h.a) % cfg.modulus
+        assert prod_a == 1 and prod_b == 0
 
     def test_g_conjugate_toggles_variant_and_fixes_avatar(self):
         g = element(FieldConfig(3), 3, -2)
@@ -262,8 +278,8 @@ class TestInvertAndConjugate:
         cfg = FieldConfig(5)
         for v in (1, 2):
             g = sample_regular(cfg, Classification.NEAR, v, seed=f"flip{v}")
-            shifted = shift_down(g_conjugate(g).b)
-            assert sgn_eps(shifted) == -sgn_eps(g.b)
+            shifted = shift_down(padic(cfg, g_conjugate(g).b))
+            assert oracles.sgn_eps(shifted) == -sgn_eps(g.b, cfg)
 
 
 class TestCayley:
@@ -281,7 +297,7 @@ class TestCayley:
         for v in (1, 2, 3):
             g = sample_regular(cfg, Classification.NEAR, v, seed=f"cay{v}")
             Y = cayley_inverse(g)
-            assert Y.y.valuation() == g.b.valuation() == v
+            assert valuation(Y.y, cfg) == valuation(g.b, cfg) == v
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_roundtrip(self, p):
@@ -296,14 +312,15 @@ class TestCayley:
         for v in (1, 2):
             g = sample_regular(cfg, Classification.NEAR, v, seed=f"disc{v}")
             Y = cayley_inverse(g)
-            assert weyl_D_lie(Y).valuation() == weyl_DG(g).valuation()
+            assert valuation(weyl_D_lie(Y), cfg) == valuation(weyl_DG(g), cfg)
 
     @staticmethod
     def reference_cayley_inverse(gamma):
         """The PadicNumber expression cayley_inverse evaluated before it moved to residues."""
-        a, b = gamma.a, gamma.b
-        denom = (a + 1) * (a + 1) - b * b * gamma.config.eps
-        return LieElement((b * 4) / denom, gamma.variant)
+        cfg = gamma.config
+        a, b = PadicNumber(gamma.a, cfg), PadicNumber(gamma.b, cfg)
+        denom = (a + 1) * (a + 1) - b * b * cfg.eps
+        return LieElement(cfg, ((b * 4) / denom).residue, gamma.variant)
 
     @pytest.mark.parametrize("p,N", [(3, 8), (3, 12), (5, 8), (7, 8), (11, 8), (13, 8),
                                      (101, 8), (1009, 8)])
@@ -329,7 +346,7 @@ class TestCayley:
         cfg = FieldConfig(7)
         g = sample_regular(cfg, Classification.NEAR, 1, seed="denom")
         denom = (g.a + 1) * (g.a + 1) - g.b * g.b * cfg.eps
-        assert denom.residue % cfg.p == 4
+        assert denom % cfg.p == 4
 
 
 class TestSampler:
@@ -338,8 +355,8 @@ class TestSampler:
         cfg = FieldConfig(p)
         g = sample_regular(cfg, Classification.FAR, 0, seed=f"far{p}")
         assert g.classification is Classification.FAR
-        assert g.b.valuation() == 0
-        assert g.a.residue % p not in (1, p - 1)
+        assert valuation(g.b, cfg) == 0
+        assert g.a % p not in (1, p - 1)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("v", [1, 2, 3])
@@ -347,7 +364,7 @@ class TestSampler:
         cfg = FieldConfig(p)
         g = sample_regular(cfg, Classification.NEAR, v, seed=f"n{p}:{v}")
         assert g.classification is Classification.NEAR
-        assert g.b.valuation() == v
+        assert valuation(g.b, cfg) == v
 
     def test_anti_near_contract(self):
         cfg = FieldConfig(5)
@@ -388,12 +405,13 @@ class TestSampler:
         import sl2endo.torus as torus_mod
 
         made, roots = [], []
-        for exc_class in (NotASquare, PrecisionExhausted):
-            def counting_init(self, *args, _init=exc_class.__init__):
-                made.append(type(self).__name__)
-                _init(self, *args)
 
-            monkeypatch.setattr(exc_class, "__init__", counting_init)
+        def counting_init(self, *args, _init=Sl2EndoError.__init__):
+            made.append(type(self).__name__)
+            _init(self, *args)
+
+        # every package exception (PrecisionExhausted among them) inherits this __init__
+        monkeypatch.setattr(Sl2EndoError, "__init__", counting_init)
 
         def counting_sqrt(x, config, _sqrt=torus_mod.hensel_sqrt):
             roots.append(_sqrt(x, config))
@@ -414,7 +432,7 @@ def sampled(sample, config, classification, v, seed):
         g = sample(config, classification, v, seed)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
-    return g.a.residue, g.b.residue, g.variant
+    return g.a, g.b, g.variant
 
 
 class TestSamplerAgainstReference:
