@@ -119,17 +119,17 @@ def psi0_via_level(gamma: TorusElement) -> int:
     return character_value_on(gamma, quadratic_level(gamma.config)).as_int()
 
 
-def psi0_on_residue_point(config: FieldConfig, point) -> int:
+def psi0_on_residue_point(config: FieldConfig, point: tuple[int, int]) -> int:
     """The defining formula evaluated on a residue point.
 
     On the residue curve a = -1 forces b = 0, so away from that single
     point the argument 2(a+1) is a unit and the character is a Legendre
     symbol.
     """
-    p = config.p
-    if point.b == 0 and point.a == p - 1:
+    p, (a, b) = config.p, point
+    if b == 0 and a == p - 1:
         return -legendre(p - 1, p)
-    return legendre(2 * (point.a + 1) % p, p)
+    return legendre(2 * (a + 1) % p, p)
 
 
 def character_value_on(gamma: TorusElement, level: CharacterLevel) -> CycNumber:

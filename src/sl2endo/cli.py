@@ -296,16 +296,18 @@ def run_table(sweep: SweepConfig, out, err) -> int:
             if sweep.level is None
             else CharacterLevel(sweep.level, config.q + 1)
         )
+        gen_a, gen_b = group.generator
         out.write(
             f"p={p}  eps={config.eps}  norm-one group of order {group.order},"
-            f" generator ({group.generator.a},{group.generator.b})\n"
+            f" generator ({gen_a},{gen_b})\n"
         )
         out.write(f"character level shown: k={lv.k} mod {lv.modulus}\n")
         out.write("  point      dlog  psi0  chi_k\n")
         for pt in group.points:
+            a, b = pt
             val = group.character_value(lv, pt)
             out.write(
-                f"  ({pt.a:>2},{pt.b:>2})   {group.dlog(pt):>3}"
+                f"  ({a:>2},{b:>2})   {group.dlog(pt):>3}"
                 f"   {psi0_on_residue_point(config, pt):>3}   {val}\n"
             )
         out.write("\n")

@@ -162,14 +162,27 @@ def _json_value(value: "CycNumber | None") -> str:
     return f'{{"coeffs": [{coeffs}], "conductor": {value.m}, "text": "{value}"}}'
 
 
+# The verdict of a check whose left-hand side has no trusted value, by the
+# exception theta_virtual raises: an element whose class precision cannot
+# settle, a central twist of a near element, and a near-identity
+# combination that the member sums do not pin down.
+SKIP_VERDICTS = {
+    PrecisionExhausted: "skipped(precision exhausted)",
+    AntiNearUnsupported: "skipped(anti-near: no character formula)",
+    Undetermined: "skipped(undetermined near-identity combination)",
+}
+
+
 def _report(
     packet: PacketSpec,
     s: str,
     config: FieldConfig,
     drawn: "TorusElement | Classification",
-    verdict: str = "skipped(unevaluated)",
+    verdict: str,
+    lhs: "CycNumber | None" = None,
+    rhs: "CycNumber | None" = None,
 ) -> VerificationReport:
-    """The one constructor of reports, with lhs and rhs unset.
+    """The one constructor of reports, each built complete.
 
     drawn is the sampled element, or the class of a draw that exceeded its
     sampling budget: then there is no element, so a, b and v(b) are null.
@@ -186,15 +199,16 @@ def _report(
             cls_name = "unknown"
     return VerificationReport(
         config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
-        a, b, vb, cls_name, None, None, verdict,
+        a, b, vb, cls_name, lhs, rhs, verdict,
     )
 
 
-def _decide(report: VerificationReport, lhs: CycNumber, rhs: CycNumber) -> VerificationReport:
-    """Set both sides of report and its verdict: equal iff they agree exactly."""
-    report.lhs, report.rhs = lhs, rhs
-    report.verdict = "equal" if lhs == rhs else "unequal"
-    return report
+def _compared(
+    packet: PacketSpec, s: str, gamma: TorusElement, lhs: CycNumber, rhs: CycNumber
+) -> VerificationReport:
+    """The report of a check that compared both sides: equal iff they agree exactly."""
+    verdict = "equal" if lhs == rhs else "unequal"
+    return _report(packet, s, gamma.config, gamma, verdict, lhs, rhs)
 
 
 def budget_exceeded_reports(
@@ -216,31 +230,24 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
     For the four-member packet with s the trivial element, the comparison
     is instead against the inner-form stable value (the doubled inner-form
     character with its Kottwitz sign), the only trusted route to that side.
-    Anti-near elements, precision failures, and combinations the engine
-    cannot determine yield skipped reports rather than guesses.
+    Where the member formulas give no value they raise, and the exception
+    names the skip verdict (SKIP_VERDICTS) rather than a guess; an exception
+    from the right-hand side propagates.  An s with no trusted comparison
+    (s2, s3, or 1 for the two-member packet) is skipped with the left-hand
+    side kept and a null right-hand side.
     """
-    report = _report(packet, s, gamma.config, gamma)
-    if report.classification == "unknown":
-        report.verdict = "skipped(precision exhausted)"
-        return report
-    if report.classification == Classification.ANTI_NEAR.value:
-        report.verdict = "skipped(anti-near: no character formula)"
-        return report
-
     try:
-        report.lhs = theta_virtual(packet, s, gamma)
-    except Undetermined:
-        report.verdict = "skipped(undetermined near-identity combination)"
-        return report
-
+        lhs = theta_virtual(packet, s, gamma)
+    except tuple(SKIP_VERDICTS) as exc:
+        return _report(packet, s, gamma.config, gamma, SKIP_VERDICTS[type(exc)])
     if s == "s1":
         rhs = rhs_endoscopic(packet, gamma)
     elif s == "1" and packet.kind is PacketKind.NONREGULAR:
         rhs = inner_form_side(gamma)
     else:
-        report.verdict = f"skipped(no endoscopic comparison for s={s})"
-        return report
-    return _decide(report, report.lhs, rhs)
+        verdict = f"skipped(no endoscopic comparison for s={s})"
+        return _report(packet, s, gamma.config, gamma, verdict, lhs)
+    return _compared(packet, s, gamma, lhs, rhs)
 
 
 def falsify_adss152(
@@ -260,15 +267,10 @@ def falsify_adss152(
         raise ValueError("the ADSS-15.2 values concern the four-member packet")
     if gamma.classification is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")
-    cfg = gamma.config
-
     thetas = adss152_theta(gamma)
     lhs1 = linear_combination(zip(virtual_coeffs(KLEIN4, "s1"), thetas))
-    report1 = _decide(
-        _report(packet, FALSIFY_CHECKS[0], cfg, gamma), lhs1, rhs_endoscopic(packet, gamma)
-    )
-
+    report1 = _compared(packet, FALSIFY_CHECKS[0], gamma, lhs1, rhs_endoscopic(packet, gamma))
     lhs2 = thetas[0] + thetas[1]
     rhs2 = mu_hat_orbital(cayley_inverse(gamma))
-    report2 = _decide(_report(packet, FALSIFY_CHECKS[1], cfg, gamma), lhs2, rhs2)
+    report2 = _compared(packet, FALSIFY_CHECKS[1], gamma, lhs2, rhs2)
     return (report1, report2)

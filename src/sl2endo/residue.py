@@ -4,7 +4,8 @@ Over the residue field F_p, the points (a, b) with a^2 - eps*b^2 = 1 form
 a cyclic group of order q + 1 (the norm-one subgroup of F_{p^2}^x written
 in the basis 1, sqrt(eps)).  Depth-zero characters of the p-adic torus
 factor through this group, so a character is named by an integer level k
-mod q+1 relative to a deterministic generator.
+mod q+1 relative to a deterministic generator.  A residue point is the
+pair of ints (a, b).
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ from functools import lru_cache
 
 from .cyclotomic import CycNumber, prime_divisors, root_of_unity
 from .localfield import FieldConfig
-
-
-@dataclass(frozen=True)
-class ResTorusPoint:
-    """A residue-field point (a, b) with a^2 - eps*b^2 = 1."""
-
-    a: int
-    b: int
 
 
 @dataclass(frozen=True)
@@ -69,30 +62,27 @@ class NormOneGroup:
             et2 = eps * t * t
             inv = pow(1 - et2, -1, p)
             pairs.append(((1 + et2) * inv % p, 2 * t * inv % p))
-        pairs.sort()
-        self.points: tuple[ResTorusPoint, ...] = tuple(ResTorusPoint(a, b) for a, b in pairs)
+        self.points: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
         self.order = len(self.points)
-        self.identity = ResTorusPoint(1, 0)
+        self.identity = (1, 0)
         cofactors = [self.order // r for r in prime_divisors(self.order)]
         self.generator = next(
             pt
             for pt in self.points
             if all(self.power(pt, e) != self.identity for e in cofactors)
         )
-        self._dlog: dict[ResTorusPoint, int] = {}
+        self._dlog: dict[tuple[int, int], int] = {}
         pt = self.identity
         for e in range(self.order):
             self._dlog[pt] = e
             pt = self.mul(pt, self.generator)
 
-    def mul(self, x: ResTorusPoint, y: ResTorusPoint) -> ResTorusPoint:
+    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         p, eps = self.config.p, self.config.eps
-        return ResTorusPoint(
-            (x.a * y.a + eps * x.b * y.b) % p,
-            (x.a * y.b + x.b * y.a) % p,
-        )
+        (xa, xb), (ya, yb) = x, y
+        return ((xa * ya + eps * xb * yb) % p, (xa * yb + xb * ya) % p)
 
-    def power(self, x: ResTorusPoint, e: int) -> ResTorusPoint:
+    def power(self, x: tuple[int, int], e: int) -> tuple[int, int]:
         """x^e for e >= 0, by square-and-multiply."""
         result = self.identity
         while e:
@@ -102,18 +92,19 @@ class NormOneGroup:
             e >>= 1
         return result
 
-    def inverse(self, x: ResTorusPoint) -> ResTorusPoint:
-        return ResTorusPoint(x.a, -x.b % self.config.p)
+    def inverse(self, x: tuple[int, int]) -> tuple[int, int]:
+        a, b = x
+        return (a, -b % self.config.p)
 
-    def dlog(self, point: ResTorusPoint) -> int:
+    def dlog(self, point: tuple[int, int]) -> int:
         return self._dlog[point]
 
-    def reduce(self, element) -> ResTorusPoint:
+    def reduce(self, element) -> tuple[int, int]:
         """Residue-field image of a torus element: its residues a and b, reduced mod p."""
         p = self.config.p
-        return ResTorusPoint(element.a % p, element.b % p)
+        return (element.a % p, element.b % p)
 
-    def character_value(self, level: CharacterLevel, point: ResTorusPoint) -> CycNumber:
+    def character_value(self, level: CharacterLevel, point: tuple[int, int]) -> CycNumber:
         if level.modulus != self.order:
             raise ValueError(
                 f"level lives mod {level.modulus}, group has order {self.order}"

@@ -3,9 +3,20 @@
 import random
 from dataclasses import dataclass
 
-from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
+from sl2endo.charformulas import (
+    PacketKind,
+    PacketSpec,
+    adss152_theta,
+    inner_form_side,
+    mu_hat_orbital,
+    theta_virtual,
+)
+from sl2endo.cyclotomic import CycNumber, linear_combination
+from sl2endo.endoscopy import FALSIFY_CHECKS, VerificationReport, rhs_endoscopic
+from sl2endo.errors import NotNear, PrecisionExhausted, SamplingBudgetExceeded, Undetermined
 from sl2endo.localfield import FieldConfig, legendre, smallest_nonresidue
-from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement
+from sl2endo.packets import KLEIN4, virtual_coeffs
+from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement, cayley_inverse
 
 
 class NotASquare(Exception):
@@ -256,3 +267,110 @@ def sample_regular(
     raise SamplingBudgetExceeded(
         f"no {classification.value} element with v(b)={v_target} in {_SAMPLING_BUDGET} draws"
     )
+
+
+# The report constructor and the two report builders as they were while
+# reports were built with an unevaluated verdict and then filled in, and
+# verify_identity settled the precision and anti-near skips from the
+# classification string before it called any formula, kept verbatim as the
+# reference for the one-constructor rewrite.
+
+def _report(
+    packet: PacketSpec,
+    s: str,
+    config: FieldConfig,
+    drawn: "TorusElement | Classification",
+    verdict: str = "skipped(unevaluated)",
+) -> VerificationReport:
+    """The one constructor of reports, with lhs and rhs unset.
+
+    drawn is the sampled element, or the class of a draw that exceeded its
+    sampling budget: then there is no element, so a, b and v(b) are null.
+    An element whose class precision cannot settle is classed "unknown".
+    """
+    a = b = vb = None
+    if isinstance(drawn, Classification):
+        cls_name = drawn.value
+    else:
+        a, b = drawn.a, drawn.b
+        try:
+            vb, cls_name = drawn.valuation_b, drawn.classification.value
+        except PrecisionExhausted:
+            cls_name = "unknown"
+    return VerificationReport(
+        config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
+        a, b, vb, cls_name, None, None, verdict,
+    )
+
+
+def _decide(report: VerificationReport, lhs: CycNumber, rhs: CycNumber) -> VerificationReport:
+    """Set both sides of report and its verdict: equal iff they agree exactly."""
+    report.lhs, report.rhs = lhs, rhs
+    report.verdict = "equal" if lhs == rhs else "unequal"
+    return report
+
+
+def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> VerificationReport:
+    """Check the endoscopic character identity at gamma, exactly.
+
+    The left-hand side is the virtual character assembled from the trusted
+    member formulas; the right-hand side is the two-term transfer sum.
+    For the four-member packet with s the trivial element, the comparison
+    is instead against the inner-form stable value (the doubled inner-form
+    character with its Kottwitz sign), the only trusted route to that side.
+    Anti-near elements, precision failures, and combinations the engine
+    cannot determine yield skipped reports rather than guesses.
+    """
+    report = _report(packet, s, gamma.config, gamma)
+    if report.classification == "unknown":
+        report.verdict = "skipped(precision exhausted)"
+        return report
+    if report.classification == Classification.ANTI_NEAR.value:
+        report.verdict = "skipped(anti-near: no character formula)"
+        return report
+
+    try:
+        report.lhs = theta_virtual(packet, s, gamma)
+    except Undetermined:
+        report.verdict = "skipped(undetermined near-identity combination)"
+        return report
+
+    if s == "s1":
+        rhs = rhs_endoscopic(packet, gamma)
+    elif s == "1" and packet.kind is PacketKind.NONREGULAR:
+        rhs = inner_form_side(gamma)
+    else:
+        report.verdict = f"skipped(no endoscopic comparison for s={s})"
+        return report
+    return _decide(report, report.lhs, rhs)
+
+
+def falsify_adss152(
+    packet: PacketSpec, gamma: TorusElement
+) -> tuple[VerificationReport, VerificationReport]:
+    """Exhibit the clash between the ADSS-15.2 values and the trusted routes.
+
+    packet is the four-member packet at gamma's configuration, as in
+    verify_identity; a regular packet raises ValueError.  Report one
+    compares the s1 virtual character assembled from the 15.2 member values
+    (identically zero) with the endoscopic right-hand side (-2f, never zero
+    near the identity).  Report two compares the 15.2 member sum theta_1 +
+    theta_2 (identically -1) with the orbital-integral route (-1 - f).  Both
+    are unequal for every near regular element.
+    """
+    if packet.kind is not PacketKind.NONREGULAR:
+        raise ValueError("the ADSS-15.2 values concern the four-member packet")
+    if gamma.classification is not Classification.NEAR:
+        raise NotNear("the disputed values concern the near-identity regime")
+    cfg = gamma.config
+
+    thetas = adss152_theta(gamma)
+    lhs1 = linear_combination(zip(virtual_coeffs(KLEIN4, "s1"), thetas))
+    report1 = _decide(
+        _report(packet, FALSIFY_CHECKS[0], cfg, gamma), lhs1, rhs_endoscopic(packet, gamma)
+    )
+
+    lhs2 = thetas[0] + thetas[1]
+    rhs2 = mu_hat_orbital(cayley_inverse(gamma))
+    report2 = _decide(_report(packet, FALSIFY_CHECKS[1], cfg, gamma), lhs2, rhs2)
+    return (report1, report2)

@@ -93,6 +93,13 @@ PINNED_SWEEPS = {
         "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
+    "nonregular-s2-skips-p13": (
+        # the s2 skips at every acceptance prime: 100 far records keep lhs with a
+        # null rhs, and 100 near records are undetermined
+        ["verify", "--s", "s2", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
+        "7dcd20e56760d5bb1e9c58213f96ffda0151e36e93e156afd0020f5600b20a33",
+        "695ec3073b2b38b3286ed8d976de49e9a2d5277ca532c3d9e5b1b34e50f52537",
+    ),
     "falsify-precision-12": (
         # pins a stream at N = 12: the residues, v(b) up to 9 and the Cayley transform
         ["falsify", "--primes", "3,5,7", "--precision", "12", "--near-valuations", "1:9",

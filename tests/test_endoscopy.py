@@ -20,6 +20,7 @@ from sl2endo.charformulas import (
 from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, root_of_unity
 from sl2endo.endoscopy import (
     REPORT_FIELDS,
+    SKIP_VERDICTS,
     VerificationReport,
     budget_exceeded_reports,
     epsilon_factor,
@@ -403,6 +404,70 @@ class TestFalsify:
         g = sample(3, Classification.NEAR, 1, "f1")
         with pytest.raises(ValueError):
             falsify_adss152(PacketSpec.regular(g.config, 1), g)
+
+
+def outcome(build, *args):
+    """The jsonl lines of the reports build returns, or the type of the
+    exception it raises."""
+    try:
+        result = build(*args)
+    except Exception as exc:
+        return type(exc)
+    return [r.to_json() for r in (result if isinstance(result, tuple) else (result,))]
+
+
+class TestAgainstOldReports:
+    """verify_identity and falsify_adss152 against the builders they replaced
+    (kept verbatim in oracles), which filled reports in after construction
+    and settled the precision and anti-near skips from the classification
+    string before calling any formula."""
+
+    @staticmethod
+    def grid(p):
+        """Far draws, near draws with v(b) = 1..3, and the rest: the anti-near
+        twists of the near draws, two b = 0 elements, and the g-conjugates of
+        the far and near draws."""
+        cfg = FieldConfig(p)
+        far = [sample(p, Classification.FAR, 0, f"old{i}") for i in range(2)]
+        near = [sample(p, Classification.NEAR, v, "old") for v in (1, 2, 3)]
+        anti = [element(cfg, -g.a, g.b) for g in near]
+        zero_b = [element(cfg, 1, 0), element(cfg, -1, 0)]
+        return far, near, anti + zero_b + [g_conjugate(g) for g in far + near]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_verify_identity(self, p):
+        cfg = FieldConfig(p)
+        far, near, rest = self.grid(p)
+        packets = (
+            PacketSpec.nonregular(cfg), PacketSpec.regular(cfg, 1), PacketSpec.regular(cfg, cfg.q)
+        )
+        verdicts = set()
+        for packet in packets:
+            for s in ("1", "s1", "s2", "s3"):
+                for g in far + near + rest:
+                    new = outcome(verify_identity, packet, s, g)
+                    assert new == outcome(oracles.verify_identity, packet, s, g), (packet, s, g)
+                    if isinstance(new, list):
+                        verdicts.add(json.loads(new[0])["verdict"])
+        # the grid reaches every verdict verify_identity writes
+        expected = {"equal", "skipped(no endoscopic comparison for s=s2)"}
+        assert expected | set(SKIP_VERDICTS.values()) <= verdicts
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_falsify_adss152(self, p):
+        cfg = FieldConfig(p)
+        far, near, rest = self.grid(p)
+        packet = PacketSpec.nonregular(cfg)
+        for g in near + rest:
+            new = outcome(falsify_adss152, packet, g)
+            assert new == outcome(oracles.falsify_adss152, packet, g), g
+        assert all(isinstance(outcome(falsify_adss152, packet, g), list) for g in near)
+        for g in far:
+            assert outcome(falsify_adss152, packet, g) is NotNear
+            assert outcome(oracles.falsify_adss152, packet, g) is NotNear
+        regular = PacketSpec.regular(cfg, 1)
+        assert outcome(falsify_adss152, regular, near[0]) is ValueError
+        assert outcome(oracles.falsify_adss152, regular, near[0]) is ValueError
 
 
 def counting_valuations(monkeypatch):

@@ -8,7 +8,6 @@ from sl2endo.cyclotomic import CycNumber, prime_divisors, root_of_unity
 from sl2endo.localfield import FieldConfig, is_odd_prime
 from sl2endo.residue import (
     CharacterLevel,
-    ResTorusPoint,
     norm_one_group,
     quadratic_level,
     regular_levels,
@@ -51,9 +50,9 @@ class TestAgainstBruteForce:
         config = FieldConfig(p)
         group = norm_one_group(config)
         points, generator, dlog = brute_force_group(config)
-        assert [(pt.a, pt.b) for pt in group.points] == points
-        assert (group.generator.a, group.generator.b) == generator
-        assert {pt: group.dlog(ResTorusPoint(*pt)) for pt in points} == dlog
+        assert list(group.points) == points
+        assert group.generator == generator
+        assert {pt: group.dlog(pt) for pt in points} == dlog
 
     def test_large_prime(self):
         group = norm_one_group(FieldConfig(10007))
@@ -67,12 +66,7 @@ class TestAgainstBruteForce:
 class TestEnumeration:
     def test_p3_points(self):
         pts = set(norm_one_group(FieldConfig(3)).points)
-        assert pts == {
-            ResTorusPoint(1, 0),
-            ResTorusPoint(2, 0),
-            ResTorusPoint(0, 1),
-            ResTorusPoint(0, 2),
-        }
+        assert pts == {(1, 0), (2, 0), (0, 1), (0, 2)}
 
     def test_p5_count(self):
         assert len(norm_one_group(FieldConfig(5)).points) == 6
@@ -92,8 +86,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("p", PRIMES)
     def test_contains_both_central_points(self, p):
         pts = norm_one_group(FieldConfig(p)).points
-        assert ResTorusPoint(1, 0) in pts
-        assert ResTorusPoint(p - 1, 0) in pts
+        assert (1, 0) in pts
+        assert (p - 1, 0) in pts
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_closed_under_group_law(self, p):
@@ -106,17 +100,17 @@ class TestEnumeration:
 
 class TestGenerator:
     def test_p3(self):
-        assert norm_one_group(FieldConfig(3)).generator == ResTorusPoint(0, 1)
+        assert norm_one_group(FieldConfig(3)).generator == (0, 1)
 
     def test_p5(self):
         group = norm_one_group(FieldConfig(5))
         g = group.generator
-        assert g == ResTorusPoint(3, 2)
+        assert g == (3, 2)
         sq = group.mul(g, g)
-        assert sq == ResTorusPoint(2, 2)
+        assert sq == (2, 2)
         assert sq != group.identity and group.power(sq, 3) == group.identity  # order 3
         cube = group.mul(sq, g)
-        assert cube == ResTorusPoint(4, 0)
+        assert cube == (4, 0)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_half_power_is_minus_one(self, p):
@@ -124,7 +118,7 @@ class TestGenerator:
         pt = group.identity
         for _ in range((p + 1) // 2):
             pt = group.mul(pt, group.generator)
-        assert pt == ResTorusPoint(p - 1, 0)
+        assert pt == (p - 1, 0)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_deterministic(self, p):
@@ -133,12 +127,12 @@ class TestGenerator:
 
 class TestDlog:
     def test_identity(self):
-        assert norm_one_group(FieldConfig(3)).dlog(ResTorusPoint(1, 0)) == 0
+        assert norm_one_group(FieldConfig(3)).dlog((1, 0)) == 0
 
     def test_p5_examples(self):
         group = norm_one_group(FieldConfig(5))
-        assert group.dlog(ResTorusPoint(4, 0)) == 3
-        assert group.dlog(ResTorusPoint(2, 2)) == 2
+        assert group.dlog((4, 0)) == 3
+        assert group.dlog((2, 2)) == 2
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_bijection_and_generator_dlog(self, p):
@@ -172,13 +166,13 @@ class TestEvalCharacter:
 
     def test_quadratic_level_p3(self):
         group = norm_one_group(FieldConfig(3))
-        assert group.character_value(CharacterLevel(2, 4), ResTorusPoint(0, 1)) == -1
+        assert group.character_value(CharacterLevel(2, 4), (0, 1)) == -1
 
     def test_identity_point(self):
         cfg = FieldConfig(7)
         group = norm_one_group(cfg)
         for k in range(8):
-            assert group.character_value(CharacterLevel(k, cfg.q + 1), ResTorusPoint(1, 0)) == 1
+            assert group.character_value(CharacterLevel(k, cfg.q + 1), (1, 0)) == 1
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_homomorphism_on_random_triples(self, p):
