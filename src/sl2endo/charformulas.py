@@ -9,8 +9,8 @@ The trusted engine exposes:
 * the virtual characters assembled from the component-group tables,
 * the orbital-integral route to the near-identity sums (via the inverse
   Cayley transform), used as an independent cross-check,
-* the inner-form character and the stable-character comparison across the
-  two inner forms.
+* the inner-form character and, with both Kottwitz signs, the value the
+  stable character must take for stability across the two inner forms.
 
 The values from Theorem 15.2 of Adler-DeBacker-Sally-Spice (2011), which
 go back to the seventh line of Sally-Shalika's Table 3, are quarantined
@@ -279,25 +279,16 @@ def theta5(gamma: TorusElement) -> CycNumber:
     Equals psi0(gamma); in particular 1 near the identity since the
     character has depth zero.
     """
-    cls = _classify_supported(gamma)
-    if cls is Classification.NEAR:
-        return CycNumber.one()
+    _classify_supported(gamma)  # no value on anti-near elements or an unsettled class
     return CycNumber.from_int(psi0(gamma))
 
 
 def inner_form_side(gamma: TorusElement) -> CycNumber:
-    """The anisotropic side of the inner-form comparison: the Kottwitz-signed
-    doubled inner-form character."""
-    return theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
+    """The value the split group's stable character sum_j theta_j must take at gamma.
 
-
-def kottwitz_stable(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
-    """Both sides of the inner-form stability comparison, computed independently.
-
-    The split side is the Kottwitz-signed stable sum of the four-member
-    packet; the anisotropic side is the Kottwitz-signed doubled inner-form
-    character.  The contract is that they agree.
+    Stability across the two inner forms says e(G) sum_j theta_j(gamma) =
+    e(G') 2 theta5(gamma), with the Kottwitz signs e(G) of the split form
+    and e(G') of the anisotropic one.  Since e(G)^2 = 1, the split side is
+    e(G) e(G') 2 theta5(gamma), which is returned.
     """
-    packet = PacketSpec.nonregular(gamma.config)
-    split_side = theta_virtual(packet, "1", gamma).scale(KOTTWITZ_SIGN_SPLIT)
-    return (split_side, inner_form_side(gamma))
+    return theta5(gamma).scale(2 * KOTTWITZ_SIGN_SPLIT * KOTTWITZ_SIGN_ANISOTROPIC)

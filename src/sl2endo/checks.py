@@ -12,7 +12,8 @@ against the stable sum) are compared here, never merged.
 from __future__ import annotations
 
 from .charformulas import (
-    kottwitz_stable,
+    PacketSpec,
+    inner_form_side,
     mu_hat_orbital,
     psi0,
     psi0_on_residue_point,
@@ -20,6 +21,7 @@ from .charformulas import (
     theta5,
     theta_nonregular_far,
     theta_nonregular_near_sums,
+    theta_virtual,
 )
 from .cyclotomic import CycNumber
 from .endoscopy import related_elements, transfer_factor
@@ -123,11 +125,12 @@ def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:
 
 
 def inner_form_stability(config: FieldConfig, gammas) -> bool:
-    """The Kottwitz-signed stable characters of the two inner forms agree, and
-    the doubled inner-form character is minus the four-member sum."""
+    """The stable character of the four-member packet is the Kottwitz-signed
+    inner-form side, and the doubled inner-form character is minus the
+    four-member sum."""
+    packet = PacketSpec.nonregular(config)
     for g in gammas:
-        side0, side1 = kottwitz_stable(g)
-        if side0 != side1:
+        if theta_virtual(packet, "1", g) != inner_form_side(g):
             return False
         far = g.classification is Classification.FAR
         members = theta_nonregular_far(g) if far else theta_nonregular_near_sums(g)

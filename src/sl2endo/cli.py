@@ -36,7 +36,7 @@ from .endoscopy import (
     falsify_adss152,
     verify_identity,
 )
-from .errors import SamplingBudgetExceeded, Sl2EndoError
+from .errors import SamplingBudgetExceeded
 from .localfield import FieldConfig
 from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
@@ -391,7 +391,7 @@ RUNNERS = {
 
 
 def run(sweep: SweepConfig, out, err) -> int:
-    """Dispatch one sweep; returns the process exit code."""
+    """Validate and dispatch one sweep; returns the process exit code."""
     sweep.validate()
     return RUNNERS[sweep.mode](sweep, out, err)
 
@@ -402,12 +402,13 @@ def main(argv=None) -> int:
     try:
         sweep = sweep_from_args(args)
         sweep.validate()  # before the output file is created
+        runner = RUNNERS[sweep.mode]
         if not sweep.out:
-            return run(sweep, sys.stdout, sys.stderr)
+            return runner(sweep, sys.stdout, sys.stderr)
         with open(sweep.out, "w", encoding="utf-8", newline="") as out:
-            return run(sweep, out, sys.stderr)
-    except (ValueError, OSError, Sl2EndoError) as exc:
-        # usage, I/O and leaked internal errors all exit 2; 1 means a bad verdict
+            return runner(sweep, out, sys.stderr)
+    except Exception as exc:
+        # usage, I/O and any leaked internal error exit 2; 1 means a bad verdict
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

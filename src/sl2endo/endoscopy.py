@@ -228,8 +228,10 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
     The left-hand side is the virtual character assembled from the trusted
     member formulas; the right-hand side is the two-term transfer sum.
     For the four-member packet with s the trivial element, the comparison
-    is instead against the inner-form stable value (the doubled inner-form
-    character with its Kottwitz sign), the only trusted route to that side.
+    is instead against ``inner_form_side`` (the doubled inner-form
+    character with both Kottwitz signs): the value that stability across
+    the two inner forms gives the split group's stable character, and the
+    only trusted route to that side.
     Where the member formulas give no value they raise, and the exception
     names the skip verdict (SKIP_VERDICTS) rather than a guess; an exception
     from the right-hand side propagates.  An s with no trusted comparison

@@ -4,11 +4,15 @@ import random
 from dataclasses import dataclass
 
 from sl2endo.charformulas import (
+    KOTTWITZ_SIGN_ANISOTROPIC,
+    KOTTWITZ_SIGN_SPLIT,
     PacketKind,
     PacketSpec,
+    _classify_supported,
     adss152_theta,
-    inner_form_side,
     mu_hat_orbital,
+    theta_nonregular_far,
+    theta_nonregular_near_sums,
     theta_virtual,
 )
 from sl2endo.cyclotomic import CycNumber, linear_combination
@@ -374,3 +378,54 @@ def falsify_adss152(
     rhs2 = mu_hat_orbital(cayley_inverse(gamma))
     report2 = _decide(_report(packet, FALSIFY_CHECKS[1], cfg, gamma), lhs2, rhs2)
     return (report1, report2)
+
+
+# The stable comparison as it was while it had two implementations:
+# inner_form_side applied only the anisotropic Kottwitz sign (verify_identity
+# above compares with it), and kottwitz_stable, which the property battery
+# called, applied the split sign to the stable sum.  Kept verbatim, with
+# theta5's near branch, as the reference for the one signed comparison;
+# psi0 here is the reference psi0 above.
+
+def theta5(gamma: TorusElement) -> CycNumber:
+    """Character of the inner-form member at the transfer of gamma.
+
+    Equals psi0(gamma); in particular 1 near the identity since the
+    character has depth zero.
+    """
+    cls = _classify_supported(gamma)
+    if cls is Classification.NEAR:
+        return CycNumber.one()
+    return CycNumber.from_int(psi0(gamma))
+
+
+def inner_form_side(gamma: TorusElement) -> CycNumber:
+    """The anisotropic side of the inner-form comparison: the Kottwitz-signed
+    doubled inner-form character."""
+    return theta5(gamma).scale(2 * KOTTWITZ_SIGN_ANISOTROPIC)
+
+
+def kottwitz_stable(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:
+    """Both sides of the inner-form stability comparison, computed independently.
+
+    The split side is the Kottwitz-signed stable sum of the four-member
+    packet; the anisotropic side is the Kottwitz-signed doubled inner-form
+    character.  The contract is that they agree.
+    """
+    packet = PacketSpec.nonregular(gamma.config)
+    split_side = theta_virtual(packet, "1", gamma).scale(KOTTWITZ_SIGN_SPLIT)
+    return (split_side, inner_form_side(gamma))
+
+
+def inner_form_stability(config: FieldConfig, gammas) -> bool:
+    """The Kottwitz-signed stable characters of the two inner forms agree, and
+    the doubled inner-form character is minus the four-member sum."""
+    for g in gammas:
+        side0, side1 = kottwitz_stable(g)
+        if side0 != side1:
+            return False
+        far = g.classification is Classification.FAR
+        members = theta_nonregular_far(g) if far else theta_nonregular_near_sums(g)
+        if theta5(g).scale(2) != -sum(members, CycNumber.zero()):
+            return False
+    return True

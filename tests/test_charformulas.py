@@ -10,7 +10,7 @@ from sl2endo.charformulas import (
     PacketSpec,
     adss152_theta,
     character_value_on,
-    kottwitz_stable,
+    inner_form_side,
     mu_hat_orbital,
     psi0,
     psi0_on_residue_point,
@@ -21,8 +21,16 @@ from sl2endo.charformulas import (
     theta_regular,
     theta_virtual,
 )
+from sl2endo.checks import inner_form_stability
 from sl2endo.cyclotomic import CycNumber, root_of_unity
-from sl2endo.errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
+from sl2endo.errors import (
+    AntiNearUnsupported,
+    NonRegularLevel,
+    NotFar,
+    NotNear,
+    PrecisionExhausted,
+    Undetermined,
+)
 from sl2endo.localfield import FieldConfig, legendre, valuation
 from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
 from sl2endo.torus import (
@@ -431,19 +439,86 @@ class TestTheta5:
 
 
 class TestKottwitzStable:
+    """The stable character of the four-member packet against the
+    Kottwitz-signed inner-form side, the one stable comparison."""
+
     def test_far_example(self):
-        side0, side1 = kottwitz_stable(far_p3())
-        assert side0 == side1 == 2  # -2 psi0 with psi0 = -1
+        g = far_p3()
+        stable = theta_virtual(PacketSpec.nonregular(g.config), "1", g)
+        assert stable == inner_form_side(g) == 2  # -2 psi0 with psi0 = -1
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_equal_everywhere(self, p):
         rng = random.Random(f"kw{p}")
         cfg = FieldConfig(p)
+        packet = PacketSpec.nonregular(cfg)
         for i in range(10):
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
             g = sample_regular(cfg, cls, v, rng)
-            side0, side1 = kottwitz_stable(g)
+            side0, side1 = theta_virtual(packet, "1", g), inner_form_side(g)
             assert side0 == side1
             if cls is Classification.NEAR:
                 assert side0 == -2
+
+
+def stable_outcome(fn, *args):
+    """The values with their conductors, a bool as it is, or the error class."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(result, bool):
+        return result
+    values = result if isinstance(result, tuple) else (result,)
+    return [(v.m, v.coefficient_strings()) for v in values]
+
+
+class TestStableComparisonAgainstOld:
+    """theta5, inner_form_side and inner_form_stability against the two
+    implementations of the stable comparison they replaced (kept verbatim
+    in oracles): inner_form_side with only the anisotropic sign, and
+    kottwitz_stable with the split sign on the stable sum."""
+
+    @staticmethod
+    def grid(p):
+        """Two far draws, near draws with v(b) = 1..3, their anti-near twists,
+        the two b = 0 elements, and the g-conjugates of the far and near draws."""
+        cfg = FieldConfig(p)
+        far = [far_sample(p, f"old{i}") for i in range(2)]
+        near = [near_sample(p, v, "old") for v in (1, 2, 3)]
+        anti = [element(cfg, -g.a, g.b) for g in near]
+        zero_b = [element(cfg, 1, 0), element(cfg, -1, 0)]
+        return far + near + anti + zero_b + [g_conjugate(g) for g in far + near]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_theta5_and_inner_form_side(self, p):
+        outcomes = set()
+        for g in self.grid(p):
+            for new, old in ((theta5, oracles.theta5), (inner_form_side, oracles.inner_form_side)):
+                expected = stable_outcome(old, g)
+                assert stable_outcome(new, g) == expected, (new.__name__, g)
+                outcomes.add(expected if isinstance(expected, type) else "value")
+        assert outcomes == {"value", AntiNearUnsupported, PrecisionExhausted}
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_both_sides_of_kottwitz_stable(self, p):
+        packet = PacketSpec.nonregular(FieldConfig(p))
+
+        def sides(g):
+            return (theta_virtual(packet, "1", g), inner_form_side(g))
+
+        for g in self.grid(p):
+            assert stable_outcome(sides, g) == stable_outcome(oracles.kottwitz_stable, g), g
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_inner_form_stability(self, p):
+        cfg = FieldConfig(p)
+        grid = self.grid(p)
+        outcomes = set()
+        for g in grid:
+            expected = stable_outcome(oracles.inner_form_stability, cfg, [g])
+            assert stable_outcome(inner_form_stability, cfg, [g]) == expected, g
+            outcomes.add(expected)
+        assert outcomes == {True, AntiNearUnsupported, PrecisionExhausted, ValueError}
+        assert inner_form_stability(cfg, grid[:5]) is oracles.inner_form_stability(cfg, grid[:5])

@@ -46,93 +46,121 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def pins_by_name(entries):
+    """name -> (argv, stdout sha256, stderr sha256).
+
+    A name listed twice raises, where a dict literal would silently keep
+    only the later pin.
+    """
+    pins = {}
+    for name, *pin in entries:
+        if name in pins:
+            raise ValueError(f"pinned sweep {name!r} is listed twice")
+        pins[name] = tuple(pin)
+    return pins
+
+
 # Digests of streams written by earlier implementations (the verify and
 # falsify streams by the Fraction-coefficient core, the table by the
 # O(p^2) norm-one group, the properties stream by the battery written
 # out in the CLI before the checks registry): a change of representation or algorithm must
 # leave every stream byte-identical (acceptance criterion 10 across
-# versions).  name -> (argv, stdout sha256, stderr sha256); every sweep exits 0.
-PINNED_SWEEPS = {
-    "regular-p101": (
+# versions).  Each entry is (name, argv, stdout sha256, stderr sha256); every
+# sweep exits 0.
+PINNED_SWEEPS = pins_by_name((
+    (
+        "regular-p101",
         ["verify", "--packet", "regular", "--primes", "101", "--samples", "4", "--seed", "5"],
         "ac79706b0c3ed08febcc853d02fc88fc37d475d4de3d43f5d91a8b55f9a0f438",
         "cce6c3f1be7f60edffe53271f50962c3e8d17f498f7f5139d7c191f462df8bbe",
     ),
-    "nonregular-s1": (
+    (
+        "nonregular-s1",
         ["verify", "--packet", "nonregular", "--s", "s1", "--primes", "3,5,7,11,13",
          "--samples", "40", "--seed", "5"],
         "9bdd03765ecc47c219f72a4101789c429d113ffd9c4ff55899088b1230bdbaeb",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
-    "falsify": (
+    (
+        "falsify",
         ["falsify", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
         "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
         "b4febaa50d830fa57ffd096d8d4e69425681a8d31761388929d24f5305662e8b",
     ),
-    "table": (
+    (
+        "table",
         # pins the residue point order, the generator and the dlogs
         ["table", "--primes", "3,5,7,11,13,101"],
         "d06a5d56a301432fd7137db5d076046956d5a0b937f392938a25b6bc5d3cda58",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
-    "properties": (
+    (
+        "properties",
         # pins the property battery's sampling, order, names and details
         ["properties", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
         "81758045a5b23a3a9d016bcb3fdb1cd0ec5fe8a0558ea3ae918e7de05fee02cf",
         "6de4bc079166b9572e75721239b580a1592179eaddb0a0aea227b8d78279fd37",
     ),
-    "regular-p13-table-format": (
+    (
+        "regular-p13-table-format",
         # pins the padded table report format
         ["verify", "--packet", "regular", "--primes", "13", "--format", "table"],
         "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
         "00129bbabbcc2bf02e69e48fa44e172e772d49556a8b3ef9f2cab3b27abee7ab",
     ),
-    "nonregular-stable": (
+    (
+        "nonregular-stable",
         # pins the stable comparison: theta5, psi0 and the inner-form side
         ["verify", "--s", "1", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
         "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
-    "nonregular-s2-skips-p13": (
+    (
+        "nonregular-s2-skips-p13",
         # the s2 skips at every acceptance prime: 100 far records keep lhs with a
         # null rhs, and 100 near records are undetermined
         ["verify", "--s", "s2", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
         "7dcd20e56760d5bb1e9c58213f96ffda0151e36e93e156afd0020f5600b20a33",
         "695ec3073b2b38b3286ed8d976de49e9a2d5277ca532c3d9e5b1b34e50f52537",
     ),
-    "falsify-precision-12": (
+    (
+        "falsify-precision-12",
         # pins a stream at N = 12: the residues, v(b) up to 9 and the Cayley transform
         ["falsify", "--primes", "3,5,7", "--precision", "12", "--near-valuations", "1:9",
          "--samples", "30", "--seed", "5"],
         "453dfa15dca1065399b16cb3fcc36ea1b1416221b5db6d81129d628560740e54",
         "f9c6b817dec03033ab1cd9d041c1fee1b5b6569854eae2b180dc9799374ae936",
     ),
-    "nonregular-s2-skips": (
+    (
+        "nonregular-s2-skips",
         # pins the undetermined and no-comparison skips
         ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
         "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
         "c43afd296bea46a473587bfa2c1d5b098232c15c6dd1613c5e9e4a6e8b088284",
     ),
-    "nonregular-csv-format": (
+    (
+        "nonregular-csv-format",
         # pins the csv format with both sides decided
         ["verify", "--format", "csv", "--seed", "5"],
         "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
         "2e9bb5553e530b8667b77f848ef8e757daca66b22847020f97c232967d67c0b6",
     ),
-    "far-p3": (
+    (
+        "far-p3",
         # pins the rejection-heavy sampling path: about 87 % of far draws at p = 3 are rejected
         ["verify", "--primes", "3", "--class", "far", "--samples", "200", "--seed", "5"],
         "fb863b5feba5e739797334a60a095b329a2c4a90b8c98886ad50add53669774b",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
-    "regular-p1009": (
+    (
+        "regular-p1009",
         # pins jsonl at conductor 1010, where the runs of zero coefficients are long
         ["verify", "--packet", "regular", "--primes", "1009", "--level", "1",
          "--samples", "7", "--seed", "5"],
         "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
         "6e3e4d2bdd2c1302accca20d7e86d531ff009dccd246e5ecea8cb040baf288ca",
     ),
-}
+))
 
 
 class TestVerifyMode:
@@ -340,6 +368,10 @@ class TestDeterminism:
         code, _, err = run_cli(argv)
         assert code == 0
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+    def test_a_pin_name_listed_twice_raises(self):
+        with pytest.raises(ValueError, match="'twice' is listed twice"):
+            pins_by_name([("twice", ["table"], "0", "1"), ("twice", ["table"], "2", "3")])
 
     def test_different_seed_changes_stream(self, tmp_path):
         base = ["verify", "--primes", "3", "--samples", "8"]
@@ -584,6 +616,18 @@ class TestUsageErrors:
         sweep.validate()
         assert calls == ([] if level is None else [(101, 1), (1009, 1)])
 
+    def test_main_validates_a_sweep_once(self, monkeypatch):
+        calls = []
+        validate = SweepConfig.validate
+
+        def counting(sweep):
+            calls.append(sweep.mode)
+            validate(sweep)
+
+        monkeypatch.setattr(SweepConfig, "validate", counting)
+        code, _, _ = run_cli(["verify", "--primes", "3", "--samples", "2"])
+        assert code == 0 and calls == ["verify"]
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--primes", "1048583", "--samples", "1"],
@@ -610,15 +654,24 @@ class TestUsageErrors:
         assert not target.exists()
 
     def test_leaked_internal_error_exits_2(self, monkeypatch):
+        # any exception a sweep leaks exits 2 on one stderr line, never 1 (a bad verdict)
         import sl2endo.cli as cli_mod
 
-        def fail(packet, s, gamma):
-            raise PrecisionExhausted("valuation undefined at precision")
+        leaked = [
+            (PrecisionExhausted("valuation undefined at precision"),
+             "error: valuation undefined at precision\n"),
+            (ArithmeticError("inexact division"), "error: inexact division\n"),
+            (AssertionError(), "error: AssertionError\n"),
+            (KeyError("s4"), "error: 's4'\n"),
+        ]
+        for exc, expected in leaked:
+            def fail(packet, s, gamma, exc=exc):
+                raise exc
 
-        monkeypatch.setattr(cli_mod, "verify_identity", fail)
-        code, _, err = run_cli(["verify", "--primes", "3", "--samples", "2"])
-        assert code == 2
-        assert err == "error: valuation undefined at precision\n"
+            monkeypatch.setattr(cli_mod, "verify_identity", fail)
+            code, out, err = run_cli(["verify", "--primes", "3", "--samples", "2"])
+            assert code == 2, exc
+            assert out == "" and err == expected
 
     @pytest.mark.skipif(not INT_STR_DIGITS, reason="no int-to-str digit limit")
     def test_precision_beyond_int_str_limit_rejected_up_front(self, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sl2endo import localfield
 from sl2endo.charformulas import (
     PacketSpec,
-    kottwitz_stable,
+    inner_form_side,
     mu_hat_orbital,
     psi0,
     theta_regular,
@@ -206,7 +206,25 @@ class TestVerifyIdentity:
         pk = PacketSpec.nonregular(FieldConfig(p))
         for cls, v in ((Classification.FAR, 0), (Classification.NEAR, 1), (Classification.NEAR, 2)):
             g = sample(p, cls, v, "inner")
-            assert verify_identity(pk, "1", g).rhs == kottwitz_stable(g)[1]
+            report = verify_identity(pk, "1", g)
+            assert report.lhs == theta_virtual(pk, "1", g)
+            assert report.rhs == inner_form_side(g)
+            assert report.verdict == "equal"
+
+    @pytest.mark.parametrize("sign", ["KOTTWITZ_SIGN_SPLIT", "KOTTWITZ_SIGN_ANISOTROPIC"])
+    def test_a_flipped_kottwitz_sign_breaks_the_stable_comparison(self, monkeypatch, sign):
+        # each sign reaches verify_identity and the property battery alike
+        from sl2endo import charformulas, checks
+
+        monkeypatch.setattr(charformulas, sign, -getattr(charformulas, sign))
+        for p in (3, 5, 7):
+            cfg = FieldConfig(p)
+            pk = PacketSpec.nonregular(cfg)
+            gammas = [sample(p, Classification.FAR, 0, "flip")]
+            gammas += [sample(p, Classification.NEAR, v, "flip") for v in (1, 2)]
+            for g in gammas:
+                assert verify_identity(pk, "1", g).verdict == "unequal"
+                assert not checks.inner_form_stability(cfg, [g])
 
     def test_nonregular_s2_near_skipped_undetermined(self):
         pk = PacketSpec.nonregular(FieldConfig(3))
