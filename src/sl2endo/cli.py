@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import random
+import signal
 import sys
 from collections import Counter
 from collections.abc import Iterator
@@ -76,6 +77,9 @@ class SweepConfig:
             raise ValueError(f"mode must be one of {tuple(RUNNERS)}, got {self.mode!r}")
         if not self.primes:
             raise ValueError("at least one prime is required")
+        repeated = [p for p, n in Counter(self.primes).items() if n > 1]
+        if repeated:
+            raise ValueError(f"--primes repeats p={repeated[0]}")
         if self.samples < 1:
             raise ValueError("--samples must be >= 1")
         if self.sample_class not in SAMPLE_CLASSES:
@@ -414,6 +418,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes stdout early ends the process quietly, as it ends cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -160,13 +160,6 @@ class CycNumber:
             raise ValueError(f"{self} is not an integer")
         return self.num[0][1] if self.num else 0
 
-    def coefficient_strings(self) -> list[str]:
-        """All phi(m) power-basis coefficients as report strings ("3", "-1", "0", ...)."""
-        dense = ["0"] * euler_phi(self.m)
-        for i, c in self.num:
-            dense[i] = str(c)
-        return dense
-
     def promote(self, L: int) -> "CycNumber":
         """This value at conductor L; only an integer (conductor 1) moves."""
         if L == self.m:

@@ -15,6 +15,7 @@ over related elements.  Every check is exact cyclotomic equality.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -104,22 +105,14 @@ class VerificationReport:
     verdict: str
 
     def to_record(self) -> dict:
-        """JSON-ready dict with exactly the report schema's fields, in order."""
-        record = {name: getattr(self, name) for name in REPORT_FIELDS}
-        for side in ("lhs", "rhs"):
-            value = record[side]
-            if value is not None:
-                record[side] = {
-                    "conductor": value.m,
-                    "coeffs": value.coefficient_strings(),
-                    "text": str(value),
-                }
-        return record
+        """The jsonl line of this report parsed, with its keys in schema order."""
+        record = json.loads(self.to_json())
+        return {name: record[name] for name in REPORT_FIELDS}
 
     def to_json(self) -> str:
-        """The jsonl line of this report: json.dumps(self.to_record(), sort_keys=True),
-        written in one pass from the sparse values, a value that both sides
-        share rendered once."""
+        """The jsonl line of this report: json.dumps(record, sort_keys=True) of its
+        13 fields, each side as _json_value writes it, in one pass from the
+        sparse values, a value that both sides share rendered once."""
         lhs, rhs = self.lhs, self.rhs
         lhs_json = _json_value(lhs)
         if rhs is not None and lhs is not None and rhs.m == lhs.m and rhs.num == lhs.num:

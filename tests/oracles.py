@@ -15,8 +15,13 @@ from sl2endo.charformulas import (
     theta_nonregular_near_sums,
     theta_virtual,
 )
-from sl2endo.cyclotomic import CycNumber, linear_combination
-from sl2endo.endoscopy import FALSIFY_CHECKS, VerificationReport, rhs_endoscopic
+from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination
+from sl2endo.endoscopy import (
+    FALSIFY_CHECKS,
+    REPORT_FIELDS,
+    VerificationReport,
+    rhs_endoscopic,
+)
 from sl2endo.errors import NotNear, PrecisionExhausted, SamplingBudgetExceeded, Undetermined
 from sl2endo.localfield import FieldConfig, legendre, smallest_nonresidue
 from sl2endo.packets import KLEIN4, virtual_coeffs
@@ -429,3 +434,30 @@ def inner_form_stability(config: FieldConfig, gammas) -> bool:
         if theta5(g).scale(2) != -sum(members, CycNumber.zero()):
             return False
     return True
+
+
+# The report record as it was while VerificationReport.to_record built the
+# dense dict itself through CycNumber.coefficient_strings, kept verbatim (as
+# functions of the value and of the report) as the reference for the line
+# that to_json writes and for the parsed line that to_record now returns.
+
+def coefficient_strings(self) -> list[str]:
+    """All phi(m) power-basis coefficients as report strings ("3", "-1", "0", ...)."""
+    dense = ["0"] * euler_phi(self.m)
+    for i, c in self.num:
+        dense[i] = str(c)
+    return dense
+
+
+def to_record(self) -> dict:
+    """JSON-ready dict with exactly the report schema's fields, in order."""
+    record = {name: getattr(self, name) for name in REPORT_FIELDS}
+    for side in ("lhs", "rhs"):
+        value = record[side]
+        if value is not None:
+            record[side] = {
+                "conductor": value.m,
+                "coeffs": coefficient_strings(value),
+                "text": str(value),
+            }
+    return record

@@ -305,7 +305,7 @@ def virtual_outcome(fn, packet, s, gamma):
         value = fn(packet, s, gamma)
     except (Undetermined, ValueError) as exc:
         return type(exc)
-    return (value.m, value.coefficient_strings())
+    return (value.m, oracles.coefficient_strings(value))
 
 
 class TestThetaVirtualAgainstReference:
@@ -471,7 +471,7 @@ def stable_outcome(fn, *args):
     if isinstance(result, bool):
         return result
     values = result if isinstance(result, tuple) else (result,)
-    return [(v.m, v.coefficient_strings()) for v in values]
+    return [(v.m, oracles.coefficient_strings(v)) for v in values]
 
 
 class TestStableComparisonAgainstOld:

@@ -7,12 +7,16 @@ import inspect
 import io
 import itertools
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sl2endo
 from sl2endo.cli import SweepConfig, _sample_plan, build_parser, main, run, sweep_from_args
 from sl2endo.endoscopy import REPORT_FIELDS
 from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
@@ -646,6 +650,12 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err == f"error: p must be below 2^20 = 1048576, got {argv[2]}\n"
 
+    @pytest.mark.parametrize("mode", ["verify", "falsify", "properties", "table"])
+    def test_repeated_prime_rejected_before_any_output(self, mode):
+        code, out, err = run_cli([mode, "--primes", "3,5,3"])
+        assert code == 2 and out == ""
+        assert err == "error: --primes repeats p=3\n"
+
     def test_unwritable_out_exits_2(self, tmp_path):
         target = tmp_path / "missing" / "reports.jsonl"
         code, out, err = run_cli(["verify", "--primes", "3", "--out", str(target)])
@@ -801,6 +811,24 @@ class TestFormats:
         assert sweep.primes == [3, 7]
         assert sweep.samples == 9
         assert (sweep.near_val_lo, sweep.near_val_hi) == (2, 3)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_sweep_quietly():
+    # a reader that stops after one line, as `| head -1` does, ends the process
+    # by SIGPIPE (a shell reports 141) with nothing on stderr, as it ends cat;
+    # the 170 KB stream overfills the pipe buffer, so the sweep is still writing
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2endo.__file__).resolve().parents[1]))
+    argv = ["verify", "--primes", "3,5,7", "--samples", "200"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sl2endo.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"N": 8, ')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_every_traced_method_is_in_its_class_dict():

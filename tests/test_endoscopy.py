@@ -271,7 +271,14 @@ class TestVerifyIdentity:
 
 def reference_line(report):
     """The jsonl line of a report as the dense record dict serializes it."""
-    return json.dumps(report.to_record(), sort_keys=True)
+    return json.dumps(oracles.to_record(report), sort_keys=True)
+
+
+def assert_record_is_reference(report):
+    """to_record, the parsed jsonl line, is the dense record dict, keys in the same order."""
+    record, reference = report.to_record(), oracles.to_record(report)
+    assert record == reference
+    assert list(record) == list(reference)
 
 
 def report_with(lhs, rhs, verdict="equal", a=7, b=-3):
@@ -292,7 +299,8 @@ def sparse_values(draw):
 
 
 class TestJsonLine:
-    """to_json writes json.dumps(to_record(), sort_keys=True) from the sparse terms."""
+    """to_json writes json.dumps of the dense record dict (tests/oracles.py),
+    sort_keys=True, from the sparse terms, and to_record parses it back."""
 
     @pytest.mark.parametrize("p", [3, 13, 101, 1009])
     def test_every_report_kind(self, p):
@@ -317,6 +325,7 @@ class TestJsonLine:
         assert any(r.lhs is not None and r.rhs is None for r in reports)
         for report in reports:
             assert report.to_json() == reference_line(report)
+            assert_record_is_reference(report)
 
     @pytest.mark.parametrize("m", [1, 4, 12, 1010])
     def test_edge_terms_and_zero(self, m):
@@ -336,6 +345,7 @@ class TestJsonLine:
             rhs = CycNumber(lhs.m, tuple(list(lhs.num)))
         report = report_with(lhs, rhs, verdict, a=a, b=a)
         assert report.to_json() == reference_line(report)
+        assert_record_is_reference(report)
 
     def test_every_exponent_at_p1009(self):
         # -(z^k + z^-k) is the regular far value; at conductor 1010 it has 1 to
