@@ -378,10 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
 def sweep_from_args(args: argparse.Namespace) -> SweepConfig:
     """The SweepConfig of parsed arguments; a flag the mode lacks keeps its default."""
     values = dict(vars(args))
-    values["primes"] = [int(tok) for tok in str(args.primes).split(",") if tok.strip()]
+    primes = str(values["primes"])
+    try:
+        values["primes"] = [int(tok) for tok in primes.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--primes must be comma-separated integers, got {primes!r}") from None
     if "near_valuations" in values:
-        lo, _, hi = str(values.pop("near_valuations")).partition(":")
-        values.update(near_val_lo=int(lo), near_val_hi=int(hi or lo))
+        text = str(values.pop("near_valuations"))
+        lo, _, hi = text.partition(":")
+        try:
+            values.update(near_val_lo=int(lo), near_val_hi=int(hi or lo))
+        except ValueError:
+            raise ValueError(f"--near-valuations must be lo or lo:hi, got {text!r}") from None
     return SweepConfig(**values)
 
 

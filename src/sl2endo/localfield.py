@@ -21,13 +21,15 @@ so everything residue-field-sized is an honest small integer.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import PrecisionExhausted, ZeroInput
 
 # Primes from this on are refused before any work: the per-prime tables (the
-# q + 1 residue torus points, Phi_{q+1}) and the primality test grow with p.
+# q + 1 residue torus points, Phi_{q+1}, the square roots mod p at 4 bytes
+# per residue) and the primality test grow with p.
 PRIME_BOUND = 1 << 20
 
 
@@ -42,6 +44,20 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _square_roots(p: int) -> array:
+    """The square-root table mod p: roots[u] is the smaller root of the unit u, 0 if none.
+
+    One pass over s = 1 .. (p-1)/2 writes s at s^2 mod p; the two roots of a
+    square are s and p - s, so the smaller is the s that lands there.  4
+    bytes per residue (4 MiB at the bound), one table per prime.
+    """
+    roots = array("i", [0]) * p
+    for s in range(1, (p + 1) // 2):
+        roots[s * s % p] = s
+    return roots
+
+
 def legendre(u: int, p: int) -> int:
     """Legendre symbol of u mod p, as +1 or -1.
 
@@ -50,44 +66,7 @@ def legendre(u: int, p: int) -> int:
     """
     if u % p == 0:
         raise ZeroInput(f"{u} is divisible by {p}")
-    e = pow(u % p, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
-
-
-@lru_cache(maxsize=None)
-def smallest_nonresidue(p: int) -> int:
-    u = 2
-    while legendre(u, p) == 1:
-        u += 1
-    return u
-
-
-def _tonelli_shanks(a: int, p: int) -> "int | None":
-    """The smaller square root of the unit a (reduced mod p), or None for a nonresidue.
-
-    Tonelli-Shanks with a deterministic nonresidue, so repeated runs agree.
-    Writing p - 1 = 2^s * t with t odd, the chain starts from w = a^t, and
-    w^(2^(s-1)) = a^((p-1)/2) is Euler's criterion: the one square test.
-    """
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    t = (p - 1) >> s
-    w = pow(a, t, p)
-    if pow(w, 1 << (s - 1), p) != 1:
-        return None
-    r = pow(a, (t + 1) // 2, p)
-    if w != 1:
-        c, m = pow(smallest_nonresidue(p), t, p), s
-        while w != 1:
-            k, x = 0, w
-            while x != 1:
-                x = x * x % p
-                k += 1
-            b = pow(c, 1 << (m - k - 1), p)
-            r = r * b % p
-            c = b * b % p
-            w = w * c % p
-            m = k
-    return min(r, p - r)
+    return 1 if _square_roots(p)[u % p] else -1
 
 
 @dataclass(frozen=True)
@@ -120,7 +99,7 @@ class FieldConfig:
 
     @cached_property
     def eps(self) -> int:
-        return smallest_nonresidue(self.p)
+        return _square_roots(self.p).index(0, 2)
 
     @cached_property
     def modulus(self) -> int:
@@ -185,8 +164,8 @@ def hensel_sqrt(x: int, config: FieldConfig) -> "int | None":
     v, u = _split(x, config)
     if v % 2:
         return None
-    s = _tonelli_shanks(u % p, p)  # the one Euler test of the unit part
-    if s is None:
+    s = _square_roots(p)[u % p]  # the one square test of the unit part
+    if s == 0:
         return None
     # Newton lift of r = 1/sqrt(u): r <- r(3 - u r^2)/2 doubles the exact
     # precision each pass with no modular inverse, and ceil(log2 N) passes

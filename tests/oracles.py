@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from sl2endo.charformulas import (
     KOTTWITZ_SIGN_ANISOTROPIC,
@@ -22,10 +23,70 @@ from sl2endo.endoscopy import (
     VerificationReport,
     rhs_endoscopic,
 )
-from sl2endo.errors import NotNear, PrecisionExhausted, SamplingBudgetExceeded, Undetermined
-from sl2endo.localfield import FieldConfig, legendre, smallest_nonresidue
+from sl2endo.errors import (
+    NotNear,
+    PrecisionExhausted,
+    SamplingBudgetExceeded,
+    Undetermined,
+    ZeroInput,
+)
+from sl2endo.localfield import FieldConfig
 from sl2endo.packets import KLEIN4, virtual_coeffs
 from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement, cayley_inverse
+
+
+# The residue-field square machinery as it was before the square-root
+# table: Euler's criterion, the smallest nonresidue found by a loop over it,
+# and the Tonelli-Shanks chain, kept verbatim as the reference for the table
+# that legendre, FieldConfig.eps and hensel_sqrt now read.  sqrt_mod_p,
+# sgn_pi and psi0 below call these copies, so no oracle shares the table.
+
+def legendre(u: int, p: int) -> int:
+    """Legendre symbol of u mod p, as +1 or -1.
+
+    Raises ZeroInput when p divides u (the symbol would be 0; callers in
+    this package always mean a unit).
+    """
+    if u % p == 0:
+        raise ZeroInput(f"{u} is divisible by {p}")
+    e = pow(u % p, (p - 1) // 2, p)
+    return 1 if e == 1 else -1
+
+
+@lru_cache(maxsize=None)
+def smallest_nonresidue(p: int) -> int:
+    u = 2
+    while legendre(u, p) == 1:
+        u += 1
+    return u
+
+
+def _tonelli_shanks(a: int, p: int) -> "int | None":
+    """The smaller square root of the unit a (reduced mod p), or None for a nonresidue.
+
+    Tonelli-Shanks with a deterministic nonresidue, so repeated runs agree.
+    Writing p - 1 = 2^s * t with t odd, the chain starts from w = a^t, and
+    w^(2^(s-1)) = a^((p-1)/2) is Euler's criterion: the one square test.
+    """
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    t = (p - 1) >> s
+    w = pow(a, t, p)
+    if pow(w, 1 << (s - 1), p) != 1:
+        return None
+    r = pow(a, (t + 1) // 2, p)
+    if w != 1:
+        c, m = pow(smallest_nonresidue(p), t, p), s
+        while w != 1:
+            k, x = 0, w
+            while x != 1:
+                x = x * x % p
+                k += 1
+            b = pow(c, 1 << (m - k - 1), p)
+            r = r * b % p
+            c = b * b % p
+            w = w * c % p
+            m = k
+    return min(r, p - r)
 
 
 class NotASquare(Exception):

@@ -556,6 +556,20 @@ class TestUsageErrors:
         code, _, _ = run_cli(["verify", "--near-valuations", "0:3"])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["verify", "falsify", "properties", "table"])
+    @pytest.mark.parametrize("primes", ["3,x", "3;5", "3.0"])
+    def test_malformed_primes_name_the_flag(self, mode, primes):
+        code, out, err = run_cli([mode, "--primes", primes])
+        assert code == 2 and out == ""
+        assert err == f"error: --primes must be comma-separated integers, got {primes!r}\n"
+
+    @pytest.mark.parametrize("mode", ["verify", "falsify"])
+    @pytest.mark.parametrize("valuations", [":3", "1:2:3", "x", "1:y"])
+    def test_malformed_near_valuations_name_the_flag(self, mode, valuations):
+        code, out, err = run_cli([mode, "--near-valuations", valuations])
+        assert code == 2 and out == ""
+        assert err == f"error: --near-valuations must be lo or lo:hi, got {valuations!r}\n"
+
     def test_near_valuations_exceeding_precision(self):
         code, _, _ = run_cli(["verify", "--precision", "5", "--near-valuations", "1:3"])
         assert code == 2

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from sl2endo.errors import PrecisionExhausted, ZeroInput
 from sl2endo.localfield import (
     FieldConfig,
-    _tonelli_shanks,
+    _square_roots,
     hensel_sqrt,
     is_odd_prime,
     legendre,
     sgn_eps,
     sgn_pi,
-    smallest_nonresidue,
     valuation,
 )
 
@@ -98,7 +97,7 @@ class TestLegendre:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_smallest_nonresidue(self, p):
-        nr = smallest_nonresidue(p)
+        nr = FieldConfig(p).eps
         squares = brute_force_squares(p)
         assert nr not in squares
         assert all(u in squares for u in range(1, nr))
@@ -230,13 +229,13 @@ def reference_hensel_sqrt(x):
     with 1/2 from pow(2, -1, mod).  It takes and returns a PadicNumber and
     raises NotASquare or PrecisionExhausted where there is no root; its
     sqrt_mod_p is the verbatim one in oracles, so it shares no code with
-    hensel_sqrt."""
+    hensel_sqrt (its legendre is the oracle's Euler test too)."""
     cfg = x.config
     v = x.valuation()
     if v % 2:
         raise NotASquare(f"odd valuation {v}")
     u = x.residue // cfg.p**v
-    if legendre(u % cfg.p, cfg.p) == -1:
+    if oracles.legendre(u % cfg.p, cfg.p) == -1:
         raise NotASquare(f"unit part {u % cfg.p} is a nonresidue mod {cfg.p}")
     s = oracles.sqrt_mod_p(u % cfg.p, cfg.p)
     k = 1
@@ -279,7 +278,9 @@ class TestHenselSqrtAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from([7681, 65537, 1048573]), square=st.booleans(), data=st.data())
     def test_long_two_power_chains(self, p, square, data):
-        # p - 1 = 2^s * t with s = 9, 16 and 2: the Tonelli-Shanks loop runs
+        # p - 1 = 2^s * t with s = 9, 16 and 2: the reference's Tonelli-Shanks
+        # loop runs long at the first two, while hensel_sqrt reads its root from
+        # the table (built once per prime, 4 MiB at 1048573)
         cfg = FieldConfig(p, 8)
         r = data.draw(st.integers(min_value=1, max_value=cfg.modulus - 1))
         if square:
@@ -288,11 +289,16 @@ class TestHenselSqrtAgainstReference:
 
 
 def test_smallest_nonresidue_is_eps_and_cached():
+    # eps, legendre and hensel_sqrt read one table per prime, built on first use
+    _square_roots.cache_clear()
     for p in PRIMES:
-        assert smallest_nonresidue(p) == FieldConfig(p).eps
-    hits = smallest_nonresidue.cache_info().hits
-    smallest_nonresidue(13)
-    assert smallest_nonresidue.cache_info().hits == hits + 1
+        cfg = FieldConfig(p)
+        assert cfg.eps == oracles.smallest_nonresidue(p)
+        assert legendre(cfg.eps, p) == -1
+        assert hensel_sqrt(1, cfg) == 1
+    info = _square_roots.cache_info()
+    assert info.misses == info.currsize == len(PRIMES)
+    assert info.hits == 2 * len(PRIMES)
 
 
 def reference_sqrt_mod_p(a, p):
@@ -304,22 +310,59 @@ def reference_sqrt_mod_p(a, p):
 
 
 def test_sqrt_mod_p_rejects_zero_and_nonresidues():
-    # _tonelli_shanks answers None exactly on 0 and the nonresidues
+    # the table holds 0 exactly at 0 and the nonresidues
     for p in filter(is_odd_prime, range(3, 200)):
         squares = brute_force_squares(p)
-        assert _tonelli_shanks(0, p) is None
+        roots = _square_roots(p)
+        assert roots[0] == 0
         for a in range(1, p):
-            assert (_tonelli_shanks(a, p) is None) == (a not in squares), (a, p)
+            assert (roots[a] == 0) == (a not in squares), (a, p)
 
 
 def test_sqrt_mod_p_is_the_smaller_root():
-    # primes of both classes mod 4: Tonelli-Shanks with and without its loop,
-    # against the reference square root on every unit
+    # primes of both classes mod 4, against the reference square root on every unit
     for p in filter(is_odd_prime, range(3, 200)):
+        roots = _square_roots(p)
         for a in range(1, p):
-            r = _tonelli_shanks(a, p)
+            r = roots[a] or None
             assert r == reference_sqrt_mod_p(a, p), (a, p)
             assert r is None or (r * r % p == a and r <= p - r), (a, p)
+
+
+SMALL_ODD_PRIMES = list(filter(is_odd_prime, range(3, 2000)))
+
+
+class TestSquareRootTable:
+    """The table against the parent's Euler test, smallest nonresidue and
+    Tonelli-Shanks chain, kept verbatim in oracles."""
+
+    def test_every_unit_below_2000(self):
+        for p in SMALL_ODD_PRIMES:
+            roots = _square_roots(p)
+            for u in range(1, p):
+                assert (roots[u] or None) == oracles._tonelli_shanks(u, p), (u, p)
+                assert legendre(u, p) == oracles.legendre(u, p), (u, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([7681, 65537, 1048573]), data=st.data())
+    def test_long_two_power_chains(self, p, data):
+        u = data.draw(st.integers(min_value=1, max_value=p - 1))
+        assert (_square_roots(p)[u] or None) == oracles._tonelli_shanks(u, p)
+        assert legendre(u, p) == oracles.legendre(u, p)
+
+    def test_eps_is_the_smallest_nonresidue_below_10_4(self):
+        try:
+            for p in filter(is_odd_prime, range(3, 10**4)):
+                assert FieldConfig(p).eps == oracles.smallest_nonresidue(p), p
+        finally:
+            _square_roots.cache_clear()  # about 23 MB of tables
+
+    def test_size_at_the_bound(self):
+        # 4 bytes per residue; a list of ints would take about 30 MB here
+        p = 1048573
+        roots = _square_roots(p)
+        assert roots.typecode == "i" and len(roots) == p
+        assert roots.itemsize * len(roots) <= 4 << 20
 
 
 def test_is_odd_prime():
