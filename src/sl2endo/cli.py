@@ -403,22 +403,20 @@ RUNNERS = {
 
 
 def run(sweep: SweepConfig, out, err) -> int:
-    """Validate and dispatch one sweep; returns the process exit code."""
+    """Validate, then run one sweep into the file sweep.out, or else out; returns the exit code."""
     sweep.validate()
-    return RUNNERS[sweep.mode](sweep, out, err)
+    runner = RUNNERS[sweep.mode]
+    if not sweep.out:
+        return runner(sweep, out, err)
+    with open(sweep.out, "w", encoding="utf-8", newline="") as stream:
+        return runner(sweep, stream, err)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sweep = sweep_from_args(args)
-        sweep.validate()  # before the output file is created
-        runner = RUNNERS[sweep.mode]
-        if not sweep.out:
-            return runner(sweep, sys.stdout, sys.stderr)
-        with open(sweep.out, "w", encoding="utf-8", newline="") as out:
-            return runner(sweep, out, sys.stderr)
+        return run(sweep_from_args(args), sys.stdout, sys.stderr)
     except Exception as exc:
         # usage, I/O and any leaked internal error exit 2; 1 means a bad verdict
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

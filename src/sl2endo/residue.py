@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycNumber, prime_divisors, root_of_unity
-from .localfield import FieldConfig
+from .localfield import FieldConfig, _square_roots
 
 
 @dataclass(frozen=True)
@@ -44,38 +44,35 @@ class CharacterLevel:
 class NormOneGroup:
     """The order-(q+1) group of residue torus points, with dlog bookkeeping.
 
-    The conic a^2 - eps*b^2 = 1 is enumerated through its rational
-    parametrization from (-1, 0), t -> ((1 + eps t^2), 2t) / (1 - eps t^2)
-    for t in F_p (eps is a nonsquare, so 1 - eps t^2 never vanishes), and
-    the points are sorted lexicographically.  The generator is the first
-    point in that order of exact order q+1, tested by x^((q+1)/r) != 1 for
-    each prime r dividing q+1, which makes character levels canonical across
-    runs with the same configuration.  Dlogs come from walking the powers of
-    the generator.  Construction costs O(p log p) field operations.
+    A point (a, b) of a^2 - eps*b^2 = 1 has b^2 = (a^2 - 1)/eps, so the
+    square-root table mod p gives the smaller b of each a, or 0 if none.  The
+    generator is the first point in lexicographic order of exact order q+1,
+    tested by x^((q+1)/r) != 1 for each prime r dividing q+1, which makes
+    character levels canonical across runs with the same configuration.
+    Scanning a upward over the smaller roots finds it: (a, b) and its inverse
+    (a, -b) share an order, and the points +-1 with b = 0 have order <= 2.
+    Dlogs come from walking the powers of the generator, and the points are
+    the walk's, sorted.  Construction costs O(p log p) field operations.
     """
 
     def __init__(self, config: FieldConfig):
         self.config = config
-        p, eps = config.p, config.eps
-        pairs = [(p - 1, 0)]
-        for t in range(p):
-            et2 = eps * t * t
-            inv = pow(1 - et2, -1, p)
-            pairs.append(((1 + et2) * inv % p, 2 * t * inv % p))
-        self.points: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
-        self.order = len(self.points)
+        p = config.p
+        roots, inv_eps = _square_roots(p), pow(config.eps, -1, p)
+        self.order = p + 1
         self.identity = (1, 0)
         cofactors = [self.order // r for r in prime_divisors(self.order)]
         self.generator = next(
             pt
-            for pt in self.points
-            if all(self.power(pt, e) != self.identity for e in cofactors)
+            for pt in ((a, roots[(a * a - 1) * inv_eps % p]) for a in range(p))
+            if pt[1] and all(self.power(pt, e) != self.identity for e in cofactors)
         )
         self._dlog: dict[tuple[int, int], int] = {}
         pt = self.identity
         for e in range(self.order):
             self._dlog[pt] = e
             pt = self.mul(pt, self.generator)
+        self.points: tuple[tuple[int, int], ...] = tuple(sorted(self._dlog))
 
     def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         p, eps = self.config.p, self.config.eps

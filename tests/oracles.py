@@ -16,7 +16,7 @@ from sl2endo.charformulas import (
     theta_nonregular_near_sums,
     theta_virtual,
 )
-from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination
+from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, prime_divisors
 from sl2endo.endoscopy import (
     FALSIFY_CHECKS,
     REPORT_FIELDS,
@@ -32,6 +32,7 @@ from sl2endo.errors import (
 )
 from sl2endo.localfield import FieldConfig
 from sl2endo.packets import KLEIN4, virtual_coeffs
+from sl2endo.residue import NormOneGroup
 from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement, cayley_inverse
 
 
@@ -91,6 +92,37 @@ def _tonelli_shanks(a: int, p: int) -> "int | None":
 
 class NotASquare(Exception):
     """The reference square roots' answer for an element with no square root."""
+
+
+# The norm-one group's construction as it was before it read the square-root
+# table: the rational parametrization of the conic from (-1, 0), with one
+# modular inverse per t, and a sort of the q + 1 points.  __init__ is kept
+# verbatim as the reference for the table scan; mul, power and dlog are the
+# group's own.
+
+class ParametrizedNormOneGroup(NormOneGroup):
+    def __init__(self, config: FieldConfig):
+        self.config = config
+        p, eps = config.p, config.eps
+        pairs = [(p - 1, 0)]
+        for t in range(p):
+            et2 = eps * t * t
+            inv = pow(1 - et2, -1, p)
+            pairs.append(((1 + et2) * inv % p, 2 * t * inv % p))
+        self.points: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
+        self.order = len(self.points)
+        self.identity = (1, 0)
+        cofactors = [self.order // r for r in prime_divisors(self.order)]
+        self.generator = next(
+            pt
+            for pt in self.points
+            if all(self.power(pt, e) != self.identity for e in cofactors)
+        )
+        self._dlog: dict[tuple[int, int], int] = {}
+        pt = self.identity
+        for e in range(self.order):
+            self._dlog[pt] = e
+            pt = self.mul(pt, self.generator)
 
 
 # The p-adic integer as it was while the package wrapped every residue,

@@ -12,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -676,6 +677,14 @@ class TestUsageErrors:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not target.exists()
+
+    def test_run_writes_the_out_file(self, tmp_path):
+        # a library caller that sets out gets the file, and the stream it passed stays empty
+        target = tmp_path / "reports.jsonl"
+        sweep = SweepConfig("verify", [3, 5], samples=4, out=str(target))
+        code, out, err = run_capture(sweep)
+        assert (code, out) == (0, "")
+        assert (code, target.read_bytes().decode(), err) == run_capture(replace(sweep, out=None))
 
     def test_leaked_internal_error_exits_2(self, monkeypatch):
         # any exception a sweep leaks exits 2 on one stderr line, never 1 (a bad verdict)

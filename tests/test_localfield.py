@@ -17,6 +17,7 @@ from sl2endo.localfield import (
     sgn_pi,
     valuation,
 )
+from sl2endo.residue import norm_one_group
 
 import oracles
 from oracles import NotASquare, padic
@@ -289,16 +290,19 @@ class TestHenselSqrtAgainstReference:
 
 
 def test_smallest_nonresidue_is_eps_and_cached():
-    # eps, legendre and hensel_sqrt read one table per prime, built on first use
+    # the norm-one group, eps, legendre and hensel_sqrt read one table per
+    # prime, built on first use; the group, built first, is the one that builds it
     _square_roots.cache_clear()
+    norm_one_group.cache_clear()
     for p in PRIMES:
         cfg = FieldConfig(p)
+        assert norm_one_group(cfg).order == p + 1
         assert cfg.eps == oracles.smallest_nonresidue(p)
         assert legendre(cfg.eps, p) == -1
         assert hensel_sqrt(1, cfg) == 1
     info = _square_roots.cache_info()
     assert info.misses == info.currsize == len(PRIMES)
-    assert info.hits == 2 * len(PRIMES)
+    assert info.hits == 3 * len(PRIMES)
 
 
 def reference_sqrt_mod_p(a, p):

@@ -48,7 +48,6 @@ SWEEPS = (
 # The src functions that no sweep reaches, each with the reason it stays.
 UNREACHED = {
     "cli.console_main": "entry point of the installed sl2endo script",
-    "cli.run": "entry point of the benchmark (bench/sweep.py)",
     "cyclotomic.CycNumber.__repr__": "debugging display",
     "torus.TorusElement.__repr__": "debugging display",
     "cyclotomic.CycNumber.promote": "patched by name in bench/spans.py",

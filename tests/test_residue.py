@@ -8,10 +8,13 @@ from sl2endo.cyclotomic import CycNumber, prime_divisors, root_of_unity
 from sl2endo.localfield import FieldConfig, is_odd_prime
 from sl2endo.residue import (
     CharacterLevel,
+    NormOneGroup,
     norm_one_group,
     quadratic_level,
     regular_levels,
 )
+
+from oracles import ParametrizedNormOneGroup
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -61,6 +64,18 @@ class TestAgainstBruteForce:
         assert group.power(g, 10008) == group.identity
         assert all(group.power(g, 10008 // r) != group.identity for r in prime_divisors(10008))
         assert sorted(group.dlog(pt) for pt in group.points) == list(range(10008))
+
+    @pytest.mark.parametrize("p", [10007, 65537, 100003])
+    def test_matches_the_parametrized_group(self, p):
+        # the table scan against the conic parametrization it replaced, past the
+        # brute force's reach; built uncached, so the groups are not kept
+        config = FieldConfig(p)
+        group, reference = NormOneGroup(config), ParametrizedNormOneGroup(config)
+        assert group.points == reference.points
+        assert group.generator == reference.generator
+        assert [group.dlog(pt) for pt in group.points] == [
+            reference.dlog(pt) for pt in reference.points
+        ]
 
 
 class TestEnumeration:
