@@ -85,7 +85,9 @@ def transfer_factor_equals_minus_f(config: FieldConfig, gammas) -> bool:
 def psi0_dual_route_and_uniqueness(config: FieldConfig, gammas) -> bool:
     """psi0 through sgn_pi equals psi0 through the quadratic level, on the far
     elements and on every residue point, and brute force over all levels
-    finds that level as the only character of order two."""
+    finds that level as the only character of order two.  The group is
+    cyclic with generator g, so chi_k(g^e) = chi_k(g)^e and a level has
+    order two exactly when its value v at g has v^2 = 1 and v != 1."""
     if not all(psi0(g) == psi0_via_level(g) for g in _far(gammas)):
         return False
     group = norm_one_group(config)
@@ -95,16 +97,9 @@ def psi0_dual_route_and_uniqueness(config: FieldConfig, gammas) -> bool:
         for pt in group.points
     ):
         return False
-    one = CycNumber.one()
-    order_two = []
-    for k in range(config.q + 1):
-        values = [
-            group.character_value(CharacterLevel(k, config.q + 1), pt)
-            for pt in group.points
-        ]
-        if all(v * v == one for v in values) and any(v != one for v in values):
-            order_two.append(k)
-    return order_two == [quadratic.k]
+    m = config.q + 1
+    at_g = (group.character_value(CharacterLevel(k, m), group.generator) for k in range(m))
+    return [k for k, v in enumerate(at_g) if v * v == 1 and v != 1] == [quadratic.k]
 
 
 def orbital_cayley_consistency(config: FieldConfig, gammas) -> bool:

@@ -307,7 +307,7 @@ def run_table(sweep: SweepConfig, out, err) -> int:
         )
         out.write(f"character level shown: k={lv.k} mod {lv.modulus}\n")
         out.write("  point      dlog  psi0  chi_k\n")
-        for pt in group.points:
+        for pt in sorted(group.points):
             a, b = pt
             val = group.character_value(lv, pt)
             out.write(

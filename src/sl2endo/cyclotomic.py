@@ -185,7 +185,8 @@ class CycNumber:
     def __mul__(self, other) -> "CycNumber":
         other = _lift(other)
         m = _conductor(self.m, other.m)
-        prod = [0] * (2 * euler_phi(m) - 1)
+        size = self.num[-1][0] + other.num[-1][0] + 1 if self.num and other.num else 0
+        prod = [0] * size
         for i, x in self.num:
             for j, y in other.num:
                 prod[i + j] += x * y

@@ -51,8 +51,9 @@ class NormOneGroup:
     character levels canonical across runs with the same configuration.
     Scanning a upward over the smaller roots finds it: (a, b) and its inverse
     (a, -b) share an order, and the points +-1 with b = 0 have order <= 2.
-    Dlogs come from walking the powers of the generator, and the points are
-    the walk's, sorted.  Construction costs O(p log p) field operations.
+    Walking the powers of the generator gives the points in walk order,
+    points[e] = g^e, and dlog is its inverse.  Construction costs
+    O(p log p) field operations.
     """
 
     def __init__(self, config: FieldConfig):
@@ -72,7 +73,7 @@ class NormOneGroup:
         for e in range(self.order):
             self._dlog[pt] = e
             pt = self.mul(pt, self.generator)
-        self.points: tuple[tuple[int, int], ...] = tuple(sorted(self._dlog))
+        self.points: tuple[tuple[int, int], ...] = tuple(self._dlog)
 
     def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         p, eps = self.config.p, self.config.eps

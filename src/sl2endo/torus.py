@@ -225,13 +225,11 @@ def sample_regular(
         a = hensel_sqrt(eps * b * b + 1, config)
         if a is None:
             continue
-        if classification is Classification.NEAR:
-            if a % p != 1:
-                a = -a % modulus
-        elif classification is Classification.ANTI_NEAR:
-            if a % p != p - 1:
-                a = -a % modulus
-        elif rng.getrandbits(1):
+        # for v(b) >= 1 hensel_sqrt lifts the smaller root of 1, so a = 1 mod p:
+        # near draws keep a, anti-near draws negate it, far draws flip a coin
+        if classification is Classification.ANTI_NEAR or (
+            classification is Classification.FAR and rng.getrandbits(1)
+        ):
             a = -a % modulus
         gamma = TorusElement(config, a, b)
         if gamma.classification is classification:

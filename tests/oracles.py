@@ -12,10 +12,13 @@ from sl2endo.charformulas import (
     _classify_supported,
     adss152_theta,
     mu_hat_orbital,
+    psi0_on_residue_point,
+    psi0_via_level,
     theta_nonregular_far,
     theta_nonregular_near_sums,
     theta_virtual,
 )
+from sl2endo.checks import _far
 from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, prime_divisors
 from sl2endo.endoscopy import (
     FALSIFY_CHECKS,
@@ -32,7 +35,7 @@ from sl2endo.errors import (
 )
 from sl2endo.localfield import FieldConfig
 from sl2endo.packets import KLEIN4, virtual_coeffs
-from sl2endo.residue import NormOneGroup
+from sl2endo.residue import CharacterLevel, NormOneGroup, norm_one_group, quadratic_level
 from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement, cayley_inverse
 
 
@@ -246,6 +249,36 @@ def psi0(gamma: TorusElement) -> int:
     if gamma.classification is Classification.NEAR:
         return 1
     return sgn_pi((a + 1) * 2)
+
+
+# The psi0 check as it was while its brute force evaluated every level at
+# every residue point, O(q^2) character values, kept verbatim as the
+# reference for the check that reads each level at the generator.  Its psi0
+# is the reference psi0 above.
+
+def psi0_dual_route_and_uniqueness(config: FieldConfig, gammas) -> bool:
+    """psi0 through sgn_pi equals psi0 through the quadratic level, on the far
+    elements and on every residue point, and brute force over all levels
+    finds that level as the only character of order two."""
+    if not all(psi0(g) == psi0_via_level(g) for g in _far(gammas)):
+        return False
+    group = norm_one_group(config)
+    quadratic = quadratic_level(config)
+    if not all(
+        psi0_on_residue_point(config, pt) == group.character_value(quadratic, pt).as_int()
+        for pt in group.points
+    ):
+        return False
+    one = CycNumber.one()
+    order_two = []
+    for k in range(config.q + 1):
+        values = [
+            group.character_value(CharacterLevel(k, config.q + 1), pt)
+            for pt in group.points
+        ]
+        if all(v * v == one for v in values) and any(v != one for v in values):
+            order_two.append(k)
+    return order_two == [quadratic.k]
 
 
 def shift_down(x: PadicNumber, k: int = 1) -> PadicNumber:

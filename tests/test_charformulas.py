@@ -21,7 +21,7 @@ from sl2endo.charformulas import (
     theta_regular,
     theta_virtual,
 )
-from sl2endo.checks import inner_form_stability
+from sl2endo.checks import inner_form_stability, psi0_dual_route_and_uniqueness
 from sl2endo.cyclotomic import CycNumber, root_of_unity
 from sl2endo.errors import (
     AntiNearUnsupported,
@@ -31,8 +31,8 @@ from sl2endo.errors import (
     PrecisionExhausted,
     Undetermined,
 )
-from sl2endo.localfield import FieldConfig, legendre, valuation
-from sl2endo.residue import CharacterLevel, norm_one_group, regular_levels
+from sl2endo.localfield import FieldConfig, is_odd_prime, legendre, valuation
+from sl2endo.residue import CharacterLevel, NormOneGroup, norm_one_group, regular_levels
 from sl2endo.torus import (
     Classification,
     LieElement,
@@ -115,6 +115,27 @@ class TestPsi0:
         lv = CharacterLevel((p + 1) // 2, p + 1)
         via_level = group.character_value(lv, group.reduce(minus_one)).as_int()
         assert psi0(minus_one) == via_level
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 102) if is_odd_prime(p)])
+    def test_uniqueness_at_the_generator_matches_every_point(self, p):
+        cfg = FieldConfig(p)
+        gammas = [far_sample(p, f"u{i}") for i in range(3)] + [near_sample(p, 1, "u")]
+        assert psi0_dual_route_and_uniqueness(cfg, gammas)
+        assert oracles.psi0_dual_route_and_uniqueness(cfg, gammas)
+
+    def test_uniqueness_reads_each_level_once(self, monkeypatch):
+        # q + 1 residue points, q + 1 levels at the generator, one per far element
+        cfg = FieldConfig(101)
+        far = [far_sample(101, f"n{i}") for i in range(4)]
+        calls, value = [], NormOneGroup.character_value
+
+        def counted(group, level, point):
+            calls.append(point)
+            return value(group, level, point)
+
+        monkeypatch.setattr(NormOneGroup, "character_value", counted)
+        assert psi0_dual_route_and_uniqueness(cfg, far + [near_sample(101, 1, "n")])
+        assert len(calls) <= 2 * (cfg.q + 1) + len(far)
 
     def test_quadratic(self):
         for p in (3, 5, 7):

@@ -344,6 +344,25 @@ class TestAgainstFractionReference:
         if z.is_rational:
             assert z == z.as_int()
 
+    @pytest.mark.parametrize("ks,ls", [
+        ((), (399,)), ((0,), ()), ((1, 399), (399,)), ((398, 399), (200, 398, 505)),
+        ((250, 399, 1009), (0,)), ((250, 399, 1009), (200, 398, 505)),
+    ])
+    def test_products_at_1010_match(self, ks, ls):
+        # zero operands, and top degrees summing past phi(1010) = 400
+        def build(exponents, signs):
+            value, ref = CycNumber.zero(1010), Ref(1010, (Fraction(0),) * 400)
+            for k, c in zip(exponents, signs):
+                value = value + root_of_unity(1010, k).scale(c)
+                ref = ref + Ref.root(1010, k).scale(c)
+            return value, ref
+
+        (z, zr), (w, wr) = build(ks, (1, -2, 3)), build(ls, (-1, 5, 2))
+        assert_matches(z * w, zr * wr)
+        assert_matches(w * z, wr * zr)
+        assert_matches(z * z, zr * zr)
+        assert_matches(z * CycNumber.zero(), zr * Ref(1, (Fraction(0),)))
+
     @pytest.mark.parametrize("m,stride", [(1, 1), (4, 1), (6, 1), (12, 1), (102, 1), (1010, 23)])
     def test_roots_of_unity_match(self, m, stride):
         for k in range(0, m, stride):

@@ -47,15 +47,24 @@ def brute_force_group(config):
     return points, generator, dlog
 
 
+def assert_walk_order(group):
+    """points[e] is g^e, and dlog inverts it."""
+    g = group.generator
+    for e, pt in enumerate(group.points):
+        assert pt == group.power(g, e)
+        assert group.dlog(pt) == e
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("p", [p for p in range(3, 200) if is_odd_prime(p)] + [1009])
     def test_points_generator_and_dlog_match(self, p):
         config = FieldConfig(p)
         group = norm_one_group(config)
         points, generator, dlog = brute_force_group(config)
-        assert list(group.points) == points
+        assert sorted(group.points) == points
         assert group.generator == generator
         assert {pt: group.dlog(pt) for pt in points} == dlog
+        assert_walk_order(group)
 
     def test_large_prime(self):
         group = norm_one_group(FieldConfig(10007))
@@ -71,11 +80,12 @@ class TestAgainstBruteForce:
         # brute force's reach; built uncached, so the groups are not kept
         config = FieldConfig(p)
         group, reference = NormOneGroup(config), ParametrizedNormOneGroup(config)
-        assert group.points == reference.points
+        assert tuple(sorted(group.points)) == reference.points
         assert group.generator == reference.generator
-        assert [group.dlog(pt) for pt in group.points] == [
+        assert [group.dlog(pt) for pt in reference.points] == [
             reference.dlog(pt) for pt in reference.points
         ]
+        assert_walk_order(group)
 
 
 class TestEnumeration:
