@@ -16,6 +16,7 @@ over related elements.  Every check is exact cyclotomic equality.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -137,15 +138,42 @@ REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 _ZERO = '"0", '
 
+# The renderings _json_value has written, by (conductor, terms): a value
+# already written is reused.  The memo is filled until it holds _MEMO_BUDGET
+# bytes and then stops growing; nothing is evicted.  A rendering is dense in
+# phi(m), about 2.6 MB at conductor 1,048,574, so it is bounded by bytes, not
+# by entries.  1 MiB holds every distinct value of a p <= 13 sweep (about
+# 10 KB) and 290 of the 505 far values at p = 1009 (1.75 MB for all), while
+# adding at most 4 % to the 26 MiB that a p = 1009 sweep peaks at.
+_MEMO_BUDGET = 1 << 20
+# Bytes a key's term costs: a pair tuple and two int objects.
+_TERM_BYTES = sys.getsizeof((0, 0)) + 2 * sys.getsizeof(1 << 30)
+_memo: dict[tuple[int, tuple], str] = {}
+_memo_bytes = 0
+
 
 def _json_value(value: "CycNumber | None") -> str:
-    """json.dumps of a side of the report record: null, or the record dict
-    {"coeffs": [...], "conductor": m, "text": "..."} in one pass over the
-    nonzero terms, with one repeated '"0", ' string per run of zero
-    coefficients.  Coefficients and the text hold only digits, signs, "z",
-    "^", "*" and spaces, so they need no escaping."""
+    """json.dumps of a side of the report record, through the memo."""
+    global _memo_bytes
     if value is None:
         return "null"
+    key = (value.m, value.num)
+    text = _memo.get(key)
+    if text is None:
+        text = _render(value)
+        held = sys.getsizeof(text) + sys.getsizeof(value.num) + len(value.num) * _TERM_BYTES
+        if _memo_bytes + held <= _MEMO_BUDGET:
+            _memo[key] = text
+            _memo_bytes += held
+    return text
+
+
+def _render(value: CycNumber) -> str:
+    """The record dict {"coeffs": [...], "conductor": m, "text": "..."} of a
+    value as json.dumps writes it, in one pass over the nonzero terms, with
+    one repeated '"0", ' string per run of zero coefficients.  Coefficients
+    and the text hold only digits, signs, "z", "^", "*" and spaces, so they
+    need no escaping."""
     parts, start = [], 0
     for i, c in value.num:
         parts.append(f'{_ZERO * (i - start)}"{c}", ')

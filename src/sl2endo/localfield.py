@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, update_wrapper
 
 from .errors import PrecisionExhausted, ZeroInput
 
@@ -42,6 +42,28 @@ def is_odd_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+class cached_fact:
+    """functools.cached_property without its lock: the method's value is
+    computed on first read and stored in the instance's __dict__ (a frozen
+    dataclass's too), where later reads find it.  An exception is raised on
+    every read and nothing is stored.  Python 3.11's cached_property takes
+    an RLock on every first read, more than the fact itself costs for a
+    torus element; 3.12's is this descriptor."""
+
+    def __init__(self, func):
+        update_wrapper(self, func)
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @lru_cache(maxsize=None)
@@ -97,11 +119,11 @@ class FieldConfig:
     def pi(self) -> int:
         return self.p
 
-    @cached_property
+    @cached_fact
     def eps(self) -> int:
         return _square_roots(self.p).index(0, 2)
 
-    @cached_property
+    @cached_fact
     def modulus(self) -> int:
         return self.p**self.N
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import NotNear, SamplingBudgetExceeded
-from .localfield import FieldConfig, hensel_sqrt, sgn_eps, valuation
+from .localfield import FieldConfig, cached_fact, hensel_sqrt, sgn_eps, valuation
 
 # Draws sample_regular makes before it gives up on a class.
 _SAMPLING_BUDGET = 256
@@ -57,7 +56,7 @@ class TorusElement:
         if (a * a - cfg.eps * b * b) % modulus != 1:
             raise ValueError(f"({a}, {b}) is not norm-one at precision")
 
-    @cached_property
+    @cached_fact
     def valuation_b(self) -> int:
         """v(b), computed on first read.
 
@@ -66,7 +65,7 @@ class TorusElement:
         """
         return valuation(self.b, self.config)
 
-    @cached_property
+    @cached_fact
     def classification(self) -> "Classification":
         """Near / anti-near / far trichotomy for regular elements.
 

@@ -18,6 +18,7 @@ from sl2endo.charformulas import (
     theta_nonregular_near_sums,
     theta_virtual,
 )
+from sl2endo import endoscopy
 from sl2endo.checks import _far
 from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, prime_divisors
 from sl2endo.endoscopy import (
@@ -587,3 +588,35 @@ def to_record(self) -> dict:
                 "text": str(value),
             }
     return record
+
+
+def cold_memo(monkeypatch, budget=None):
+    """Empty endoscopy's process-wide memo of rendered values for one test
+    (and set its byte budget); monkeypatch restores the memo afterwards."""
+    monkeypatch.setattr(endoscopy, "_memo", {})
+    monkeypatch.setattr(endoscopy, "_memo_bytes", 0)
+    if budget is not None:
+        monkeypatch.setattr(endoscopy, "_MEMO_BUDGET", budget)
+
+
+# The renderer of a report value as it was before the memo in front of it,
+# kept verbatim as the reference for endoscopy._json_value cold and warm.
+
+_ZERO = '"0", '
+
+
+def _json_value(value: "CycNumber | None") -> str:
+    """json.dumps of a side of the report record: null, or the record dict
+    {"coeffs": [...], "conductor": m, "text": "..."} in one pass over the
+    nonzero terms, with one repeated '"0", ' string per run of zero
+    coefficients.  Coefficients and the text hold only digits, signs, "z",
+    "^", "*" and spaces, so they need no escaping."""
+    if value is None:
+        return "null"
+    parts, start = [], 0
+    for i, c in value.num:
+        parts.append(f'{_ZERO * (i - start)}"{c}", ')
+        start = i + 1
+    parts.append(_ZERO * (euler_phi(value.m) - start))
+    coeffs = "".join(parts)[:-2]  # phi(m) >= 1 items, each followed by ", "
+    return f'{{"coeffs": [{coeffs}], "conductor": {value.m}, "text": "{value}"}}'

@@ -17,8 +17,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import sl2endo
+from sl2endo import endoscopy
 from sl2endo.cli import SweepConfig, _sample_plan, build_parser, main, run, sweep_from_args
+from sl2endo.cyclotomic import CycNumber, linear_combination, root_of_unity
 from sl2endo.endoscopy import REPORT_FIELDS
 from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
 from sl2endo.localfield import FieldConfig
@@ -384,6 +387,66 @@ class TestDeterminism:
         assert main(base + ["--seed", "1", "--out", str(f1)]) == 0
         assert main(base + ["--seed", "2", "--out", str(f2)]) == 0
         assert f1.read_bytes() != f2.read_bytes()
+
+
+class TestValueMemo:
+    """endoscopy._json_value renders each value through a process-wide memo
+    bounded by bytes; tests/oracles.py keeps the renderer it wraps as it was
+    before the memo."""
+
+    @staticmethod
+    def sweep_values(monkeypatch, argv):
+        """The distinct values that the sweep argv writes."""
+        values, render = {}, endoscopy._json_value
+
+        def collect(value):
+            if value is not None:
+                values.setdefault((value.m, value.num), value)
+            return render(value)
+
+        monkeypatch.setattr(endoscopy, "_json_value", collect)
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(endoscopy, "_json_value", render)
+        return list(values.values())
+
+    def test_renders_as_before_cold_and_warm(self, monkeypatch):
+        oracles.cold_memo(monkeypatch)
+        values = list({
+            (value.m, value.num): value for argv, _, _ in PINNED_SWEEPS.values()
+            for value in self.sweep_values(monkeypatch, argv)
+        }.values())
+        far = linear_combination([(-1, root_of_unity(1010, 3)), (-1, root_of_unity(1010, -3))])
+        assert len(far.num) == 243
+        big = CycNumber.from_int(-7, 1_048_574)  # phi = 524,286: a 2.6 MB rendering
+        values += [far, big]
+        oracles.cold_memo(monkeypatch)
+        for value in values:
+            expected = oracles._json_value(value)
+            assert endoscopy._json_value(value) == expected  # cold: rendered
+            # warm: an equal value built anew reads the same line from the memo
+            copy = CycNumber(value.m, tuple((i, c) for i, c in value.num))
+            assert endoscopy._json_value(copy) == expected
+        memo = endoscopy._memo
+        assert (far.m, far.num) in memo and (big.m, big.num) not in memo
+        assert len(memo) == len(values) - 1
+        assert sum(map(sys.getsizeof, memo.values())) <= endoscopy._memo_bytes
+        assert endoscopy._memo_bytes <= endoscopy._MEMO_BUDGET
+
+    @pytest.mark.parametrize("argv", [
+        ["falsify", "--primes", "3,5,7", "--samples", "20"],
+        ["verify", "--packet", "regular", "--primes", "1009", "--level", "1", "--samples", "50",
+         "--class", "far", "--seed", "5"],
+    ])
+    def test_same_sweep_twice_in_one_process(self, monkeypatch, argv):
+        # acceptance criterion 10 within one process: a cold memo, a warm one,
+        # and one whose budget runs out in the middle of the sweep
+        oracles.cold_memo(monkeypatch)
+        cold = run_cli(argv)
+        assert cold[0] == 0 and cold[1]
+        assert run_cli(argv) == cold
+        oracles.cold_memo(monkeypatch, budget=20_000)
+        assert run_cli(argv) == cold
+        assert 0 < endoscopy._memo_bytes <= 20_000
 
 
 class TestSamplePlan:

@@ -377,6 +377,7 @@ class TestJsonLine:
             count += 1
             return text(self)
 
+        oracles.cold_memo(monkeypatch)  # the values of an earlier test are not reused
         monkeypatch.setattr(CycNumber, "__str__", counting)
         line = report.to_json()
         monkeypatch.setattr(CycNumber, "__str__", text)

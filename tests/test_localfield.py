@@ -1,6 +1,7 @@
 """Tests for p-adic integers as residues mod p^N and the quadratic sign characters."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from sl2endo.errors import PrecisionExhausted, ZeroInput
 from sl2endo.localfield import (
     FieldConfig,
     _square_roots,
+    cached_fact,
     hensel_sqrt,
     is_odd_prime,
     legendre,
@@ -23,6 +25,43 @@ import oracles
 from oracles import NotASquare, padic
 
 PRIMES = [3, 5, 7, 11, 13]
+
+
+class TestCachedFact:
+    """cached_fact computes a value on first read and keeps it in the
+    instance, a frozen dataclass's too; an exception keeps nothing."""
+
+    @dataclass(frozen=True)
+    class Holder:
+        x: int
+        calls: list
+
+        @cached_fact
+        def double(self):
+            """twice x, or PrecisionExhausted at 0"""
+            self.calls.append(self.x)
+            if not self.x:
+                raise PrecisionExhausted("x = 0")
+            return 2 * self.x
+
+    def test_computed_once(self):
+        holder = self.Holder(3, [])
+        assert holder.double == 6 and holder.double == 6
+        assert holder.calls == [3] and vars(holder)["double"] == 6
+        assert self.Holder.double.__doc__ == "twice x, or PrecisionExhausted at 0"
+
+    def test_an_exception_raised_every_read(self):
+        holder = self.Holder(0, [])
+        for _ in range(2):
+            with pytest.raises(PrecisionExhausted):
+                holder.double
+        assert holder.calls == [0, 0] and "double" not in vars(holder)
+
+    def test_config_facts(self):
+        cfg = FieldConfig(7, 5)
+        assert (cfg.eps, cfg.modulus) == (3, 7**5)
+        assert vars(cfg)["eps"] == 3 and vars(cfg)["modulus"] == 7**5
+        assert cfg == FieldConfig(7, 5) and hash(cfg) == hash(FieldConfig(7, 5))
 
 
 def brute_force_squares(p):

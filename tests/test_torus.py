@@ -174,6 +174,18 @@ class TestClassify:
         with pytest.raises(PrecisionExhausted):
             element(FieldConfig(3), 1, 0).classification
 
+    def test_facts_kept_once_and_exhausted_precision_raised_every_read(self):
+        g = near_example(FieldConfig(3))
+        assert (g.valuation_b, g.classification) == (1, Classification.NEAR)
+        assert vars(g)["valuation_b"] == 1 and vars(g)["classification"] is Classification.NEAR
+        exhausted = element(FieldConfig(3), 1, 0)
+        for _ in range(2):
+            with pytest.raises(PrecisionExhausted):
+                exhausted.valuation_b
+            with pytest.raises(PrecisionExhausted):
+                exhausted.classification
+        assert "valuation_b" not in vars(exhausted) and "classification" not in vars(exhausted)
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_agrees_with_filtration_definition(self, p):
         cfg = FieldConfig(p)
