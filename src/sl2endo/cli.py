@@ -19,7 +19,6 @@ import argparse
 import csv
 import functools
 import json
-import random
 import signal
 import sys
 from collections import Counter
@@ -30,6 +29,7 @@ from . import checks
 from .charformulas import PacketSpec, psi0_on_residue_point
 from .cyclotomic import CycNumber
 from .endoscopy import (
+    BUDGET_VERDICT,
     FALSIFY_CHECKS,
     REPORT_FIELDS,
     VerificationReport,
@@ -41,7 +41,7 @@ from .errors import SamplingBudgetExceeded
 from .localfield import FieldConfig
 from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
-from .torus import Classification, sample_regular
+from .torus import Classification, TorusElement, sample_regular
 
 NEAR_DEFAULT_RANGE = (1, 3)
 # The classes of the sampled elements in verify (--class).
@@ -133,19 +133,25 @@ def _max_precision(p: int, digits: int) -> int:
     return n
 
 
-def _sample_plan(
-    samples: int, sample_class: str, near_vals
-) -> Iterator[tuple[Classification, int]]:
-    """The deterministic (class, v(b)) schedule of every sweep's draws, yielded one
-    at a time: draw i is near under "near", and under "both" when i is odd; near
-    draws cycle through near_vals."""
+def _draws(
+    config: FieldConfig, samples: int, sample_class: str, near_vals, seed_of
+) -> Iterator[tuple[Classification, "TorusElement | None"]]:
+    """The one element source of every sweep, (class, element) per draw: draw i is
+    near under "near", and under "both" when i is odd; near draws cycle through
+    near_vals; draw i seeds the sampler with seed_of(class, v(b), i); a draw over
+    the sampling budget yields None.  A new variant, class or source goes here."""
     near_i = 0
     for i in range(samples):
         if sample_class == "near" or (sample_class == "both" and i % 2 == 1):
-            yield Classification.NEAR, near_vals[near_i % len(near_vals)]
+            cls, v = Classification.NEAR, near_vals[near_i % len(near_vals)]
             near_i += 1
         else:
-            yield Classification.FAR, 0
+            cls, v = Classification.FAR, 0
+        try:
+            gamma = sample_regular(config, cls, v, seed_of(cls, v, i))
+        except SamplingBudgetExceeded:
+            gamma = None
+        yield cls, gamma
 
 
 def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
@@ -206,15 +212,11 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
-            plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
-            for i, (cls, v) in enumerate(plan):
-                key = (
-                    f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}"
-                    f"|{sweep.s}|{cls.value}|{v}|{i}"
-                )
-                try:
-                    gamma = sample_regular(config, cls, v, seed=key)
-                except SamplingBudgetExceeded:
+            key = f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}|{sweep.s}"
+            draws = _draws(config, sweep.samples, sweep.sample_class, near_vals,
+                           lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}")
+            for cls, gamma in draws:
+                if gamma is None:
                     [report] = budget_exceeded_reports(config, packet, cls, [sweep.s])
                 else:
                     report = verify_identity(packet, sweep.s, gamma)
@@ -233,24 +235,22 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
-    n_budget = 0
     near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         packet = PacketSpec.nonregular(config)
-        for i, (cls, v) in enumerate(_sample_plan(sweep.samples, "near", near_vals)):
-            key = f"{sweep.seed}|{p}|falsify|{v}|{i}"
-            try:
-                gamma = sample_regular(config, cls, v, seed=key)
-            except SamplingBudgetExceeded:
-                n_budget += 1
-                for report in budget_exceeded_reports(config, packet, cls, FALSIFY_CHECKS):
-                    emitter.emit(report)
-                continue
-            for report in falsify_adss152(packet, gamma):
+        draws = _draws(config, sweep.samples, "near", near_vals,
+                       lambda cls, v, i: f"{sweep.seed}|{p}|falsify|{v}|{i}")
+        for cls, gamma in draws:
+            if gamma is None:
+                reports = budget_exceeded_reports(config, packet, cls, FALSIFY_CHECKS)
+            else:
+                reports = falsify_adss152(packet, gamma)
+            for report in reports:
                 emitter.emit(report)
                 verdicts[report.verdict] += 1
     emitter.close()
+    n_budget = verdicts.pop(BUDGET_VERDICT, 0) // len(FALSIFY_CHECKS)
     n_total = verdicts.total()
     n_unexpected = n_total - verdicts["unequal"]
     if n_budget:
@@ -264,10 +264,11 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
 
 def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str, bool, str]]:
     """Per-prime algebraic identity checks; each entry is (name, ok, detail)."""
-    rng = random.Random(f"{sweep.seed}|{config.p}|properties")
     near_vals = range(1, min(3, (config.N - 1) // 2) + 1)  # v(D_G) = 2v < N
-    plan = _sample_plan(max(10, sweep.samples), "both", near_vals)
-    gammas = [sample_regular(config, cls, v, rng) for cls, v in plan]
+    key = f"{sweep.seed}|{config.p}|properties"
+    draws = _draws(config, max(10, sweep.samples), "both", near_vals,
+                   lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}")
+    gammas = [gamma for _, gamma in draws if gamma is not None]  # over budget: left out
     return [
         (name, check(config, gammas), detail(gammas))
         for name, check, detail in checks.PROPERTIES

@@ -38,6 +38,8 @@ from .torus import Classification, TorusElement, cayley_inverse, invert
 
 # The s field of the two falsify reports of one near element.
 FALSIFY_CHECKS = ("s1", "theta1+theta2")
+# The verdict of each report of a draw that exceeded its sampling budget.
+BUDGET_VERDICT = "skipped(sampling budget exceeded)"
 
 
 @lru_cache(maxsize=None)
@@ -237,10 +239,7 @@ def budget_exceeded_reports(
 ) -> list[VerificationReport]:
     """One report per s of a draw of class cls that exceeded its sampling
     budget: there is no element, so a, b and v(b) are null."""
-    return [
-        _report(packet, s, config, cls, "skipped(sampling budget exceeded)")
-        for s in s_values
-    ]
+    return [_report(packet, s, config, cls, BUDGET_VERDICT) for s in s_values]
 
 
 def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> VerificationReport:

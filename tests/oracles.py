@@ -1,6 +1,8 @@
 """Reference helpers that several test modules share (not collected: no test_ prefix)."""
 
 import random
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,13 +20,15 @@ from sl2endo.charformulas import (
     theta_nonregular_near_sums,
     theta_virtual,
 )
-from sl2endo import endoscopy
+from sl2endo import checks, endoscopy
 from sl2endo.checks import _far
+from sl2endo.cli import Emitter, SweepConfig, _packets_for
 from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, prime_divisors
 from sl2endo.endoscopy import (
     FALSIFY_CHECKS,
     REPORT_FIELDS,
     VerificationReport,
+    budget_exceeded_reports,
     rhs_endoscopic,
 )
 from sl2endo.errors import (
@@ -620,3 +624,101 @@ def _json_value(value: "CycNumber | None") -> str:
     parts.append(_ZERO * (euler_phi(value.m) - start))
     coeffs = "".join(parts)[:-2]  # phi(m) >= 1 items, each followed by ", "
     return f'{{"coeffs": [{coeffs}], "conductor": {value.m}, "text": "{value}"}}'
+
+
+# The three draw loops as they were before the one element source
+# (cli._draws), kept verbatim with their schedule as the reference for it:
+# verify and falsify drew one element per string key and built their own
+# budget records, and the property battery drew from one shared generator
+# and let SamplingBudgetExceeded escape.  They read this module's names, so
+# sample_regular, verify_identity and falsify_adss152 are the reference
+# copies above until a test puts cli's (or an injected sampler) in their place.
+
+def _sample_plan(
+    samples: int, sample_class: str, near_vals
+) -> Iterator[tuple[Classification, int]]:
+    """The deterministic (class, v(b)) schedule of every sweep's draws, yielded one
+    at a time: draw i is near under "near", and under "both" when i is odd; near
+    draws cycle through near_vals."""
+    near_i = 0
+    for i in range(samples):
+        if sample_class == "near" or (sample_class == "both" and i % 2 == 1):
+            yield Classification.NEAR, near_vals[near_i % len(near_vals)]
+            near_i += 1
+        else:
+            yield Classification.FAR, 0
+
+
+def run_verify(sweep: SweepConfig, out, err) -> int:
+    emitter = Emitter(sweep.fmt, out)
+    verdicts = Counter()
+    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
+    for p in sweep.primes:
+        config = FieldConfig(p, sweep.precision)
+        for packet in _packets_for(config, sweep):
+            plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
+            for i, (cls, v) in enumerate(plan):
+                key = (
+                    f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}"
+                    f"|{sweep.s}|{cls.value}|{v}|{i}"
+                )
+                try:
+                    gamma = sample_regular(config, cls, v, seed=key)
+                except SamplingBudgetExceeded:
+                    [report] = budget_exceeded_reports(config, packet, cls, [sweep.s])
+                else:
+                    report = verify_identity(packet, sweep.s, gamma)
+                emitter.emit(report)
+                verdicts[report.verdict] += 1
+    emitter.close()
+    n_equal = verdicts["equal"]
+    n_skipped = sum(n for verdict, n in verdicts.items() if verdict.startswith("skipped"))
+    n_unequal = verdicts.total() - n_equal - n_skipped
+    if n_skipped:
+        err.write(f"warning: {n_skipped} check(s) skipped\n")
+    err.write(f"verify: {n_equal} equal, {n_unequal} unequal, {n_skipped} skipped\n")
+    return 0 if n_unequal == 0 else 1
+
+
+def run_falsify(sweep: SweepConfig, out, err) -> int:
+    emitter = Emitter(sweep.fmt, out)
+    verdicts = Counter()
+    n_budget = 0
+    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
+    for p in sweep.primes:
+        config = FieldConfig(p, sweep.precision)
+        packet = PacketSpec.nonregular(config)
+        for i, (cls, v) in enumerate(_sample_plan(sweep.samples, "near", near_vals)):
+            key = f"{sweep.seed}|{p}|falsify|{v}|{i}"
+            try:
+                gamma = sample_regular(config, cls, v, seed=key)
+            except SamplingBudgetExceeded:
+                n_budget += 1
+                for report in budget_exceeded_reports(config, packet, cls, FALSIFY_CHECKS):
+                    emitter.emit(report)
+                continue
+            for report in falsify_adss152(packet, gamma):
+                emitter.emit(report)
+                verdicts[report.verdict] += 1
+    emitter.close()
+    n_total = verdicts.total()
+    n_unexpected = n_total - verdicts["unequal"]
+    if n_budget:
+        err.write(f"warning: {n_budget} sample(s) skipped (sampling budget exceeded)\n")
+    err.write(
+        f"falsify: {n_total} checks, {n_total - n_unexpected} unequal as expected,"
+        f" {n_unexpected} unexpectedly equal\n"
+    )
+    return 0 if n_unexpected == 0 else 1
+
+
+def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str, bool, str]]:
+    """Per-prime algebraic identity checks; each entry is (name, ok, detail)."""
+    rng = random.Random(f"{sweep.seed}|{config.p}|properties")
+    near_vals = range(1, min(3, (config.N - 1) // 2) + 1)  # v(D_G) = 2v < N
+    plan = _sample_plan(max(10, sweep.samples), "both", near_vals)
+    gammas = [sample_regular(config, cls, v, rng) for cls, v in plan]
+    return [
+        (name, check(config, gammas), detail(gammas))
+        for name, check, detail in checks.PROPERTIES
+    ]

@@ -20,7 +20,9 @@ import pytest
 import oracles
 import sl2endo
 from sl2endo import endoscopy
-from sl2endo.cli import SweepConfig, _sample_plan, build_parser, main, run, sweep_from_args
+from sl2endo.cli import (
+    SAMPLE_CLASSES, SweepConfig, _draws, build_parser, main, run, sweep_from_args,
+)
 from sl2endo.cyclotomic import CycNumber, linear_combination, root_of_unity
 from sl2endo.endoscopy import REPORT_FIELDS
 from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
@@ -104,7 +106,8 @@ PINNED_SWEEPS = pins_by_name((
     ),
     (
         "properties",
-        # pins the property battery's sampling, order, names and details
+        # pins the property battery's order, names and details; a detail counts the
+        # drawn elements of a class, so the stream does not depend on which are drawn
         ["properties", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
         "81758045a5b23a3a9d016bcb3fdb1cd0ec5fe8a0558ea3ae918e7de05fee02cf",
         "6de4bc079166b9572e75721239b580a1592179eaddb0a0aea227b8d78279fd37",
@@ -329,6 +332,29 @@ class TestPropertiesMode:
         recs = [json.loads(line) for line in out.splitlines()]
         assert len(recs) == 6 and all(rec["ok"] for rec in recs)
 
+    def test_budget_exceeded_draws_are_left_out(self, monkeypatch):
+        # the battery leaves a draw over the sampling budget out, and its details
+        # count what is left; no record or stderr line is added
+        import sl2endo.cli as cli_mod
+
+        real = cli_mod.sample_regular
+
+        def flaky(config, cls, v, seed):
+            if seed.endswith("|2"):  # the third of the 10 draws, a far one
+                raise SamplingBudgetExceeded("injected")
+            return real(config, cls, v, seed=seed)
+
+        monkeypatch.setattr(cli_mod, "sample_regular", flaky)
+        code, out, err = run_cli(["properties", "--primes", "3", "--samples", "4"])
+        assert code == 0
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert all(rec["ok"] for rec in recs)
+        assert [rec["detail"] for rec in recs] == [
+            "9 elements", "9 elements", "4 far elements", "5 near elements", "9 elements",
+            "exact matrix checks",
+        ]
+        assert err == "properties: 0 failure(s)\n"
+
     @pytest.mark.parametrize("precision", [4, 5, 6, 7])
     def test_low_precisions_exit_zero(self, precision):
         code, _, err = run_cli(["properties", "--primes", "3", "--precision", str(precision),
@@ -450,10 +476,20 @@ class TestValueMemo:
 
 
 class TestSamplePlan:
-    """The one draw schedule against the three it replaced, read off the
-    sampler calls each runner makes."""
+    """The one element source's draw schedule against the three it replaced,
+    read off the sampler calls each runner, and the source itself, makes."""
 
     SAMPLES = (1, 2, 7, 10, 40, 41)
+
+    @staticmethod
+    def source_plan(calls, precision, samples, sample_class, near_vals):
+        """The (class, v(b)) of every sampler call the source itself makes at p = 3,
+        each call answered by the stub sampler in place; no element is made."""
+        calls.clear()
+        draws = _draws(FieldConfig(3, precision), samples, sample_class, near_vals,
+                       lambda cls, v, i: str(i))
+        assert [(cls, gamma) for cls, gamma in draws] == [(cls, None) for cls, _ in calls]
+        return calls
 
     @staticmethod
     def reference_verify_plan(sweep):
@@ -520,7 +556,7 @@ class TestSamplePlan:
             assert run_capture(sweep)[0] == 0
             assert calls == self.reference_verify_plan(sweep)
             near_vals = range(near[0], near[1] + 1)
-            plan = list(_sample_plan(samples, sample_class, near_vals))
+            plan = self.source_plan(calls, 8, samples, sample_class, near_vals)
             assert plan == self.reference_verify_plan(sweep)
 
     @pytest.mark.parametrize("near", [(1, 1), (1, 3), (2, 5)])
@@ -532,7 +568,7 @@ class TestSamplePlan:
             calls.clear()
             assert run_capture(sweep)[0] == 0
             assert calls == self.reference_falsify_plan(sweep)
-            plan = list(_sample_plan(samples, "near", range(near[0], near[1] + 1)))
+            plan = self.source_plan(calls, 8, samples, "near", range(near[0], near[1] + 1))
             assert plan == self.reference_falsify_plan(sweep)
 
     @pytest.mark.parametrize("precision", range(4, 14))
@@ -551,19 +587,84 @@ class TestSamplePlan:
             assert cli_mod._property_battery(config, sweep) == []
             assert calls == self.reference_battery_plan(config, sweep)
             near_vals = range(1, min(3, (precision - 1) // 2) + 1)
-            plan = list(_sample_plan(max(10, samples), "both", near_vals))
+            plan = self.source_plan(calls, precision, max(10, samples), "both", near_vals)
             assert plan == self.reference_battery_plan(config, sweep)
 
-    def test_schedule_is_lazy(self):
-        # a generator function yields its first draw without building the rest;
-        # checked first, so a list-building schedule fails here instead of
-        # allocating 10^12 entries below
-        assert inspect.isgeneratorfunction(_sample_plan)
-        plan = _sample_plan(10**12, "both", range(1, 4))
+    def test_schedule_is_lazy(self, monkeypatch):
+        # a generator function draws its first element without drawing the rest;
+        # checked first, so a list-building source fails here instead of making
+        # 10^12 draws below
+        assert inspect.isgeneratorfunction(_draws)
+        calls = self.drawn(monkeypatch)
+        draws = _draws(FieldConfig(3, 8), 10**12, "both", range(1, 4), lambda cls, v, i: str(i))
         near, far = Classification.NEAR, Classification.FAR
-        assert list(itertools.islice(plan, 7)) == [
+        assert [cls for cls, _ in itertools.islice(draws, 7)] == [cls for cls, _ in calls]
+        assert calls == [
             (far, 0), (near, 1), (far, 0), (near, 2), (far, 0), (near, 3), (far, 0),
         ]
+
+
+class TestOneElementSource:
+    """The runners on the one element source against the three draw loops they
+    replaced (tests/oracles.py), with one injected sampler that fails fixed draws:
+    the same stdout, stderr, exit code and sampler calls."""
+
+    FAILING = {1, 3}  # sampler calls answered with SamplingBudgetExceeded
+    PRIMES = {"small": "3,5,7,11,13", "p101": "101", "p1009": "1009"}
+    # name -> (flags, samples at small, p101 and p1009)
+    SWEEPS = {
+        **{f"verify-{cls}": (["verify", "--class", cls], (8, 8, 4)) for cls in SAMPLE_CLASSES},
+        "verify-stable": (["verify", "--s", "1"], (8, 8, 4)),
+        "verify-regular": (["verify", "--packet", "regular", "--level", "1", "--class", "near"],
+                           (6, 6, 4)),
+        "falsify": (["falsify"], (8, 8, 4)),
+        "falsify-deep": (["falsify", "--near-valuations", "2:4", "--precision", "9"], (6, 6, 4)),
+        "properties": (["properties"], (10, 10, 10)),
+    }
+
+    @staticmethod
+    def sweep(monkeypatch, argv, parent, failing):
+        """(exit code, stdout, stderr, sampler calls) of one sweep, by the parent's
+        loops or the element source; every sampler call is (class, v(b), seed)."""
+        import sl2endo.cli as cli_mod
+        from sl2endo import torus
+
+        calls = []
+
+        def injected(config, cls, v, seed):
+            calls.append((cls, v, seed))
+            if len(calls) - 1 in failing:
+                raise SamplingBudgetExceeded(f"injected at call {len(calls) - 1}")
+            return torus.sample_regular(config, cls, v, seed)
+
+        with monkeypatch.context() as patch:
+            for target in (cli_mod, oracles):
+                patch.setattr(target, "sample_regular", injected)
+            if parent:
+                for name in ("verify_identity", "falsify_adss152"):
+                    patch.setattr(oracles, name, getattr(cli_mod, name))
+                patch.setitem(cli_mod.RUNNERS, "verify", oracles.run_verify)
+                patch.setitem(cli_mod.RUNNERS, "falsify", oracles.run_falsify)
+                patch.setattr(cli_mod, "_property_battery", oracles._property_battery)
+            return (*run_cli(argv), calls)
+
+    @pytest.mark.parametrize("primes", PRIMES)
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_same_streams_as_the_parent_loops(self, monkeypatch, name, primes):
+        flags, samples = self.SWEEPS[name]
+        size = samples[list(self.PRIMES).index(primes)]
+        argv = [*flags, "--primes", self.PRIMES[primes], "--samples", str(size), "--seed", "3"]
+        properties = flags[0] == "properties"
+        # the parent battery let a failed draw escape (exit 2), so it runs without one
+        failing = set() if properties else self.FAILING
+        *new, new_calls = self.sweep(monkeypatch, argv, False, failing)
+        *old, old_calls = self.sweep(monkeypatch, argv, True, failing)
+        assert new == old and new[0] == 0
+        assert len(new_calls) == len(old_calls) > max(self.FAILING)
+        if properties:  # the parent drew from one shared generator, so no key to compare
+            new_calls = [call[:2] for call in new_calls]
+            old_calls = [call[:2] for call in old_calls]
+        assert new_calls == old_calls
 
 
 class TestExitOne:

@@ -16,7 +16,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-from functools import cached_property
 
 import sl2endo
 
@@ -89,8 +88,6 @@ def src_functions():
     def add(module, obj):
         if isinstance(obj, property):
             candidates = (obj.fget, obj.fset, obj.fdel)
-        elif isinstance(obj, cached_property):
-            candidates = (obj.func,)
         else:
             candidates = (getattr(obj, "__func__", obj),)  # a static or class method
         path = os.path.realpath(module.__file__)
