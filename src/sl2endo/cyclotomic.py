@@ -20,8 +20,10 @@ Integers live at conductor 1 and embed into every conductor unchanged
 (an integer is at most a constant term); values at two different
 conductors above 1 do not mix, and combining them raises
 ConductorMismatch; _conductor is that rule, for every operation.  The one
-sum is linear_combination, one accumulator and one result: +, -, unary -
-and scale are each one call of it.
+sum is linear_combination, one pass and one result: rational integers (a
+lone term at index 0, at any conductor) are summed as Python ints, any
+other operands in one accumulator by index.  +, -, unary - and scale are
+each one call of it.
 """
 
 from __future__ import annotations
@@ -236,6 +238,9 @@ def linear_combination(terms) -> CycNumber:
     ones included), else at 1, and two different conductors above 1 raise
     ConductorMismatch (_conductor).  A zero coefficient or value adds
     nothing, and a lone surviving term with coefficient 1 keeps its terms.
+    When every surviving value is a rational integer (its one term has
+    index 0) the sum is taken in Python ints; otherwise one accumulator
+    sums the terms by index.
     """
     m, live = 1, []
     for c, v in terms:
@@ -247,6 +252,13 @@ def linear_combination(terms) -> CycNumber:
     if len(live) == 1 and live[0][0] == 1:
         v = live[0][1]
         return v if v.m == m else CycNumber(m, v.num)
+    total = 0
+    for c, v in live:
+        if v.num[-1][0]:  # a term above index 0: not a rational integer
+            break
+        total += c * v.num[0][1]
+    else:
+        return CycNumber(m, ((0, total),) if total else ())
     acc = {}
     get = acc.get
     for c, v in live:

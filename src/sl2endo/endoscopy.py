@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .charformulas import (
@@ -42,15 +41,20 @@ FALSIFY_CHECKS = ("s1", "theta1+theta2")
 BUDGET_VERDICT = "skipped(sampling budget exceeded)"
 
 
-@lru_cache(maxsize=None)
+# The epsilon factor of each prime, by p: it does not depend on the precision N.
+_epsilon_factors: dict[int, int] = {}
+
+
 def epsilon_factor(config: FieldConfig) -> int:
     """Local epsilon factor of the unramified quadratic character, always -1.
 
     Computed as the inverse of that character's value at the uniformizer
-    (a level-one additive character is understood), once per configuration.
+    (a level-one additive character is understood), once per prime.
     """
-    chi_at_pi = sgn_eps(config.pi, config)
-    return chi_at_pi  # order <= 2, so the inverse is the value itself
+    factor = _epsilon_factors.get(config.p)
+    if factor is None:  # the character has order <= 2, so the inverse is the value
+        factor = _epsilon_factors[config.p] = sgn_eps(config.pi, config)
+    return factor
 
 
 def kappa_term(gamma: TorusElement) -> int:

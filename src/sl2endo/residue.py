@@ -11,7 +11,6 @@ pair of ints (a, b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclotomic import CycNumber, prime_divisors, root_of_unity
 from .localfield import FieldConfig, _square_roots
@@ -53,13 +52,13 @@ class NormOneGroup:
     (a, -b) share an order, and the points +-1 with b = 0 have order <= 2.
     Walking the powers of the generator gives the points in walk order,
     points[e] = g^e, and dlog is its inverse.  Construction costs
-    O(p log p) field operations.
+    O(p log p) field operations.  Of its configuration the group reads only
+    p and eps, never the precision N.
     """
 
     def __init__(self, config: FieldConfig):
-        self.config = config
-        p = config.p
-        roots, inv_eps = _square_roots(p), pow(config.eps, -1, p)
+        self.p, self.eps = p, eps = config.p, config.eps
+        roots, inv_eps = _square_roots(p), pow(eps, -1, p)
         self.order = p + 1
         self.identity = (1, 0)
         cofactors = [self.order // r for r in prime_divisors(self.order)]
@@ -76,7 +75,7 @@ class NormOneGroup:
         self.points: tuple[tuple[int, int], ...] = tuple(self._dlog)
 
     def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        p, eps = self.config.p, self.config.eps
+        p, eps = self.p, self.eps
         (xa, xb), (ya, yb) = x, y
         return ((xa * ya + eps * xb * yb) % p, (xa * yb + xb * ya) % p)
 
@@ -92,14 +91,14 @@ class NormOneGroup:
 
     def inverse(self, x: tuple[int, int]) -> tuple[int, int]:
         a, b = x
-        return (a, -b % self.config.p)
+        return (a, -b % self.p)
 
     def dlog(self, point: tuple[int, int]) -> int:
         return self._dlog[point]
 
     def reduce(self, element) -> tuple[int, int]:
         """Residue-field image of a torus element: its residues a and b, reduced mod p."""
-        p = self.config.p
+        p = self.p
         return (element.a % p, element.b % p)
 
     def character_value(self, level: CharacterLevel, point: tuple[int, int]) -> CycNumber:
@@ -110,9 +109,16 @@ class NormOneGroup:
         return root_of_unity(self.order, level.k * self.dlog(point))
 
 
-@lru_cache(maxsize=None)
+# The group of each prime, by p: it does not depend on the precision N.
+_groups: dict[int, NormOneGroup] = {}
+
+
 def norm_one_group(config: FieldConfig) -> NormOneGroup:
-    return NormOneGroup(config)
+    """The norm-one group of config's prime, built on first use, once per prime."""
+    group = _groups.get(config.p)
+    if group is None:
+        group = _groups[config.p] = NormOneGroup(config)
+    return group
 
 
 def quadratic_level(config: FieldConfig) -> CharacterLevel:

@@ -1,5 +1,6 @@
 """Reference helpers that several test modules share (not collected: no test_ prefix)."""
 
+import operator
 import random
 from collections import Counter
 from collections.abc import Iterator
@@ -23,7 +24,13 @@ from sl2endo.charformulas import (
 from sl2endo import checks, endoscopy
 from sl2endo.checks import _far
 from sl2endo.cli import Emitter, SweepConfig, _packets_for
-from sl2endo.cyclotomic import CycNumber, euler_phi, linear_combination, prime_divisors
+from sl2endo.cyclotomic import (
+    CycNumber,
+    _conductor,
+    euler_phi,
+    linear_combination,
+    prime_divisors,
+)
 from sl2endo.endoscopy import (
     FALSIFY_CHECKS,
     REPORT_FIELDS,
@@ -105,13 +112,12 @@ class NotASquare(Exception):
 # The norm-one group's construction as it was before it read the square-root
 # table: the rational parametrization of the conic from (-1, 0), with one
 # modular inverse per t, and a sort of the q + 1 points.  __init__ is kept
-# verbatim as the reference for the table scan; mul, power and dlog are the
-# group's own.
+# verbatim as the reference for the table scan, but for its first line, which
+# stores the p and eps that mul reads; mul, power and dlog are the group's own.
 
 class ParametrizedNormOneGroup(NormOneGroup):
     def __init__(self, config: FieldConfig):
-        self.config = config
-        p, eps = config.p, config.eps
+        self.p, self.eps = p, eps = config.p, config.eps
         pairs = [(p - 1, 0)]
         for t in range(p):
             et2 = eps * t * t
@@ -722,3 +728,33 @@ def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str
         (name, check(config, gammas), detail(gammas))
         for name, check, detail in checks.PROPERTIES
     ]
+
+
+# linear_combination as it was while every operand list went through the one
+# dict accumulator, before rational integers were summed as Python ints, kept
+# verbatim as the reference for the integer path.
+
+def accumulator_linear_combination(terms) -> CycNumber:
+    """sum of c*v over the (integer c, CycNumber v) pairs of terms, in one pass.
+
+    The result sits at the common conductor above 1 of the operands (zero
+    ones included), else at 1, and two different conductors above 1 raise
+    ConductorMismatch (_conductor).  A zero coefficient or value adds
+    nothing, and a lone surviving term with coefficient 1 keeps its terms.
+    """
+    m, live = 1, []
+    for c, v in terms:
+        c = operator.index(c)
+        if v.m != m:
+            m = _conductor(m, v.m)
+        if c and v.num:
+            live.append((c, v))
+    if len(live) == 1 and live[0][0] == 1:
+        v = live[0][1]
+        return v if v.m == m else CycNumber(m, v.num)
+    acc = {}
+    get = acc.get
+    for c, v in live:
+        for i, x in v.num:
+            acc[i] = get(i, 0) + c * x
+    return CycNumber(m, tuple(sorted([t for t in acc.items() if t[1]])))

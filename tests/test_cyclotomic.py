@@ -22,7 +22,7 @@ from sl2endo.cyclotomic import (
 )
 from sl2endo.errors import ConductorMismatch
 
-from oracles import coefficient_strings
+from oracles import accumulator_linear_combination, coefficient_strings
 
 
 def poly_mul(a, b):
@@ -603,6 +603,101 @@ class TestLinearCombination:
     def test_non_integer_coefficient_raises(self, bad):
         with pytest.raises(TypeError):
             linear_combination([(bad, root_of_unity(6, 1))])
+
+
+def differential(make_terms):
+    """linear_combination and the accumulator it replaced, each on its own
+    terms from make_terms(): the conductor and terms of each result, or the
+    class and message of the exception each raises."""
+    outcomes = []
+    for fn in (linear_combination, accumulator_linear_combination):
+        try:
+            value = fn(make_terms())
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            assert_canonical(value)
+            outcomes.append((value.m, value.num))
+    return outcomes
+
+
+@st.composite
+def integer_path_terms(draw):
+    """(c, v) pairs, mostly rational integers at 1 and at a conductor q + 1 in
+    {14, 1010}, with now and then a root of unity there, a zero value, or a
+    value at the other conductor above 1."""
+    m = draw(st.sampled_from([14, 1010]))
+    stray = 1010 if m == 14 else 14
+    big = st.integers(-(10**20), 10**20)
+    values = st.one_of(
+        st.one_of(integers, big).map(CycNumber.from_int),
+        st.one_of(integers, big).map(lambda n: CycNumber.from_int(n, m)),
+        st.integers(0, m - 1).map(lambda k: root_of_unity(m, k)),
+        st.sampled_from([CycNumber.zero(), CycNumber.zero(m), CycNumber.one(stray)]),
+    )
+    coeffs = st.one_of(st.sampled_from([0, 1, -1]), integers, big)
+    return draw(st.lists(st.tuples(coeffs, values), max_size=6))
+
+
+ROOT_242 = root_of_unity(1010, 402)  # one of the four powers of z1010 with 242 terms
+
+
+class TestIntegerPath:
+    """linear_combination, which sums rational integers as Python ints,
+    against the one-accumulator version it replaced: the same conductor and
+    terms, or the same exception with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=integer_path_terms())
+    def test_matches_accumulator(self, terms):
+        new, old = differential(lambda: terms)
+        assert new == old
+        assert differential(lambda: iter(terms)) == [new, old]
+
+    @pytest.mark.parametrize(
+        "make_terms",
+        [
+            lambda: [(3, CycNumber.from_int(2)), (-1, CycNumber.from_int(7))],
+            lambda: [(-1, CycNumber.from_int(1, 14)), (-1, CycNumber.from_int(-1, 14))],
+            lambda: [(2, CycNumber.from_int(-5, 1010)), (1, CycNumber.from_int(4)),
+                     (-1, CycNumber.one(1010))],
+            lambda: [(1, CycNumber.from_int(5, 14)), (-1, CycNumber.from_int(5))],
+            lambda: [(10**30, CycNumber.from_int(10**30)), (-1, CycNumber.one())],
+            lambda: [(-1, root_of_unity(14, 3)), (-1, root_of_unity(14, 11))],
+            lambda: [(2, CycNumber.from_int(3)), (1, root_of_unity(14, 1))],
+            lambda: [(1, root_of_unity(14, 1)), (2, CycNumber.from_int(3, 14))],
+            lambda: [(-1, ROOT_242), (1, root_of_unity(1010, 1007)), (2, CycNumber.from_int(3))],
+            lambda: [(1, ROOT_242), (-1, ROOT_242)],
+            lambda: [(0, root_of_unity(14, 1)), (3, CycNumber.zero(14)), (2, CycNumber.from_int(5))],
+            lambda: [(0, CycNumber.from_int(3)), (5, CycNumber.zero())],
+            lambda: [(1, CycNumber.from_int(7)), (0, root_of_unity(1010, 1))],
+            lambda: [(-1, CycNumber.from_int(7, 14))],
+            lambda: ((c, CycNumber.from_int(c, 14)) for c in range(-3, 5)),
+            lambda: ((c, root_of_unity(1010, c)) for c in (1, 402, 907)),
+            lambda: [(1, CycNumber.from_int(1, 14)), (1, CycNumber.from_int(1, 1010))],
+            lambda: [(1, CycNumber.from_int(2)), (0, CycNumber.zero(14)), (1, ROOT_242)],
+            lambda: [(Fraction(1, 2), CycNumber.from_int(2))],
+        ],
+        ids=["integers", "constants-at-q+1", "constants-and-integers-at-1010",
+             "cancelling-at-14", "big-integers", "roots-at-14", "integer-then-root",
+             "root-then-constant", "242-terms", "242-terms-cancelling",
+             "zero-coefficient-and-values", "all-zero", "lone-unit-moved", "lone-negated",
+             "generator-of-constants", "generator-of-roots", "mismatch-constants",
+             "mismatch-zero-then-root", "fraction-coefficient"],
+    )
+    def test_edge_cases(self, make_terms):
+        new, old = differential(make_terms)
+        assert new == old
+
+    def test_two_conductors_above_one_raise(self):
+        terms = [(1, CycNumber.from_int(3, 14)), (1, CycNumber.from_int(4, 1010))]
+        for fn in (linear_combination, accumulator_linear_combination):
+            with pytest.raises(ConductorMismatch):
+                fn(terms)
+
+    def test_lone_unit_constant_is_kept(self):
+        seven = CycNumber.from_int(7, 14)
+        assert linear_combination([(1, seven), (3, CycNumber.zero())]) is seven
 
 
 @st.composite

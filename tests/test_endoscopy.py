@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2endo import localfield
+from sl2endo import endoscopy, localfield
 from sl2endo.charformulas import (
     PacketSpec,
     inner_form_side,
@@ -72,6 +72,11 @@ class TestConstituents:
     def test_epsilon_factor_is_minus_one(self, p):
         assert epsilon_factor(FieldConfig(p)) == -1
         assert epsilon_factor(FieldConfig(p, 12)) == -1  # independent of N
+
+    def test_epsilon_factor_kept_once_per_prime(self, monkeypatch):
+        monkeypatch.setattr(endoscopy, "_epsilon_factors", {})
+        assert [epsilon_factor(FieldConfig(13, N)) for N in (4, 8, 12)] == [-1] * 3
+        assert endoscopy._epsilon_factors == {13: -1}
 
     def test_kappa_examples(self):
         assert kappa_term(far_p3()) == 1

@@ -19,7 +19,7 @@ from sl2endo.localfield import (
     sgn_pi,
     valuation,
 )
-from sl2endo.residue import norm_one_group
+from sl2endo.residue import _groups, norm_one_group
 
 import oracles
 from oracles import NotASquare, padic
@@ -332,7 +332,7 @@ def test_smallest_nonresidue_is_eps_and_cached():
     # the norm-one group, eps, legendre and hensel_sqrt read one table per
     # prime, built on first use; the group, built first, is the one that builds it
     _square_roots.cache_clear()
-    norm_one_group.cache_clear()
+    _groups.clear()
     for p in PRIMES:
         cfg = FieldConfig(p)
         assert norm_one_group(cfg).order == p + 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sl2endo import residue
 from sl2endo.cyclotomic import CycNumber, prime_divisors, root_of_unity
 from sl2endo.localfield import FieldConfig, is_odd_prime
 from sl2endo.residue import (
@@ -147,7 +148,27 @@ class TestGenerator:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_deterministic(self, p):
-        assert norm_one_group(FieldConfig(p)).generator == norm_one_group(FieldConfig(p, 10)).generator
+        # an uncached group at another precision: the cached one is shared across N
+        assert norm_one_group(FieldConfig(p)).generator == NormOneGroup(FieldConfig(p, 10)).generator
+
+
+class TestCachedPerPrime:
+    @pytest.mark.parametrize("p", [13, 1009])
+    def test_one_group_per_prime(self, p, monkeypatch):
+        # the group reads p and eps, never N: every precision gets the one
+        # group of its prime, built on first use
+        builds, init = [], NormOneGroup.__init__
+
+        def counted(self, config):
+            builds.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(NormOneGroup, "__init__", counted)
+        monkeypatch.setattr(residue, "_groups", {})
+        groups = [norm_one_group(FieldConfig(p, N)) for N in (4, 8, 12)]
+        assert groups[0] is groups[1] is groups[2]
+        assert builds == [FieldConfig(p, 4)]
+        assert residue._groups == {p: groups[0]}
 
 
 class TestDlog:
