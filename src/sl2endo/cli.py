@@ -43,7 +43,6 @@ from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
 from .torus import Classification, TorusElement, sample_regular
 
-NEAR_DEFAULT_RANGE = (1, 3)
 # The classes of the sampled elements in verify (--class).
 SAMPLE_CLASSES = ("near", "far", "both")
 # The modes that draw near elements with v(b) in near_val_lo..near_val_hi.
@@ -67,8 +66,8 @@ class SweepConfig:
     level: "int | None" = None
     s: str = "s1"
     sample_class: str = "both"
-    near_val_lo: int = NEAR_DEFAULT_RANGE[0]
-    near_val_hi: int = NEAR_DEFAULT_RANGE[1]
+    near_val_lo: int = 1
+    near_val_hi: int = 3
     fmt: str = "jsonl"
     out: "str | None" = None
 
@@ -335,31 +334,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
+    # every default but that of --primes is the SweepConfig field's (a class attribute)
+    d = SweepConfig
 
     def sampling_flags(p, mode):
         p.add_argument("--primes", default="3,5,7", help="comma-separated odd primes")
-        p.add_argument("--precision", type=int, default=8, help="p-adic digits N (>= 4)")
-        p.add_argument("--samples", type=int, default=20, help="samples per (prime, level)")
-        p.add_argument("--seed", type=int, default=0, help="sweep seed")
-        p.add_argument("--format", dest="fmt", choices=FORMATS[mode], default="jsonl")
-        p.add_argument("--out", default=None, help="write reports to this file")
+        p.add_argument("--precision", type=int, default=d.precision, help="p-adic digits N (>= 4)")
+        p.add_argument("--samples", type=int, default=d.samples, help="samples per (prime, level)")
+        p.add_argument("--seed", type=int, default=d.seed, help="sweep seed")
+        p.add_argument("--format", dest="fmt", choices=FORMATS[mode], default=d.fmt)
+        p.add_argument("--out", default=d.out, help="write reports to this file")
         if mode in NEAR_MODES:
             p.add_argument(
                 "--near-valuations",
-                default=f"{NEAR_DEFAULT_RANGE[0]}:{NEAR_DEFAULT_RANGE[1]}",
+                default=f"{d.near_val_lo}:{d.near_val_hi}",
                 help="lo:hi range of v(b) for near samples",
             )
 
     pv = sub.add_parser("verify", help="check the endoscopic identities")
     sampling_flags(pv, "verify")
-    pv.add_argument("--packet", choices=("regular", "nonregular"), default="nonregular")
-    pv.add_argument("--level", type=int, default=None, help="specific regular level k")
-    pv.add_argument("--s", default="s1", help="component-group element (1, s1, s2, s3)")
+    pv.add_argument("--packet", choices=("regular", "nonregular"), default=d.packet)
+    pv.add_argument("--level", type=int, default=d.level, help="specific regular level k")
+    pv.add_argument("--s", default=d.s, help="component-group element (1, s1, s2, s3)")
     pv.add_argument(
         "--class",
         dest="sample_class",
         choices=SAMPLE_CLASSES,
-        default="both",
+        default=d.sample_class,
     )
 
     pf = sub.add_parser("falsify", help="exhibit the ADSS-15.2 clash")
@@ -370,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("table", help="print residue character and structure tables")
     pt.add_argument("--primes", default="3,5,7", help="comma-separated odd primes")
-    pt.add_argument("--level", type=int, default=None, help="character level to tabulate")
-    pt.add_argument("--out", default=None, help="write the tables to this file")
+    pt.add_argument("--level", type=int, default=d.level, help="character level to tabulate")
+    pt.add_argument("--out", default=d.out, help="write the tables to this file")
 
     return parser
 

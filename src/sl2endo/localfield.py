@@ -25,6 +25,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
 
+from .cyclotomic import prime_divisors
 from .errors import PrecisionExhausted, ZeroInput
 
 # Primes from this on are refused before any work: the per-prime tables (the
@@ -34,14 +35,7 @@ PRIME_BOUND = 1 << 20
 
 
 def is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 2 and prime_divisors(n) == [n]
 
 
 class cached_fact:

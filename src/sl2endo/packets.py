@@ -124,22 +124,16 @@ class ProjMatrix:
             )
         )
 
-    def _flat(self) -> tuple[CycNumber, ...]:
-        return self.entries[0] + self.entries[1]
-
-    def proportional(self, other: "ProjMatrix") -> bool:
+    def __eq__(self, other) -> bool:
         """Equality in PGL_2: the entry vectors are parallel."""
-        x, y = self._flat(), other._flat()
+        if not isinstance(other, ProjMatrix):
+            return NotImplemented
+        x, y = self.entries[0] + self.entries[1], other.entries[0] + other.entries[1]
         for i in range(4):
             for j in range(i + 1, 4):
                 if x[i] * y[j] != x[j] * y[i]:
                     return False
         return True
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjMatrix):
-            return NotImplemented
-        return self.proportional(other)
 
     __hash__ = None
 
@@ -171,5 +165,5 @@ def regular_image_generators(level: CharacterLevel) -> tuple[ProjMatrix, ProjMat
 
 
 def centralizes(x: ProjMatrix, gens) -> bool:
-    return all((x @ g).proportional(g @ x) for g in gens)
+    return all(x @ g == g @ x for g in gens)
 

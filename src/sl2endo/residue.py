@@ -27,17 +27,13 @@ class CharacterLevel:
         object.__setattr__(self, "k", self.k % self.modulus)
 
     @property
-    def is_trivial(self) -> bool:
-        return self.k == 0
-
-    @property
     def is_quadratic(self) -> bool:
         return self.k == self.modulus // 2
 
     @property
     def is_regular(self) -> bool:
         """True when the character differs from its inverse (k != 0, (q+1)/2)."""
-        return not (self.is_trivial or self.is_quadratic)
+        return not (self.k == 0 or self.is_quadratic)
 
 
 class NormOneGroup:
@@ -128,4 +124,5 @@ def quadratic_level(config: FieldConfig) -> CharacterLevel:
 
 def regular_levels(config: FieldConfig) -> list[CharacterLevel]:
     m = config.q + 1
-    return [CharacterLevel(k, m) for k in range(m) if k not in (0, m // 2)]
+    levels = (CharacterLevel(k, m) for k in range(m))
+    return [level for level in levels if level.is_regular]

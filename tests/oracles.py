@@ -758,3 +758,18 @@ def accumulator_linear_combination(terms) -> CycNumber:
         for i, x in v.num:
             acc[i] = get(i, 0) + c * x
     return CycNumber(m, tuple(sorted([t for t in acc.items() if t[1]])))
+
+
+# The primality test as it was while it ran its own loop over odd divisors,
+# before it read cyclotomic.prime_divisors, kept verbatim as the reference
+# for localfield.is_odd_prime.
+
+def is_odd_prime(n: int) -> bool:
+    if n < 3 or n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True

@@ -150,6 +150,14 @@ PINNED_SWEEPS = pins_by_name((
         "c43afd296bea46a473587bfa2c1d5b098232c15c6dd1613c5e9e4a6e8b088284",
     ),
     (
+        "nonregular-s3-skips",
+        # pins s = s3: 60 far records keep lhs with a null rhs (no endoscopic
+        # comparison), and 60 near records are undetermined
+        ["verify", "--s", "s3", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
+        "a6b451810306e094c531b27f63dbbdd79eea6a8f84eac081321ba4cdb6ef594d",
+        "c43afd296bea46a473587bfa2c1d5b098232c15c6dd1613c5e9e4a6e8b088284",
+    ),
+    (
         "nonregular-csv-format",
         # pins the csv format with both sides decided
         ["verify", "--format", "csv", "--seed", "5"],
@@ -931,6 +939,11 @@ class TestOptionSurface:
             "table": ["--level", "--out", "--primes"],
         }
         assert sum(map(len, options.values())) == 27
+
+    @pytest.mark.parametrize("mode", ["verify", "falsify", "properties", "table"])
+    def test_flag_defaults_are_the_sweep_config_defaults(self, mode):
+        args = build_parser().parse_args([mode, "--primes", "3"])
+        assert sweep_from_args(args) == SweepConfig(mode, [3])
 
 
 class TestFormats:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sl2endo.errors import PrecisionExhausted, ZeroInput
 from sl2endo.localfield import (
+    PRIME_BOUND,
     FieldConfig,
     _square_roots,
     cached_fact,
@@ -410,4 +411,13 @@ class TestSquareRootTable:
 
 def test_is_odd_prime():
     assert [n for n in range(2, 20) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_odd_prime_answers_as_the_divisor_loop():
+    # every small n, the top of the admissible range, the largest admissible
+    # prime and products of two primes near 1009 (a divisor found only at sqrt(n))
+    top = range(PRIME_BOUND - 2000, PRIME_BOUND)
+    for n in [*range(-5, 20_000), *top, 1_048_573, 1009 * 1013, 1019 * 1021, 1021**2]:
+        assert is_odd_prime(n) == oracles.is_odd_prime(n), n
+    assert is_odd_prime(1_048_573) and not is_odd_prime(1021**2)
 
