@@ -8,7 +8,7 @@ character identities across sweeps of primes, character levels, and torus
 elements.
 """
 
-from .charformulas import PacketKind, PacketSpec
+from .charformulas import PacketSpec
 from .cyclotomic import CycNumber, root_of_unity
 from .endoscopy import VerificationReport, verify_identity
 from .localfield import FieldConfig
@@ -22,7 +22,6 @@ __all__ = [
     "Classification",
     "CycNumber",
     "FieldConfig",
-    "PacketKind",
     "PacketSpec",
     "TorusElement",
     "TorusVariant",

@@ -24,8 +24,7 @@ component group's character table in ``packets``.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cyclotomic import CycNumber, linear_combination
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
@@ -51,33 +50,34 @@ KOTTWITZ_SIGN_SPLIT = 1
 KOTTWITZ_SIGN_ANISOTROPIC = -1
 
 
-class PacketKind(enum.Enum):
-    REGULAR = "regular"
-    NONREGULAR = "nonregular"
-
-
 @dataclass(frozen=True)
 class PacketSpec:
     """A depth-zero supercuspidal packet, named by its torus character level.
 
     Regular levels give the two-member packet; the quadratic level gives
-    the four-member packet.  The generic member comes first in both member
-    vectors (the fixed genericity convention).
+    the four-member packet, and the trivial level names none.  kind, read
+    off the level, is the packet string of the reports.  The generic member
+    comes first in both member vectors (the fixed genericity convention).
     """
 
-    kind: PacketKind
     level: CharacterLevel
+    kind: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.level.k == 0:
+            raise NonRegularLevel(f"the trivial level mod {self.level.modulus} names no packet")
+        object.__setattr__(self, "kind", "regular" if self.level.is_regular else "nonregular")
 
     @staticmethod
     def regular(config: FieldConfig, k: int) -> "PacketSpec":
         level = CharacterLevel(k, config.q + 1)
         if not level.is_regular:
             raise NonRegularLevel(f"level {k} mod {config.q + 1} is not regular")
-        return PacketSpec(PacketKind.REGULAR, level)
+        return PacketSpec(level)
 
     @staticmethod
     def nonregular(config: FieldConfig) -> "PacketSpec":
-        return PacketSpec(PacketKind.NONREGULAR, quadratic_level(config))
+        return PacketSpec(quadratic_level(config))
 
 
 def _require_unramified(gamma: TorusElement) -> None:
@@ -210,7 +210,7 @@ def theta_virtual(packet: PacketSpec, s: str, gamma: TorusElement) -> CycNumber:
     cls = _classify_supported(gamma)
     swapped = gamma.variant is TorusVariant.CONJUGATED
     base = g_conjugate(gamma) if swapped else gamma
-    if packet.kind is PacketKind.REGULAR:
+    if packet.level.is_regular:
         coeffs = virtual_coeffs(Z2, s)
         values = theta_regular(packet.level, base)
     else:

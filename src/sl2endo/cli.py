@@ -45,7 +45,7 @@ from .torus import Classification, TorusElement, sample_regular
 
 # The classes of the sampled elements in verify (--class).
 SAMPLE_CLASSES = ("near", "far", "both")
-# The modes that draw near elements with v(b) in near_val_lo..near_val_hi.
+# The modes that draw near elements with v(b) in near_valuations.
 NEAR_MODES = ("verify", "falsify")
 # The report formats of each mode; ``table`` prints fixed text in none of them.
 FORMATS = {
@@ -66,8 +66,7 @@ class SweepConfig:
     level: "int | None" = None
     s: str = "s1"
     sample_class: str = "both"
-    near_val_lo: int = 1
-    near_val_hi: int = 3
+    near_valuations: range = range(1, 4)
     fmt: str = "jsonl"
     out: "str | None" = None
 
@@ -86,11 +85,13 @@ class SweepConfig:
         if self.mode in FORMATS and self.fmt not in FORMATS[self.mode]:
             raise ValueError(f"--format must be one of {FORMATS[self.mode]} for {self.mode}")
         if self.mode in NEAR_MODES:
-            if self.near_val_lo < 1 or self.near_val_hi < self.near_val_lo:
+            near = self.near_valuations
+            # a range's least and greatest members are its ends: read them, not walk it
+            if not near or min(near[0], near[-1]) < 1:
                 raise ValueError("near valuation range must satisfy 1 <= lo <= hi")
             # a far-only verify sweep draws no near element, so its precision bounds none
             draws_near = self.mode == "falsify" or self.sample_class != "far"
-            if draws_near and self.near_val_hi > self.precision - 3:
+            if draws_near and max(near[0], near[-1]) > self.precision - 3:
                 raise ValueError(
                     f"near valuations must stay <= N-3 = {self.precision - 3}"
                 )
@@ -158,7 +159,7 @@ def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
         return [PacketSpec.nonregular(config)]
     if sweep.level is not None:
         return [PacketSpec.regular(config, sweep.level)]
-    return [PacketSpec.regular(config, lv.k) for lv in regular_levels(config)]
+    return [PacketSpec(level) for level in regular_levels(config)]
 
 
 class Emitter:
@@ -207,12 +208,11 @@ class Emitter:
 def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
-    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
-            key = f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}|{sweep.s}"
-            draws = _draws(config, sweep.samples, sweep.sample_class, near_vals,
+            key = f"{sweep.seed}|{p}|{packet.kind}|{packet.level.k}|{sweep.s}"
+            draws = _draws(config, sweep.samples, sweep.sample_class, sweep.near_valuations,
                            lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}")
             for cls, gamma in draws:
                 if gamma is None:
@@ -234,11 +234,10 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
-    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         packet = PacketSpec.nonregular(config)
-        draws = _draws(config, sweep.samples, "near", near_vals,
+        draws = _draws(config, sweep.samples, "near", sweep.near_valuations,
                        lambda cls, v, i: f"{sweep.seed}|{p}|falsify|{v}|{i}")
         for cls, gamma in draws:
             if gamma is None:
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         if mode in NEAR_MODES:
             p.add_argument(
                 "--near-valuations",
-                default=f"{d.near_val_lo}:{d.near_val_hi}",
+                default=f"{d.near_valuations[0]}:{d.near_valuations[-1]}",
                 help="lo:hi range of v(b) for near samples",
             )
 
@@ -386,10 +385,10 @@ def sweep_from_args(args: argparse.Namespace) -> SweepConfig:
     except ValueError:
         raise ValueError(f"--primes must be comma-separated integers, got {primes!r}") from None
     if "near_valuations" in values:
-        text = str(values.pop("near_valuations"))
+        text = str(values["near_valuations"])
         lo, _, hi = text.partition(":")
         try:
-            values.update(near_val_lo=int(lo), near_val_hi=int(hi or lo))
+            values["near_valuations"] = range(int(lo), int(hi or lo) + 1)
         except ValueError:
             raise ValueError(f"--near-valuations must be lo or lo:hi, got {text!r}") from None
     return SweepConfig(**values)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from .charformulas import (
-    PacketKind,
     PacketSpec,
     adss152_theta,
     character_value_on,
@@ -225,7 +224,7 @@ def _report(
         except PrecisionExhausted:
             cls_name = "unknown"
     return VerificationReport(
-        config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
+        config.p, config.N, config.eps, packet.kind, packet.level.k, s,
         a, b, vb, cls_name, lhs, rhs, verdict,
     )
 
@@ -268,7 +267,7 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
         return _report(packet, s, gamma.config, gamma, SKIP_VERDICTS[type(exc)])
     if s == "s1":
         rhs = rhs_endoscopic(packet, gamma)
-    elif s == "1" and packet.kind is PacketKind.NONREGULAR:
+    elif s == "1" and packet.level.is_quadratic:
         rhs = inner_form_side(gamma)
     else:
         verdict = f"skipped(no endoscopic comparison for s={s})"
@@ -289,7 +288,7 @@ def falsify_adss152(
     theta_2 (identically -1) with the orbital-integral route (-1 - f).  Both
     are unequal for every near regular element.
     """
-    if packet.kind is not PacketKind.NONREGULAR:
+    if not packet.level.is_quadratic:
         raise ValueError("the ADSS-15.2 values concern the four-member packet")
     if gamma.classification is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")

@@ -10,7 +10,6 @@ from functools import lru_cache
 from sl2endo.charformulas import (
     KOTTWITZ_SIGN_ANISOTROPIC,
     KOTTWITZ_SIGN_SPLIT,
-    PacketKind,
     PacketSpec,
     _classify_supported,
     adss152_theta,
@@ -444,7 +443,7 @@ def _report(
         except PrecisionExhausted:
             cls_name = "unknown"
     return VerificationReport(
-        config.p, config.N, config.eps, packet.kind.value, packet.level.k, s,
+        config.p, config.N, config.eps, packet.kind, packet.level.k, s,
         a, b, vb, cls_name, None, None, verdict,
     )
 
@@ -483,7 +482,7 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
 
     if s == "s1":
         rhs = rhs_endoscopic(packet, gamma)
-    elif s == "1" and packet.kind is PacketKind.NONREGULAR:
+    elif s == "1" and packet.kind == "nonregular":
         rhs = inner_form_side(gamma)
     else:
         report.verdict = f"skipped(no endoscopic comparison for s={s})"
@@ -504,7 +503,7 @@ def falsify_adss152(
     theta_2 (identically -1) with the orbital-integral route (-1 - f).  Both
     are unequal for every near regular element.
     """
-    if packet.kind is not PacketKind.NONREGULAR:
+    if packet.kind != "nonregular":
         raise ValueError("the ADSS-15.2 values concern the four-member packet")
     if gamma.classification is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")
@@ -658,14 +657,14 @@ def _sample_plan(
 def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
-    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
+    near_vals = sweep.near_valuations
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
             plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
             for i, (cls, v) in enumerate(plan):
                 key = (
-                    f"{sweep.seed}|{p}|{packet.kind.value}|{packet.level.k}"
+                    f"{sweep.seed}|{p}|{packet.kind}|{packet.level.k}"
                     f"|{sweep.s}|{cls.value}|{v}|{i}"
                 )
                 try:
@@ -690,7 +689,7 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
     n_budget = 0
-    near_vals = range(sweep.near_val_lo, sweep.near_val_hi + 1)
+    near_vals = sweep.near_valuations
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         packet = PacketSpec.nonregular(config)

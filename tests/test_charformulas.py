@@ -1,12 +1,12 @@
 """Tests for the character-evaluation engine."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from sl2endo.charformulas import (
-    PacketKind,
     PacketSpec,
     adss152_theta,
     character_value_on,
@@ -79,8 +79,25 @@ class TestPacketSpec:
 
     def test_nonregular_forces_quadratic_level(self):
         pk = PacketSpec.nonregular(FieldConfig(7))
-        assert pk.kind is PacketKind.NONREGULAR
+        assert pk.kind == "nonregular"
         assert pk.level.is_quadratic
+
+    @pytest.mark.parametrize("p", [3, 7, 13])
+    def test_the_level_names_the_packet(self, p):
+        # k is regular when k != -k mod q+1, and quadratic when k = -k != 0
+        m = p + 1
+        with pytest.raises(NonRegularLevel):
+            PacketSpec(CharacterLevel(0, m))
+        for k in range(1, m):
+            packet = PacketSpec(CharacterLevel(k, m))
+            assert packet.kind == ("nonregular" if 2 * k == m else "regular")
+            if packet.kind == "regular":
+                assert packet == PacketSpec.regular(FieldConfig(p), k)
+            else:
+                assert packet == PacketSpec.nonregular(FieldConfig(p))
+
+    def test_the_level_is_the_one_init_field(self):
+        assert [f.name for f in dataclasses.fields(PacketSpec) if f.init] == ["level"]
 
 
 class TestPsi0:
@@ -295,7 +312,7 @@ def reference_theta_virtual(packet, s, gamma):
     swapped = gamma.variant is TorusVariant.CONJUGATED
     base = g_conjugate(gamma) if swapped else gamma
 
-    if packet.kind is PacketKind.REGULAR:
+    if packet.kind == "regular":
         if s not in ("1", "s1"):
             raise ValueError(f"the two-member packet has s in {{1, s1}}, got {s!r}")
         v_plus, v_minus = theta_regular(packet.level, base)

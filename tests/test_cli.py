@@ -179,6 +179,22 @@ PINNED_SWEEPS = pins_by_name((
         "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
         "6e3e4d2bdd2c1302accca20d7e86d531ff009dccd246e5ecea8cb040baf288ca",
     ),
+    (
+        "verify-near-valuations-2-5",
+        # pins a near range other than the default 1:3: 120 equal records
+        ["verify", "--near-valuations", "2:5", "--primes", "3,5,7", "--samples", "40",
+         "--seed", "5"],
+        "94461e155ab1fa1bd0889b5c7f4a62f5cbee1f157cbb9fb0825fe8510361c4dd",
+        "2b210f1884534fce8fca27d14ea2ef6614c6372978789b596f49aea8bbb2c213",
+    ),
+    (
+        "falsify-near-valuation-4",
+        # pins a one-valuation near range, lo alone: 400 unequal records
+        ["falsify", "--near-valuations", "4", "--primes", "3,5,7,11,13", "--samples", "40",
+         "--seed", "5"],
+        "f83f5ddcea6547e2d9b8d2f1a932daefeb3f5af133637a14795cc40f2a0371a5",
+        "b4febaa50d830fa57ffd096d8d4e69425681a8d31761388929d24f5305662e8b",
+    ),
 ))
 
 
@@ -502,7 +518,7 @@ class TestSamplePlan:
     @staticmethod
     def reference_verify_plan(sweep):
         """verify's schedule as it was: _sample_plan(sweep)."""
-        near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
+        near_vals = list(sweep.near_valuations)
         plan = []
         near_i = 0
         for i in range(sweep.samples):
@@ -520,7 +536,7 @@ class TestSamplePlan:
     def reference_falsify_plan(sweep):
         """falsify's schedule as it was, inline in run_falsify."""
         plan = []
-        near_vals = list(range(sweep.near_val_lo, sweep.near_val_hi + 1))
+        near_vals = list(sweep.near_valuations)
         for i in range(sweep.samples):
             v = near_vals[i % len(near_vals)]
             plan.append((Classification.NEAR, v))
@@ -558,8 +574,8 @@ class TestSamplePlan:
         calls = self.drawn(monkeypatch)
         for samples in self.SAMPLES:
             sweep = SweepConfig(mode="verify", primes=[3], samples=samples,
-                                sample_class=sample_class, near_val_lo=near[0],
-                                near_val_hi=near[1])
+                                sample_class=sample_class,
+                                near_valuations=range(near[0], near[1] + 1))
             calls.clear()
             assert run_capture(sweep)[0] == 0
             assert calls == self.reference_verify_plan(sweep)
@@ -572,7 +588,7 @@ class TestSamplePlan:
         calls = self.drawn(monkeypatch)
         for samples in self.SAMPLES:
             sweep = SweepConfig(mode="falsify", primes=[3], samples=samples,
-                                near_val_lo=near[0], near_val_hi=near[1])
+                                near_valuations=range(near[0], near[1] + 1))
             calls.clear()
             assert run_capture(sweep)[0] == 0
             assert calls == self.reference_falsify_plan(sweep)
@@ -789,6 +805,33 @@ class TestUsageErrors:
             assert code == 2 and out == ""
             assert err == "error: level 3 mod 6 is not regular\n"
         assert not target.exists()
+
+    def test_trivial_level_rejected(self):
+        code, out, err = run_cli(["verify", "--packet", "regular", "--level", "0", "--primes", "5"])
+        assert code == 2 and out == ""
+        assert err == "error: level 0 mod 6 is not regular\n"
+
+    @pytest.mark.parametrize("near, message", [
+        (range(5, 0, -1), "near valuations must stay <= N-3 = 4"),  # descending: max 5
+        (range(1, 7, 2), "near valuations must stay <= N-3 = 4"),  # stepped: max 5
+        (range(1, 10**18), "near valuations must stay <= N-3 = 4"),  # a walk would not end
+        (range(3, 1), "near valuation range must satisfy 1 <= lo <= hi"),  # empty
+        (range(2, -1, -1), "near valuation range must satisfy 1 <= lo <= hi"),  # min 0
+    ])
+    def test_near_range_bounded_by_its_min_and_max(self, near, message):
+        sweep = SweepConfig("verify", [3], precision=7, near_valuations=near)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep.validate()
+
+    def test_a_descending_near_range_is_drawn_in_its_order(self):
+        sweep = SweepConfig("falsify", [3], precision=7, samples=6,
+                            near_valuations=range(4, 0, -1))
+        code, out, _ = run_capture(sweep)
+        assert code == 0
+        # two records per element
+        assert [json.loads(line)["valuation_b"] for line in out.splitlines()][::2] == [
+            4, 3, 2, 1, 4, 3
+        ]
 
     @pytest.mark.parametrize("level", [None, 1])
     def test_validate_builds_a_packet_only_for_a_given_level(self, monkeypatch, level):
@@ -1010,7 +1053,7 @@ class TestFormats:
         sweep = sweep_from_args(args)
         assert sweep.primes == [3, 7]
         assert sweep.samples == 9
-        assert (sweep.near_val_lo, sweep.near_val_hi) == (2, 3)
+        assert sweep.near_valuations == range(2, 4)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
