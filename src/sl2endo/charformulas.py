@@ -80,11 +80,6 @@ class PacketSpec:
         return PacketSpec(quadratic_level(config))
 
 
-def _require_unramified(gamma: TorusElement) -> None:
-    if gamma.variant is not TorusVariant.UNRAMIFIED:
-        raise ValueError("formula applies to elements of the unramified-class torus")
-
-
 def _classify_supported(gamma: TorusElement) -> Classification:
     cls = gamma.classification
     if cls is Classification.ANTI_NEAR:
@@ -92,6 +87,12 @@ def _classify_supported(gamma: TorusElement) -> Classification:
             "no character formula on central twists of near elements"
         )
     return cls
+
+
+def _unramified_class(gamma: TorusElement) -> Classification:
+    if gamma.variant is not TorusVariant.UNRAMIFIED:
+        raise ValueError("formula applies to elements of the unramified-class torus")
+    return _classify_supported(gamma)
 
 
 def psi0(gamma: TorusElement) -> int:
@@ -154,8 +155,7 @@ def theta_regular(level: CharacterLevel, gamma: TorusElement) -> tuple[CycNumber
     and the other member vanishes; near the identity the values are
     -1 -+ f(gamma).
     """
-    _require_unramified(gamma)
-    if _classify_supported(gamma) is Classification.NEAR:
+    if _unramified_class(gamma) is Classification.NEAR:
         return _near_germ(gamma)
     group = norm_one_group(gamma.config)
     pt = group.reduce(gamma)
@@ -171,8 +171,7 @@ def theta_nonregular_far(gamma: TorusElement) -> tuple[CycNumber, ...]:
     Members 1 and 2 take -psi0(gamma); members 3 and 4 live on the other
     vertex and vanish on this torus.
     """
-    _require_unramified(gamma)
-    if _classify_supported(gamma) is not Classification.FAR:
+    if _unramified_class(gamma) is not Classification.FAR:
         raise NotFar("individual member values are only trusted far from the identity")
     value, zero = CycNumber.from_int(-psi0(gamma)), CycNumber.zero()
     return (value, value, zero, zero)
@@ -184,8 +183,7 @@ def theta_nonregular_near_sums(gamma: TorusElement) -> tuple[CycNumber, CycNumbe
     Returns (theta_1 + theta_2, theta_3 + theta_4) = (-1 - f, -1 + f).
     Individual members are deliberately not exposed here.
     """
-    _require_unramified(gamma)
-    if _classify_supported(gamma) is not Classification.NEAR:
+    if _unramified_class(gamma) is not Classification.NEAR:
         raise NotNear("member sums are the near-identity values")
     return _near_germ(gamma)
 
@@ -261,8 +259,7 @@ def adss152_theta(gamma: TorusElement) -> tuple[CycNumber, ...]:
     f = (-q)^{v(b)} is odd; an even f raises ArithmeticError rather than
     rounding.
     """
-    _require_unramified(gamma)
-    if _classify_supported(gamma) is not Classification.NEAR:
+    if _unramified_class(gamma) is not Classification.NEAR:
         raise NotNear("the disputed values concern the near-identity regime")
     f = f_direct(gamma)
     numerator = -f - 1  # f - 1 differs by 2f, so both halves are exact or neither

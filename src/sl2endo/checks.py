@@ -28,13 +28,13 @@ from .endoscopy import related_elements, transfer_factor
 from .localfield import FieldConfig, valuation
 from .packets import (
     KLEIN4,
+    NONREGULAR_IMAGE,
     PROJ_S1,
     PROJ_S2,
     PROJ_S3,
     Q8,
     Z2,
     centralizes,
-    nonregular_image,
     regular_image_generators,
     row_orthogonality,
 )
@@ -146,8 +146,7 @@ def structure_tables(config: FieldConfig, gammas) -> bool:
             return False
     if (PROJ_S1 @ PROJ_S2) != PROJ_S3:
         return False
-    image = nonregular_image()
-    if not all(centralizes(x, image) for x in image):
+    if not all(centralizes(x, NONREGULAR_IMAGE) for x in NONREGULAR_IMAGE):
         return False
     for level in regular_levels(config):
         gens = regular_image_generators(level)

@@ -59,7 +59,7 @@ FORMATS = {
 class SweepConfig:
     mode: str
     primes: list[int]
-    precision: int = 8
+    precision: int = FieldConfig.N
     samples: int = 20
     seed: int = 0
     packet: str = "nonregular"
@@ -107,10 +107,12 @@ class SweepConfig:
             raise ValueError(
                 "no stable comparison is defined for the regular packet; use --s s1"
             )
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        # with the limit off (0) or absent, N is bounded by CPython's default limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or getattr(
+            sys.int_info, "default_max_str_digits", 4300)
         for p in self.primes:
             config = FieldConfig(p, self.precision)  # fail fast on bad primes/precision
-            if digits and self.precision > _max_precision(p, digits):
+            if self.precision > _max_precision(p, digits):
                 raise ValueError(
                     f"--precision {self.precision} is too large for p={p}: residues mod"
                     f" p^N must print within Python's {digits}-digit int-to-str limit,"

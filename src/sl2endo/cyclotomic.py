@@ -200,13 +200,12 @@ class CycNumber:
         return linear_combination(((n, self),))
 
     def __eq__(self, other) -> bool:
+        """Exact equality; it crosses to integers, so a CycNumber has no hash."""
         if not isinstance(other, (CycNumber, numbers.Number)):
             return NotImplemented
         other = _lift(other)
         _conductor(self.m, other.m)  # raises unless the conductors meet
         return self.num == other.num
-
-    __hash__ = None  # equality crosses to integers; not intended as a dict key
 
     def __str__(self) -> str:
         """The value as a sum of terms c*z{m}^i, e.g. "3 - z12 + 2*z12^3"."""
@@ -226,9 +225,6 @@ class CycNumber:
                 parts.append(f"{sign}{c}")
         text = "".join(parts)
         return text[3:] if text[1] == "+" else "-" + text[3:]
-
-    def __repr__(self) -> str:
-        return f"CycNumber({self})"
 
 
 def linear_combination(terms) -> CycNumber:

@@ -135,18 +135,13 @@ class ProjMatrix:
                     return False
         return True
 
-    __hash__ = None
-
 
 PROJ_IDENTITY = ProjMatrix.from_int_rows(((1, 0), (0, 1)))
 PROJ_S1 = ProjMatrix.from_int_rows(((1, 0), (0, -1)))
 PROJ_S2 = ProjMatrix.from_int_rows(((0, 1), (-1, 0)))
 PROJ_S3 = ProjMatrix.from_int_rows(((0, 1), (1, 0)))
-
-
-def nonregular_image() -> tuple[ProjMatrix, ProjMatrix, ProjMatrix, ProjMatrix]:
-    """Image of the biquadratic parameter mod scalars: {1, s1, s2, s1*s2}."""
-    return (PROJ_IDENTITY, PROJ_S1, PROJ_S2, PROJ_S1 @ PROJ_S2)
+# Image of the biquadratic parameter mod scalars: {1, s1, s2, s1*s2}.
+NONREGULAR_IMAGE = (PROJ_IDENTITY, PROJ_S1, PROJ_S2, PROJ_S1 @ PROJ_S2)
 
 
 def regular_image_generators(level: CharacterLevel) -> tuple[ProjMatrix, ProjMatrix]:

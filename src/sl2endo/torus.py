@@ -83,12 +83,6 @@ class TorusElement:
             return Classification.ANTI_NEAR
         raise AssertionError("norm-one element with b in (p) must have a = +-1 mod p")
 
-    def __repr__(self) -> str:
-        return (
-            f"TorusElement(a={self.a}, b={self.b},"
-            f" {self.variant.value}, p={self.config.p})"
-        )
-
 
 @dataclass(frozen=True)
 class LieElement:

@@ -220,6 +220,59 @@ class TestThetaNonRegularNearSums:
             theta_nonregular_near_sums(far_p3())
 
 
+UNRAMIFIED_ONLY = (ValueError, "formula applies to elements of the unramified-class torus")
+ANTI_NEAR_REFUSED = (AntiNearUnsupported, "no character formula on central twists of near elements")
+
+
+class TestMemberFormulaGuards:
+    """Each member formula refuses a conjugated element before it classifies
+    it, then an anti-near element, an element with b = 0 and the class it
+    does not cover, each with its own exception type and message."""
+
+    FORMULAS = {
+        "theta_regular": (lambda g: theta_regular(CharacterLevel(1, g.config.p + 1), g),
+                          "anti_near", ANTI_NEAR_REFUSED),
+        "theta_nonregular_far": (theta_nonregular_far, "near",
+                                 (NotFar, "individual member values are only trusted"
+                                  " far from the identity")),
+        "theta_nonregular_near_sums": (theta_nonregular_near_sums, "far",
+                                       (NotNear, "member sums are the near-identity values")),
+        "adss152_theta": (adss152_theta, "far",
+                          (NotNear, "the disputed values concern the near-identity regime")),
+    }
+
+    @staticmethod
+    def outcome(formula, gamma):
+        try:
+            formula(gamma)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return "value"
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_refusals(self, name, p):
+        formula, refused, refusal = self.FORMULAS[name]
+        cfg = FieldConfig(p)
+        near, far = near_sample(p, 1, "guard"), far_sample(p, "guard")
+        zero_b = element(cfg, 1, 0)
+        inputs = {
+            "anti_near": element(cfg, -near.a, near.b), "near": near, "far": far,
+        }
+        expected = [
+            (g_conjugate(far), UNRAMIFIED_ONLY),
+            (g_conjugate(near), UNRAMIFIED_ONLY),
+            (g_conjugate(zero_b), UNRAMIFIED_ONLY),  # refused before v(b) is read
+            (inputs["anti_near"], ANTI_NEAR_REFUSED),
+            (zero_b, (PrecisionExhausted, f"residue is 0 mod {p}^8")),
+            (inputs[refused], refusal),
+        ]
+        for gamma, refusal_of_gamma in expected:
+            assert self.outcome(formula, gamma) == refusal_of_gamma, gamma
+        accepted = [g for cls, g in inputs.items() if cls not in (refused, "anti_near")]
+        assert accepted and all(self.outcome(formula, g) == "value" for g in accepted)
+
+
 class TestThetaVirtual:
     def test_nonregular_far_s1(self):
         pk = PacketSpec.nonregular(FieldConfig(3))

@@ -30,13 +30,16 @@ from sl2endo.localfield import FieldConfig
 from sl2endo.torus import Classification
 
 
-INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def int_str_digits():
+    """The int-to-str digit limit, or CPython's default 4,300 where none is set (0) or known."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or getattr(
+        sys.int_info, "default_max_str_digits", 4300)
 
 
 def largest_printable_precision(p):
-    """Largest N with p^N <= 10^INT_STR_DIGITS, so residues mod p^N print."""
-    n, power = 0, p
-    while power <= 10**INT_STR_DIGITS:
+    """Largest N with p^N <= 10^int_str_digits(), so residues mod p^N print."""
+    n, power, ceiling = 0, p, 10**int_str_digits()
+    while power <= ceiling:
         n, power = n + 1, power * p
     return n
 
@@ -194,6 +197,33 @@ PINNED_SWEEPS = pins_by_name((
          "--seed", "5"],
         "f83f5ddcea6547e2d9b8d2f1a932daefeb3f5af133637a14795cc40f2a0371a5",
         "b4febaa50d830fa57ffd096d8d4e69425681a8d31761388929d24f5305662e8b",
+    ),
+    (
+        "falsify-csv-format",
+        # pins the falsify csv format: 120 unequal records
+        ["falsify", "--format", "csv", "--primes", "3,5,7", "--samples", "20", "--seed", "5"],
+        "bc58f0c2ec10ccdf6b8ada01782357a6f9c6f85ab24674f67394f9f8e82c9639",
+        "7ffd939e6ac44e1906adf571cc48b54cbc6f959634c215305327c2d784bea695",
+    ),
+    (
+        "falsify-table-format",
+        ["falsify", "--format", "table", "--primes", "3,5,7", "--samples", "20", "--seed", "5"],
+        "2d741289198884e5a6d1fc710a6105feefa6cf2641e9c669965a08e8542e6099",
+        "7ffd939e6ac44e1906adf571cc48b54cbc6f959634c215305327c2d784bea695",
+    ),
+    (
+        "properties-table-format",
+        ["properties", "--format", "table", "--primes", "3,5,7,11,13", "--samples", "40",
+         "--seed", "5"],
+        "c9a1af192495421b2bcd71ec94e2782945f68b632e11921e9f30430a3b27b75f",
+        "6de4bc079166b9572e75721239b580a1592179eaddb0a0aea227b8d78279fd37",
+    ),
+    (
+        "table-level-1",
+        # pins the --level branch of the table: one regular level at each prime
+        ["table", "--primes", "5,7", "--level", "1"],
+        "6f75c0ca57a5d85efaf92c32e9e635a1bd295d410ed82a968af4adfe2148c3f9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 ))
 
@@ -921,7 +951,6 @@ class TestUsageErrors:
             assert code == 2, exc
             assert out == "" and err == expected
 
-    @pytest.mark.skipif(not INT_STR_DIGITS, reason="no int-to-str digit limit")
     def test_precision_beyond_int_str_limit_rejected_up_front(self, tmp_path):
         target = tmp_path / "reports.jsonl"
         code, out, err = run_cli(["verify", "--precision", "100000", "--out", str(target)])
@@ -929,13 +958,26 @@ class TestUsageErrors:
         assert out == "" and not target.exists()
         assert f"N <= {largest_printable_precision(3)}" in err and err.count("\n") == 1
 
-    @pytest.mark.skipif(not INT_STR_DIGITS, reason="no int-to-str digit limit")
     def test_precision_bound_is_exact(self):
         limit = largest_printable_precision(3)
         code, _, _ = run_cli(["verify", "--primes", "3", "--precision", str(limit), "--samples", "2"])
         assert code == 0
         code, _, _ = run_cli(["verify", "--primes", "3", "--precision", str(limit + 1)])
         assert code == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_precision_bounded_with_the_int_str_limit_off(self):
+        # limit 0 lets ints of any size print; N is then bounded by CPython's default
+        # 4,300 digits, or a check at N = 10^9 would run for hours
+        sweep = SweepConfig("verify", [3], precision=10**9, samples=1)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ValueError, match=r"so N <= 9012$"):
+                sweep.validate()
+            assert largest_printable_precision(3) == 9012
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize(
         "argv",

@@ -199,6 +199,19 @@ class TestRingOps:
             with pytest.raises(TypeError):
                 op()
 
+    def test_repr_shows_the_conductor_and_rebuilds_the_value(self):
+        three, three_at_14 = CycNumber.from_int(3), CycNumber.from_int(3, 14)
+        assert repr(three) != repr(three_at_14)
+        for v in (three, three_at_14, CycNumber.zero(6), root_of_unity(12, 5) - 2):
+            rebuilt = eval(repr(v))
+            assert (rebuilt.m, rebuilt.num) == (v.m, v.num)
+            assert rebuilt == v
+
+    def test_unhashable(self):
+        # equality crosses to integers (3 == CycNumber.from_int(3, 14)), so no hash
+        with pytest.raises(TypeError):
+            hash(CycNumber.from_int(3))
+
 
 # A dense Fraction reference with the semantics CycNumber had when it held
 # rationals: one Fraction per power-basis coefficient, reduced against every

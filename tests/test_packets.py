@@ -9,6 +9,7 @@ from sl2endo.errors import NonRegularLevel
 from sl2endo.localfield import FieldConfig
 from sl2endo.packets import (
     KLEIN4,
+    NONREGULAR_IMAGE,
     PROJ_IDENTITY,
     PROJ_S1,
     PROJ_S2,
@@ -17,7 +18,6 @@ from sl2endo.packets import (
     Z2,
     ProjMatrix,
     centralizes,
-    nonregular_image,
     regular_image_generators,
     row_orthogonality,
     virtual_coeffs,
@@ -110,7 +110,7 @@ class TestProjMatrices:
         assert (PROJ_S1 @ PROJ_S2) == (PROJ_S2 @ PROJ_S1)
 
     def test_nonregular_image_is_klein_four(self):
-        image = nonregular_image()
+        image = NONREGULAR_IMAGE
         assert len(image) == 4
         for x in image:
             for y in image:
@@ -124,6 +124,11 @@ class TestProjMatrices:
         with pytest.raises(ValueError):
             ProjMatrix(((one, one), (one, one)))
 
+    def test_unhashable(self):
+        # equality is equality in PGL_2, which a hash of the entries would not respect
+        with pytest.raises(TypeError):
+            hash(PROJ_S1)
+
     def test_proportional_scaling(self):
         scaled = ProjMatrix.from_int_rows(((3, 0), (0, -3)))
         assert scaled == PROJ_S1
@@ -134,7 +139,7 @@ class TestRegularImage:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_s1_centralizes_everything_in_scope(self, p):
         cfg = FieldConfig(p)
-        assert centralizes(PROJ_S1, nonregular_image())
+        assert centralizes(PROJ_S1, NONREGULAR_IMAGE)
         for lv in regular_levels(cfg):
             assert centralizes(PROJ_S1, regular_image_generators(lv))
 

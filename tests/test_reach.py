@@ -47,8 +47,6 @@ SWEEPS = (
 # The src functions that no sweep reaches, each with the reason it stays.
 UNREACHED = {
     "cli.console_main": "entry point of the installed sl2endo script",
-    "cyclotomic.CycNumber.__repr__": "debugging display",
-    "torus.TorusElement.__repr__": "debugging display",
     "cyclotomic.CycNumber.promote": "patched by name in bench/spans.py",
     "cyclotomic.CycNumber.__rsub__": "patched by name in bench/spans.py",
     "endoscopy.VerificationReport.to_record": "patched by name in bench/spans.py",

@@ -85,6 +85,13 @@ class TestConstruction:
             LieElement(cfg, cfg.modulus)
         assert element(cfg, 1 + cfg.modulus, -cfg.modulus) == TorusElement(cfg, 1, 0)
 
+    def test_repr_shows_every_field(self):
+        g = element(FieldConfig(3, 12), 3, -2)
+        assert repr(g) == (
+            "TorusElement(config=FieldConfig(p=3, N=12), a=3, b=531439,"
+            " variant=<TorusVariant.UNRAMIFIED: 'unramified'>)"
+        )
+
     def test_norm_checked_by_invert_and_g_conjugate(self):
         # both build through the constructor, so a corrupted element is caught
         g = element(FieldConfig(3), 3, -2)
