@@ -117,7 +117,9 @@ def psi0(gamma: TorusElement) -> int:
 
 def psi0_via_level(gamma: TorusElement) -> int:
     """The same character evaluated through the residue dlog route."""
-    return character_value_on(gamma, quadratic_level(gamma.config)).as_int()
+    cfg = gamma.config
+    group = norm_one_group(cfg)
+    return group.character_value(quadratic_level(cfg), group.reduce(gamma)).as_int()
 
 
 def psi0_on_residue_point(config: FieldConfig, point: tuple[int, int]) -> int:
@@ -131,12 +133,6 @@ def psi0_on_residue_point(config: FieldConfig, point: tuple[int, int]) -> int:
     if b == 0 and a == p - 1:
         return -legendre(p - 1, p)
     return legendre(2 * (a + 1) % p, p)
-
-
-def character_value_on(gamma: TorusElement, level: CharacterLevel) -> CycNumber:
-    """Depth-zero character value at gamma via reduction and dlog."""
-    group = norm_one_group(gamma.config)
-    return group.character_value(level, group.reduce(gamma))
 
 
 def _near_germ(gamma: TorusElement) -> tuple[CycNumber, CycNumber]:

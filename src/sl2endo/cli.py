@@ -118,8 +118,8 @@ class SweepConfig:
                     f" p^N must print within Python's {digits}-digit int-to-str limit,"
                     f" so N <= {_max_precision(p, digits)}"
                 )
-            if self.mode == "verify" and self.packet == "regular" and self.level is not None:
-                PacketSpec.regular(config, self.level)  # not regular at p: fail before any output
+            if self.mode == "verify" and self.level is not None:
+                _packets_for(config, self)  # not regular at p: fail before any output
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from json.encoder import encode_basestring_ascii
 from .charformulas import (
     PacketSpec,
     adss152_theta,
-    character_value_on,
     inner_form_side,
     mu_hat_orbital,
     theta_virtual,
@@ -32,6 +31,7 @@ from .cyclotomic import CycNumber, euler_phi, linear_combination
 from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
 from .localfield import FieldConfig, sgn_eps
 from .packets import KLEIN4, virtual_coeffs
+from .residue import norm_one_group
 from .torus import Classification, TorusElement, cayley_inverse, invert
 
 # The s field of the two falsify reports of one near element.
@@ -82,13 +82,15 @@ def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
 
     The transported stable character is evaluated at the packet's level
     through the residue dlog route, independently of the member formulas on
-    the left-hand side.
+    the left-hand side: each related element is reduced into the norm-one
+    group of gamma's prime, looked up once per check, and read there.
     """
     if gamma.classification is Classification.ANTI_NEAR:
         raise AntiNearUnsupported("right-hand side undefined on anti-near elements")
-    factor = transfer_factor(gamma)
+    factor, group = transfer_factor(gamma), norm_one_group(gamma.config)
     return linear_combination(
-        (factor, character_value_on(delta, packet.level)) for delta in related_elements(gamma)
+        (factor, group.character_value(packet.level, group.reduce(delta)))
+        for delta in related_elements(gamma)
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cyclotomic import CycNumber, root_of_unity
+from .cyclotomic import CycNumber, _lift, root_of_unity
 from .errors import NonRegularLevel
 from .residue import CharacterLevel
 
@@ -105,11 +105,7 @@ class ProjMatrix:
 
     @staticmethod
     def from_int_rows(rows) -> "ProjMatrix":
-        conv = tuple(
-            tuple(x if isinstance(x, CycNumber) else CycNumber.from_int(x) for x in row)
-            for row in rows
-        )
-        return ProjMatrix(conv)
+        return ProjMatrix(tuple(tuple(_lift(x) for x in row) for row in rows))
 
     def det(self) -> CycNumber:
         e = self.entries

@@ -197,7 +197,9 @@ def sample_regular(
     succeed; far draws are accepted only when 1 + eps*b^2 is a square,
     which happens for a positive fraction of units that can drop to ~1/8
     at p = 3, hence the generous retry budget.  A rejected draw raises
-    nothing: hensel_sqrt answers None and the next draw follows.
+    nothing: hensel_sqrt answers None and the next draw follows.  The unit's
+    digits are the draws of randrange(1, p) and randrange(p^(N-v-1)), taken
+    from getrandbits by randrange's rule on CPython 3.10-3.13.
     """
     if classification is Classification.FAR:
         if v_target != 0:
@@ -209,19 +211,27 @@ def sample_regular(
         raise ValueError(f"v_target={v_target} leaves too little precision (N={config.N})")
 
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    getrandbits = rng.getrandbits
     p, eps, modulus = config.p, config.eps, config.modulus
     shift, high = p**v_target, p ** (config.N - v_target - 1)
+    low_bits, high_bits = (p - 1).bit_length(), high.bit_length()
     for _ in range(_SAMPLING_BUDGET):
-        # unit by construction: nonzero low digit plus arbitrary higher digits
-        u = rng.randrange(1, p) + p * rng.randrange(high)
-        b = shift * u % modulus
+        # unit by construction: nonzero low digit plus arbitrary higher digits;
+        # each digit below n is bit_length(n) bits, redrawn while >= n
+        low = getrandbits(low_bits)
+        while low >= p - 1:
+            low = getrandbits(low_bits)
+        rest = getrandbits(high_bits)
+        while rest >= high:
+            rest = getrandbits(high_bits)
+        b = shift * (1 + low + p * rest) % modulus
         a = hensel_sqrt(eps * b * b + 1, config)
         if a is None:
             continue
         # for v(b) >= 1 hensel_sqrt lifts the smaller root of 1, so a = 1 mod p:
         # near draws keep a, anti-near draws negate it, far draws flip a coin
         if classification is Classification.ANTI_NEAR or (
-            classification is Classification.FAR and rng.getrandbits(1)
+            classification is Classification.FAR and getrandbits(1)
         ):
             a = -a % modulus
         gamma = TorusElement(config, a, b)

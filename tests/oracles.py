@@ -20,7 +20,7 @@ from sl2endo.charformulas import (
     theta_nonregular_near_sums,
     theta_virtual,
 )
-from sl2endo import checks, endoscopy
+from sl2endo import checks, endoscopy, localfield
 from sl2endo.checks import _far
 from sl2endo.cli import Emitter, SweepConfig, _packets_for
 from sl2endo.cyclotomic import (
@@ -405,6 +405,61 @@ def sample_regular(
             if a % p != p - 1:
                 a = -a % modulus
         elif rng.getrandbits(1):
+            a = -a % modulus
+        gamma = TorusElement(config, a, b)
+        if gamma.classification is classification:
+            return gamma
+    raise SamplingBudgetExceeded(
+        f"no {classification.value} element with v(b)={v_target} in {_SAMPLING_BUDGET} draws"
+    )
+
+
+# The integer sampler as it was while it drew both digits of the unit through
+# randrange, kept verbatim but for its root, which it takes from the package's
+# hensel_sqrt (localfield.hensel_sqrt, beside the PadicNumber one above), as
+# the reference of the sampler that draws them from getrandbits by
+# randrange's rule.
+
+def randrange_sample_regular(
+    config: FieldConfig,
+    classification: Classification,
+    v_target: int,
+    seed: "int | str | random.Random",
+) -> TorusElement:
+    """Draw a pseudo-random regular element of the requested class.
+
+    b is p^{v_target} times a random unit; a is the Hensel square root of
+    1 + eps*b^2 with its sign forced by the class (random for far, where
+    the sign carries no information).  Near/anti-near draws always
+    succeed; far draws are accepted only when 1 + eps*b^2 is a square,
+    which happens for a positive fraction of units that can drop to ~1/8
+    at p = 3, hence the generous retry budget.  A rejected draw raises
+    nothing: hensel_sqrt answers None and the next draw follows.
+    """
+    if classification is Classification.FAR:
+        if v_target != 0:
+            raise ValueError("far elements have v(b) = 0")
+    else:
+        if v_target < 1:
+            raise ValueError("near elements need v(b) >= 1")
+    if v_target >= config.N - 2:
+        raise ValueError(f"v_target={v_target} leaves too little precision (N={config.N})")
+
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    p, eps, modulus = config.p, config.eps, config.modulus
+    shift, high = p**v_target, p ** (config.N - v_target - 1)
+    for _ in range(_SAMPLING_BUDGET):
+        # unit by construction: nonzero low digit plus arbitrary higher digits
+        u = rng.randrange(1, p) + p * rng.randrange(high)
+        b = shift * u % modulus
+        a = localfield.hensel_sqrt(eps * b * b + 1, config)
+        if a is None:
+            continue
+        # for v(b) >= 1 hensel_sqrt lifts the smaller root of 1, so a = 1 mod p:
+        # near draws keep a, anti-near draws negate it, far draws flip a coin
+        if classification is Classification.ANTI_NEAR or (
+            classification is Classification.FAR and rng.getrandbits(1)
+        ):
             a = -a % modulus
         gamma = TorusElement(config, a, b)
         if gamma.classification is classification:

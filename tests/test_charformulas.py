@@ -9,7 +9,6 @@ import pytest
 from sl2endo.charformulas import (
     PacketSpec,
     adss152_theta,
-    character_value_on,
     inner_form_side,
     mu_hat_orbital,
     psi0,
@@ -339,11 +338,13 @@ class TestThetaVirtual:
         # -f(gamma) * (psi(gamma) + psi(1/gamma)) specializes to the far and
         # near closed forms
         cfg = FieldConfig(7)
+        group = norm_one_group(cfg)
         for lv in regular_levels(cfg):
             pk = PacketSpec.regular(cfg, lv.k)
             for g in (far_sample(7), near_sample(7, 1), near_sample(7, 2)):
                 unified = (
-                    character_value_on(g, lv) + character_value_on(invert(g), lv)
+                    group.character_value(lv, group.reduce(g))
+                    + group.character_value(lv, group.reduce(invert(g)))
                 ).scale(-f_direct(g))
                 assert theta_virtual(pk, "s1", g) == unified
 

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -283,6 +284,18 @@ class TestVerifyMode:
         for line in out.splitlines():
             rec = json.loads(line)
             assert sorted(rec.keys()) == sorted(REPORT_FIELDS)
+
+    def test_draws_call_no_randrange(self, monkeypatch):
+        # the sampler takes both digits from getrandbits, by randrange's rule
+        argv = ["verify", "--primes", "3,5,7", "--samples", "40", "--seed", "3"]
+        expected = run_cli(argv)
+
+        def refused(self, *args, **kwargs):
+            raise AssertionError("randrange called")
+
+        monkeypatch.setattr(random.Random, "randrange", refused)
+        assert run_cli(argv) == expected
+        assert expected[0] == 0 and expected[1]
 
 
 class TestFalsifyMode:

@@ -477,3 +477,35 @@ class TestSamplerAgainstReference:
                     ]
                     assert outcomes[0] == outcomes[1]
                     assert shared[0].getstate() == shared[1].getstate()
+
+
+def drawn(sample, config, classification, v, seed):
+    """sample(...) as (a, b, class)."""
+    g = sample(config, classification, v, seed)
+    return g.a, g.b, g.classification
+
+
+class TestExactDraws:
+    """sample_regular against the sampler that drew its digits through randrange
+    (oracles): the same (a, b, class), key by key and along one shared generator."""
+
+    CASES = [(Classification.FAR, 0)] + [
+        (cls, v) for cls in (Classification.NEAR, Classification.ANTI_NEAR) for v in (1, 2, 3)
+    ]
+
+    @pytest.mark.parametrize("N", [8, 12])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 1009])
+    def test_same_draws_as_randrange(self, p, N):
+        cfg = FieldConfig(p, N)
+        shared = [random.Random(f"exact-{p}-{N}") for _ in range(2)]
+        for cls, v in self.CASES:
+            for i in range(500):
+                key = f"exact|{cls.value}|{v}|{i}"
+                assert drawn(sample_regular, cfg, cls, v, key) == drawn(
+                    oracles.randrange_sample_regular, cfg, cls, v, key
+                ), key
+            for _ in range(100):
+                assert drawn(sample_regular, cfg, cls, v, shared[0]) == drawn(
+                    oracles.randrange_sample_regular, cfg, cls, v, shared[1]
+                )
+            assert shared[0].getstate() == shared[1].getstate()
