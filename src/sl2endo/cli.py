@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from . import checks
 from .charformulas import PacketSpec, psi0_on_residue_point
-from .cyclotomic import CycNumber
 from .endoscopy import (
     BUDGET_VERDICT,
     FALSIFY_CHECKS,
@@ -165,32 +164,29 @@ def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
 
 
 class Emitter:
-    """Serializes reports in one of the supported formats."""
+    """The one writer of a check stream: serializes reports in one of the
+    supported formats and counts the verdicts of the records it writes."""
 
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
         self.stream = stream
+        self.verdicts: Counter[str] = Counter()  # verdict -> records written
         self.rows: list[list[str]] = []  # table cells, padded at close
         if fmt == "csv":
             self.writer = csv.writer(stream, lineterminator="\n")
             self.writer.writerow(REPORT_FIELDS)
 
-    @staticmethod
-    def _flatten(report: VerificationReport) -> list:
-        """The report's fields in schema order, a cyclotomic value as its text."""
-        row = []
-        for name in REPORT_FIELDS:
-            value = getattr(report, name)
-            row.append(str(value) if isinstance(value, CycNumber) else value)
-        return row
-
     def emit(self, report: VerificationReport) -> None:
+        self.verdicts[report.verdict] += 1
         if self.fmt == "jsonl":
             self.stream.write(report.to_json() + "\n")
-        elif self.fmt == "csv":
-            self.writer.writerow(self._flatten(report))
+            return
+        # the one cell rule of csv and table: a field's text, null as an empty cell
+        cells = ["" if (v := getattr(report, name)) is None else str(v) for name in REPORT_FIELDS]
+        if self.fmt == "csv":
+            self.writer.writerow(cells)
         else:
-            self.rows.append(["" if v is None else str(v) for v in self._flatten(report)])
+            self.rows.append(cells)
 
     def close(self) -> None:
         if self.fmt != "table" or not self.rows:
@@ -209,7 +205,6 @@ class Emitter:
 
 def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
-    verdicts = Counter()
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         for packet in _packets_for(config, sweep):
@@ -222,8 +217,8 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
                 else:
                     report = verify_identity(packet, sweep.s, gamma)
                 emitter.emit(report)
-                verdicts[report.verdict] += 1
     emitter.close()
+    verdicts = emitter.verdicts
     n_equal = verdicts["equal"]
     n_skipped = sum(n for verdict, n in verdicts.items() if verdict.startswith("skipped"))
     n_unequal = verdicts.total() - n_equal - n_skipped
@@ -235,7 +230,6 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
-    verdicts = Counter()
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         packet = PacketSpec.nonregular(config)
@@ -248,10 +242,10 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
                 reports = falsify_adss152(packet, gamma)
             for report in reports:
                 emitter.emit(report)
-                verdicts[report.verdict] += 1
     emitter.close()
-    n_budget = verdicts.pop(BUDGET_VERDICT, 0) // len(FALSIFY_CHECKS)
-    n_total = verdicts.total()
+    verdicts = emitter.verdicts
+    n_budget = verdicts[BUDGET_VERDICT] // len(FALSIFY_CHECKS)
+    n_total = verdicts.total() - verdicts[BUDGET_VERDICT]
     n_unexpected = n_total - verdicts["unequal"]
     if n_budget:
         err.write(f"warning: {n_budget} sample(s) skipped (sampling budget exceeded)\n")

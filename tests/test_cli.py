@@ -1,6 +1,7 @@
 """Tests for the sweep driver: determinism, exit codes, formats, schema."""
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,6 +169,15 @@ PINNED_SWEEPS = pins_by_name((
         ["verify", "--format", "csv", "--seed", "5"],
         "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
         "2e9bb5553e530b8667b77f848ef8e757daca66b22847020f97c232967d67c0b6",
+    ),
+    (
+        "nonregular-s2-csv",
+        # pins csv null cells: 30 far rows keep lhs with an empty rhs, and 30 near
+        # rows have lhs and rhs empty
+        ["verify", "--s", "s2", "--format", "csv", "--primes", "3,5,7", "--samples", "20",
+         "--seed", "5"],
+        "4584c45bd70d2ab089d2e08758c314d75c63123003f264a53d12a4156ce32269",
+        "34194cf32a6b5103b18ce264e3ecc2708df065fee91a87130291bff351b6c101",
     ),
     (
         "far-p3",
@@ -1092,7 +1103,8 @@ class TestFormats:
 
         monkeypatch.setattr(cli_mod, "sample_regular", always_over_budget)
         for mode in ("verify", "falsify"):
-            code, out, _ = run_cli([mode, "--primes", "3", "--samples", "2", "--format", "table"])
+            argv = [mode, "--primes", "3", "--samples", "2", "--format"]
+            code, out, _ = run_cli(argv + ["table"])
             assert code == 0
             assert "None" not in out
             rows = self.table_cells(out)
@@ -1100,6 +1112,10 @@ class TestFormats:
             for row in rows:
                 assert [row[k] for k in ("a", "b", "valuation_b", "lhs", "rhs")] == [""] * 5
                 assert (row["p"], row["verdict"]) == ("3", "skipped(sampling budget exceeded)")
+            # csv writes the same cells from the same rule
+            code, out, _ = run_cli(argv + ["csv"])
+            assert code == 0
+            assert list(csv.DictReader(io.StringIO(out))) == rows
 
     def test_sweep_from_args_roundtrip(self):
         args = build_parser().parse_args(
@@ -1109,6 +1125,62 @@ class TestFormats:
         assert sweep.primes == [3, 7]
         assert sweep.samples == 9
         assert sweep.near_valuations == range(2, 4)
+
+
+class TestVerdictTally:
+    """The Emitter counts the verdicts of the records it writes, and the summary
+    on stderr is read from that count."""
+
+    @staticmethod
+    def stream_verdicts(fmt, out):
+        if fmt == "jsonl":
+            return Counter(json.loads(line)["verdict"] for line in out.splitlines())
+        rows = csv.DictReader(io.StringIO(out)) if fmt == "csv" else TestFormats.table_cells(out)
+        return Counter(row["verdict"] for row in rows)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
+    @pytest.mark.parametrize("mode", ["verify", "falsify"])
+    def test_tally_is_the_written_stream(self, monkeypatch, mode, fmt):
+        import sl2endo.cli as cli_mod
+
+        real = cli_mod.sample_regular
+
+        def flaky(config, cls, v, seed):
+            if seed.endswith(("|1", "|4")):  # sample indices 1 and 4
+                raise SamplingBudgetExceeded(seed)
+            return real(config, cls, v, seed=seed)
+
+        emitters = []
+
+        class Recording(cli_mod.Emitter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                emitters.append(self)
+
+        monkeypatch.setattr(cli_mod, "sample_regular", flaky)
+        monkeypatch.setattr(cli_mod, "Emitter", Recording)
+        code, out, err = run_cli(
+            [mode, "--primes", "3,5", "--samples", "6", "--seed", "11", "--format", fmt]
+        )
+        assert code == 0
+        [emitter] = emitters
+        verdicts = self.stream_verdicts(fmt, out)
+        assert emitter.verdicts == verdicts
+        budget = verdicts["skipped(sampling budget exceeded)"]
+        assert budget == (4 if mode == "verify" else 8)  # two draws at each prime
+        if mode == "verify":
+            skipped = sum(n for v, n in verdicts.items() if v.startswith("skipped"))
+            assert err.splitlines() == [
+                f"warning: {skipped} check(s) skipped",
+                f"verify: {verdicts['equal']} equal, 0 unequal, {skipped} skipped",
+            ]
+        else:
+            checks = verdicts.total() - budget
+            assert err.splitlines() == [
+                f"warning: {budget // 2} sample(s) skipped (sampling budget exceeded)",
+                f"falsify: {checks} checks, {verdicts['unequal']} unequal as expected,"
+                f" {checks - verdicts['unequal']} unexpectedly equal",
+            ]
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
@@ -1127,6 +1199,24 @@ def test_closed_stdout_ends_the_sweep_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == -signal.SIGPIPE
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--primes", "3,5", "--samples", "4"],
+    ["falsify", "--primes", "3,5", "--samples", "4"],
+    ["properties", "--primes", "3,5", "--samples", "4"],
+    ["table", "--primes", "3,5"],
+], ids=lambda argv: argv[0])
+def test_every_mode_runs_on_the_standard_library_alone(argv):
+    # -S leaves site-packages off the path, so an import of an installed
+    # package (pytest and hypothesis among them) fails the run
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2endo.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "sl2endo.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_every_traced_method_is_in_its_class_dict():
