@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .charformulas import (
@@ -40,20 +41,16 @@ FALSIFY_CHECKS = ("s1", "theta1+theta2")
 BUDGET_VERDICT = "skipped(sampling budget exceeded)"
 
 
-# The epsilon factor of each prime, by p: it does not depend on the precision N.
-_epsilon_factors: dict[int, int] = {}
-
-
-def epsilon_factor(config: FieldConfig) -> int:
-    """Local epsilon factor of the unramified quadratic character, always -1.
+@lru_cache(maxsize=None)
+def epsilon_factor(p: int) -> int:
+    """Local epsilon factor of the unramified quadratic character at p, always -1.
 
     Computed as the inverse of that character's value at the uniformizer
-    (a level-one additive character is understood), once per prime.
+    (a level-one additive character is understood), once per prime: it does
+    not depend on the precision N.
     """
-    factor = _epsilon_factors.get(config.p)
-    if factor is None:  # the character has order <= 2, so the inverse is the value
-        factor = _epsilon_factors[config.p] = sgn_eps(config.pi, config)
-    return factor
+    config = FieldConfig(p)
+    return sgn_eps(config.pi, config)  # of order <= 2, the character is its own inverse
 
 
 def kappa_term(gamma: TorusElement) -> int:
@@ -74,7 +71,7 @@ def transfer_factor(gamma: TorusElement) -> int:
     q^{v(b)}; the same for both related elements, since they share v(b).
     """
     cfg = gamma.config
-    return epsilon_factor(cfg) * kappa_term(gamma) * cfg.q ** gamma.valuation_b
+    return epsilon_factor(cfg.p) * kappa_term(gamma) * cfg.q ** gamma.valuation_b
 
 
 def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:

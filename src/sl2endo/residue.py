@@ -10,6 +10,7 @@ pair of ints (a, b).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, prime_divisors, root_of_unity
@@ -52,8 +53,8 @@ class NormOneGroup:
     p and eps, never the precision N.
     """
 
-    def __init__(self, config: FieldConfig):
-        self.p, self.eps = p, eps = config.p, config.eps
+    def __init__(self, p: int, eps: int):
+        self.p, self.eps = p, eps
         roots, inv_eps = _square_roots(p), pow(eps, -1, p)
         self.order = p + 1
         self.identity = (1, 0)
@@ -105,16 +106,13 @@ class NormOneGroup:
         return root_of_unity(self.order, level.k * self.dlog(point))
 
 
-# The group of each prime, by p: it does not depend on the precision N.
-_groups: dict[int, NormOneGroup] = {}
+# The group of each prime, by (p, eps): it does not depend on the precision N.
+_groups = functools.lru_cache(maxsize=None)(NormOneGroup)
 
 
 def norm_one_group(config: FieldConfig) -> NormOneGroup:
     """The norm-one group of config's prime, built on first use, once per prime."""
-    group = _groups.get(config.p)
-    if group is None:
-        group = _groups[config.p] = NormOneGroup(config)
-    return group
+    return _groups(config.p, config.eps)
 
 
 def quadratic_level(config: FieldConfig) -> CharacterLevel:

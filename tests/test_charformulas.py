@@ -441,6 +441,12 @@ class TestMuHatOrbital:
         assert mu_hat_orbital(LieElement(cfg, y, TorusVariant.CONJUGATED)) == -4
         assert cayley_inverse(g_conjugate(g)) == LieElement(cfg, y, TorusVariant.CONJUGATED)
 
+    @pytest.mark.parametrize("variant", list(TorusVariant))
+    def test_unit_y_refused(self, variant):
+        # the expansion needs Y topologically nilpotent, v(y) >= 1
+        with pytest.raises(ValueError, match=r"^the expansion applies for v\(y\) >= 1$"):
+            mu_hat_orbital(LieElement(FieldConfig(3), 1, variant))
+
 
 class TestAdss152:
     def test_p3_v1_values(self):

@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import pkgutil
 import random
 import re
 import signal
@@ -553,6 +554,55 @@ class TestValueMemo:
         assert 0 < endoscopy._memo_bytes <= 20_000
 
 
+def src_modules():
+    return [importlib.import_module(f"sl2endo.{info.name}")
+            for info in pkgutil.iter_modules(sl2endo.__path__)]
+
+
+class TestProcessWideTables:
+    """The process-wide state of src is its functools caches and the render
+    memo: cleared, then filled, it gives the streams that fresh interpreters
+    give."""
+
+    @staticmethod
+    def caches():
+        """{"module.name": cache} of the functools caches that src modules define."""
+        return {
+            f"{module.__name__.rpartition('.')[2]}.{name}": value
+            for module in src_modules()
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+        }
+
+    @pytest.mark.parametrize("name", ["nonregular-s1", "regular-p1009", "falsify-precision-12"])
+    def test_pinned_sweeps_cold_and_warm(self, monkeypatch, name):
+        caches = self.caches()
+        assert {"residue._groups", "endoscopy.epsilon_factor"} <= set(caches)
+        for cache in caches.values():
+            cache.cache_clear()
+        oracles.cold_memo(monkeypatch)
+        argv, digest, err_digest = PINNED_SWEEPS[name]
+        for _ in ("cold", "warm"):
+            code, out, err = run_cli(argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+            # the second round finds every table filled
+            assert all(cache.cache_info().currsize for cache in caches.values())
+
+    def test_the_only_module_level_containers(self):
+        # every other process-wide table is a functools cache, reset by cache_clear
+        containers = {
+            f"{module.__name__.rpartition('.')[2]}.{name}"
+            for module in src_modules()
+            for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        }
+        assert containers == {
+            "cli.FORMATS", "cli.RUNNERS", "endoscopy.SKIP_VERDICTS", "endoscopy._memo",
+        }
+
+
 class TestSamplePlan:
     """The one element source's draw schedule against the three it replaced,
     read off the sampler calls each runner, and the source itself, makes."""
@@ -830,6 +880,20 @@ class TestUsageErrors:
                                     "--precision", "4", "--samples", "2"])
             assert code == 2 and err == "error: near valuations must stay <= N-3 = 1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--primes", ","], "at least one prime is required"),
+        (["verify", "--samples", "0"], "--samples must be >= 1"),
+        (["verify", "--s", "s9"], "--s must be one of ('1', 's1', 's2', 's3')"),
+    ])
+    def test_refused_before_any_output(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_packet_validated_for_a_config_built_in_code(self):
+        with pytest.raises(ValueError, match="^--packet must be regular or nonregular$"):
+            SweepConfig("verify", [3], packet="x").validate()
+
     def test_sample_class_validated_for_a_config_built_in_code(self):
         # no parser stands between this config and run: validate must catch it
         sweep = SweepConfig("verify", [3], samples=4, sample_class="nearr")
@@ -1002,6 +1066,14 @@ class TestUsageErrors:
             assert largest_printable_precision(3) == 9012
         finally:
             sys.set_int_max_str_digits(saved)
+
+    def test_precision_bounded_on_a_python_without_the_limit(self, monkeypatch):
+        # CPython before 3.10.7 has no get_int_max_str_digits: N is then bounded
+        # by the default 4,300 digits all the same
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        sweep = SweepConfig("verify", [3], precision=10**9, samples=1)
+        with pytest.raises(ValueError, match=r"4300-digit int-to-str limit, so N <= 9012$"):
+            sweep.validate()
 
     @pytest.mark.parametrize(
         "argv",

@@ -124,6 +124,16 @@ class TestRootOfUnity:
         assert root_of_unity(6, -1) == root_of_unity(6, 5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cyclotomic_poly(0),
+    lambda: CycNumber.from_int(1, 0),
+    lambda: root_of_unity(0, 1),
+], ids=["cyclotomic_poly", "from_int", "root_of_unity"])
+def test_conductor_below_one_refused(build):
+    with pytest.raises(ValueError, match="^conductor must be >= 1$"):
+        build()
+
+
 class TestRingOps:
     def test_i_times_i(self):
         z4 = root_of_unity(4, 1)

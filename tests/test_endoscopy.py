@@ -70,13 +70,25 @@ def anti_near(p):
 class TestConstituents:
     @pytest.mark.parametrize("p", PRIMES)
     def test_epsilon_factor_is_minus_one(self, p):
-        assert epsilon_factor(FieldConfig(p)) == -1
-        assert epsilon_factor(FieldConfig(p, 12)) == -1  # independent of N
+        assert epsilon_factor(p) == -1
 
     def test_epsilon_factor_kept_once_per_prime(self, monkeypatch):
-        monkeypatch.setattr(endoscopy, "_epsilon_factors", {})
-        assert [epsilon_factor(FieldConfig(13, N)) for N in (4, 8, 12)] == [-1] * 3
-        assert endoscopy._epsilon_factors == {13: -1}
+        # keyed by p alone: every precision of a prime reads the one factor
+        epsilon_factor.cache_clear()
+        calls = Counter()
+        sgn_eps = endoscopy.sgn_eps
+
+        def counted(x, config):
+            calls[config.p] += 1
+            return sgn_eps(x, config)
+
+        monkeypatch.setattr(endoscopy, "sgn_eps", counted)
+        configs = [FieldConfig(13, N) for N in (4, 8, 12)]
+        gammas = [sample_regular(cfg, Classification.FAR, 0, seed="eps") for cfg in configs]
+        assert [transfer_factor(g) for g in gammas] == [-1] * 3
+        assert calls == Counter({13: 1})
+        info = epsilon_factor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_kappa_examples(self):
         assert kappa_term(far_p3()) == 1
@@ -542,7 +554,7 @@ class TestOneClassificationPerElement:
         cfg = FieldConfig(1009)
         pk = PacketSpec.nonregular(cfg) if packet == "nonregular" else PacketSpec.regular(cfg, 1)
         g = sample(1009, cls, v, "count")
-        verify_identity(pk, "s1", sample(1009, cls, v, "warm"))  # fills epsilon_factor(cfg)
+        verify_identity(pk, "s1", sample(1009, cls, v, "warm"))  # fills epsilon_factor(1009)
         counts = counting_valuations(monkeypatch)
         report = verify_identity(pk, "s1", g)
         assert report.verdict == "equal"

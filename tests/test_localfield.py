@@ -333,7 +333,7 @@ def test_smallest_nonresidue_is_eps_and_cached():
     # the norm-one group, eps, legendre and hensel_sqrt read one table per
     # prime, built on first use; the group, built first, is the one that builds it
     _square_roots.cache_clear()
-    _groups.clear()
+    _groups.cache_clear()
     for p in PRIMES:
         cfg = FieldConfig(p)
         assert norm_one_group(cfg).order == p + 1

@@ -124,6 +124,11 @@ class TestProjMatrices:
         with pytest.raises(ValueError):
             ProjMatrix(((one, one), (one, one)))
 
+    def test_equality_with_a_non_matrix_is_false(self):
+        # __eq__ answers NotImplemented, so Python falls back to identity
+        assert PROJ_S1.__eq__(1) is NotImplemented
+        assert (PROJ_S1 == 1) is False and (1 != PROJ_S1) is True
+
     def test_unhashable(self):
         # equality is equality in PGL_2, which a hash of the entries would not respect
         with pytest.raises(TypeError):

@@ -80,7 +80,8 @@ class TestAgainstBruteForce:
         # the table scan against the conic parametrization it replaced, past the
         # brute force's reach; built uncached, so the groups are not kept
         config = FieldConfig(p)
-        group, reference = NormOneGroup(config), ParametrizedNormOneGroup(config)
+        group = NormOneGroup(config.p, config.eps)
+        reference = ParametrizedNormOneGroup(config)
         assert tuple(sorted(group.points)) == reference.points
         assert group.generator == reference.generator
         assert [group.dlog(pt) for pt in reference.points] == [
@@ -149,7 +150,8 @@ class TestGenerator:
     @pytest.mark.parametrize("p", PRIMES)
     def test_deterministic(self, p):
         # an uncached group at another precision: the cached one is shared across N
-        assert norm_one_group(FieldConfig(p)).generator == NormOneGroup(FieldConfig(p, 10)).generator
+        cfg = FieldConfig(p, 10)
+        assert norm_one_group(FieldConfig(p)).generator == NormOneGroup(cfg.p, cfg.eps).generator
 
 
 class TestCachedPerPrime:
@@ -159,16 +161,17 @@ class TestCachedPerPrime:
         # group of its prime, built on first use
         builds, init = [], NormOneGroup.__init__
 
-        def counted(self, config):
-            builds.append(config)
-            init(self, config)
+        def counted(self, p, eps):
+            builds.append((p, eps))
+            init(self, p, eps)
 
         monkeypatch.setattr(NormOneGroup, "__init__", counted)
-        monkeypatch.setattr(residue, "_groups", {})
+        residue._groups.cache_clear()
         groups = [norm_one_group(FieldConfig(p, N)) for N in (4, 8, 12)]
         assert groups[0] is groups[1] is groups[2]
-        assert builds == [FieldConfig(p, 4)]
-        assert residue._groups == {p: groups[0]}
+        assert builds == [(p, FieldConfig(p).eps)]
+        info = residue._groups.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 class TestDlog:
@@ -213,6 +216,11 @@ class TestEvalCharacter:
     def test_quadratic_level_p3(self):
         group = norm_one_group(FieldConfig(3))
         assert group.character_value(CharacterLevel(2, 4), (0, 1)) == -1
+
+    def test_level_of_another_modulus_refused(self):
+        group = norm_one_group(FieldConfig(5))
+        with pytest.raises(ValueError, match="^level lives mod 4, group has order 6$"):
+            group.character_value(CharacterLevel(1, 4), group.generator)
 
     def test_identity_point(self):
         cfg = FieldConfig(7)
