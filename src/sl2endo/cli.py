@@ -27,16 +27,7 @@ from dataclasses import dataclass
 
 from . import checks
 from .charformulas import PacketSpec, psi0_on_residue_point
-from .endoscopy import (
-    BUDGET_VERDICT,
-    FALSIFY_CHECKS,
-    REPORT_FIELDS,
-    VerificationReport,
-    budget_exceeded_reports,
-    falsify_adss152,
-    verify_identity,
-)
-from .errors import SamplingBudgetExceeded
+from .endoscopy import REPORT_FIELDS, VerificationReport, falsify_adss152, verify_identity
 from .localfield import FieldConfig
 from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
@@ -136,11 +127,11 @@ def _max_precision(p: int, digits: int) -> int:
 
 def _draws(
     config: FieldConfig, samples: int, sample_class: str, near_vals, seed_of
-) -> Iterator[tuple[Classification, "TorusElement | None"]]:
-    """The one element source of every sweep, (class, element) per draw: draw i is
+) -> Iterator[TorusElement]:
+    """The one element source of every sweep, one element per draw: draw i is
     near under "near", and under "both" when i is odd; near draws cycle through
-    near_vals; draw i seeds the sampler with seed_of(class, v(b), i); a draw over
-    the sampling budget yields None.  A new variant, class or source goes here."""
+    near_vals; draw i keys the sampler with seed_of(class, v(b), i).  A new
+    variant, class or source goes here."""
     near_i = 0
     for i in range(samples):
         if sample_class == "near" or (sample_class == "both" and i % 2 == 1):
@@ -148,11 +139,7 @@ def _draws(
             near_i += 1
         else:
             cls, v = Classification.FAR, 0
-        try:
-            gamma = sample_regular(config, cls, v, seed_of(cls, v, i))
-        except SamplingBudgetExceeded:
-            gamma = None
-        yield cls, gamma
+        yield sample_regular(config, cls, v, seed_of(cls, v, i))
 
 
 def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
@@ -211,12 +198,8 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
             key = f"{sweep.seed}|{p}|{packet.kind}|{packet.level.k}|{sweep.s}"
             draws = _draws(config, sweep.samples, sweep.sample_class, sweep.near_valuations,
                            lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}")
-            for cls, gamma in draws:
-                if gamma is None:
-                    [report] = budget_exceeded_reports(config, packet, cls, [sweep.s])
-                else:
-                    report = verify_identity(packet, sweep.s, gamma)
-                emitter.emit(report)
+            for gamma in draws:
+                emitter.emit(verify_identity(packet, sweep.s, gamma))
     emitter.close()
     verdicts = emitter.verdicts
     n_equal = verdicts["equal"]
@@ -235,20 +218,12 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
         packet = PacketSpec.nonregular(config)
         draws = _draws(config, sweep.samples, "near", sweep.near_valuations,
                        lambda cls, v, i: f"{sweep.seed}|{p}|falsify|{v}|{i}")
-        for cls, gamma in draws:
-            if gamma is None:
-                reports = budget_exceeded_reports(config, packet, cls, FALSIFY_CHECKS)
-            else:
-                reports = falsify_adss152(packet, gamma)
-            for report in reports:
+        for gamma in draws:
+            for report in falsify_adss152(packet, gamma):
                 emitter.emit(report)
     emitter.close()
-    verdicts = emitter.verdicts
-    n_budget = verdicts[BUDGET_VERDICT] // len(FALSIFY_CHECKS)
-    n_total = verdicts.total() - verdicts[BUDGET_VERDICT]
-    n_unexpected = n_total - verdicts["unequal"]
-    if n_budget:
-        err.write(f"warning: {n_budget} sample(s) skipped (sampling budget exceeded)\n")
+    n_total = emitter.verdicts.total()
+    n_unexpected = n_total - emitter.verdicts["unequal"]
     err.write(
         f"falsify: {n_total} checks, {n_total - n_unexpected} unequal as expected,"
         f" {n_unexpected} unexpectedly equal\n"
@@ -260,9 +235,8 @@ def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str
     """Per-prime algebraic identity checks; each entry is (name, ok, detail)."""
     near_vals = range(1, min(3, (config.N - 1) // 2) + 1)  # v(D_G) = 2v < N
     key = f"{sweep.seed}|{config.p}|properties"
-    draws = _draws(config, max(10, sweep.samples), "both", near_vals,
-                   lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}")
-    gammas = [gamma for _, gamma in draws if gamma is not None]  # over budget: left out
+    gammas = list(_draws(config, max(10, sweep.samples), "both", near_vals,
+                         lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}"))
     return [
         (name, check(config, gammas), detail(gammas))
         for name, check, detail in checks.PROPERTIES

@@ -37,8 +37,6 @@ from .torus import Classification, TorusElement, cayley_inverse, invert
 
 # The s field of the two falsify reports of one near element.
 FALSIFY_CHECKS = ("s1", "theta1+theta2")
-# The verdict of each report of a draw that exceeded its sampling budget.
-BUDGET_VERDICT = "skipped(sampling budget exceeded)"
 
 
 @lru_cache(maxsize=None)
@@ -201,30 +199,23 @@ SKIP_VERDICTS = {
 def _report(
     packet: PacketSpec,
     s: str,
-    config: FieldConfig,
-    drawn: "TorusElement | Classification",
+    gamma: TorusElement,
     verdict: str,
     lhs: "CycNumber | None" = None,
     rhs: "CycNumber | None" = None,
 ) -> VerificationReport:
     """The one constructor of reports, each built complete.
 
-    drawn is the sampled element, or the class of a draw that exceeded its
-    sampling budget: then there is no element, so a, b and v(b) are null.
     An element whose class precision cannot settle is classed "unknown".
     """
-    a = b = vb = None
-    if isinstance(drawn, Classification):
-        cls_name = drawn.value
-    else:
-        a, b = drawn.a, drawn.b
-        try:
-            vb, cls_name = drawn.valuation_b, drawn.classification.value
-        except PrecisionExhausted:
-            cls_name = "unknown"
+    config, vb = gamma.config, None
+    try:
+        vb, cls_name = gamma.valuation_b, gamma.classification.value
+    except PrecisionExhausted:
+        cls_name = "unknown"
     return VerificationReport(
         config.p, config.N, config.eps, packet.kind, packet.level.k, s,
-        a, b, vb, cls_name, lhs, rhs, verdict,
+        gamma.a, gamma.b, vb, cls_name, lhs, rhs, verdict,
     )
 
 
@@ -233,15 +224,7 @@ def _compared(
 ) -> VerificationReport:
     """The report of a check that compared both sides: equal iff they agree exactly."""
     verdict = "equal" if lhs == rhs else "unequal"
-    return _report(packet, s, gamma.config, gamma, verdict, lhs, rhs)
-
-
-def budget_exceeded_reports(
-    config: FieldConfig, packet: PacketSpec, cls: Classification, s_values
-) -> list[VerificationReport]:
-    """One report per s of a draw of class cls that exceeded its sampling
-    budget: there is no element, so a, b and v(b) are null."""
-    return [_report(packet, s, config, cls, BUDGET_VERDICT) for s in s_values]
+    return _report(packet, s, gamma, verdict, lhs, rhs)
 
 
 def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> VerificationReport:
@@ -263,14 +246,14 @@ def verify_identity(packet: PacketSpec, s: str, gamma: TorusElement) -> Verifica
     try:
         lhs = theta_virtual(packet, s, gamma)
     except tuple(SKIP_VERDICTS) as exc:
-        return _report(packet, s, gamma.config, gamma, SKIP_VERDICTS[type(exc)])
+        return _report(packet, s, gamma, SKIP_VERDICTS[type(exc)])
     if s == "s1":
         rhs = rhs_endoscopic(packet, gamma)
     elif s == "1" and packet.level.is_quadratic:
         rhs = inner_form_side(gamma)
     else:
         verdict = f"skipped(no endoscopic comparison for s={s})"
-        return _report(packet, s, gamma.config, gamma, verdict, lhs)
+        return _report(packet, s, gamma, verdict, lhs)
     return _compared(packet, s, gamma, lhs, rhs)
 
 

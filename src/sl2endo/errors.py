@@ -40,7 +40,3 @@ class Undetermined(Sl2EndoError):
 
 class NonRegularLevel(Sl2EndoError):
     """A regular character level was required."""
-
-
-class SamplingBudgetExceeded(Sl2EndoError):
-    """Rejection sampling did not find an admissible element within budget."""

@@ -18,14 +18,11 @@ carries no character formula, so evaluation on it fails loudly.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
+from hashlib import blake2b
 
-from .errors import NotNear, SamplingBudgetExceeded
+from .errors import NotNear
 from .localfield import FieldConfig, cached_fact, hensel_sqrt, sgn_eps, valuation
-
-# Draws sample_regular makes before it gives up on a class.
-_SAMPLING_BUDGET = 256
 
 
 class TorusVariant(enum.Enum):
@@ -183,23 +180,93 @@ def cayley(Y: LieElement) -> TorusElement:
     return TorusElement(cfg, (4 + eps_y2) * inv % modulus, 4 * y * inv % modulus, Y.variant)
 
 
+def _block(key: bytes, j: int) -> bytes:
+    """Block j of a draw's digits: the 64-byte blake2b digest of its key, salted
+    with the counter j (block 0 is the unsalted digest)."""
+    return blake2b(key, salt=j.to_bytes(16, "little")).digest()
+
+
+def _uniform(key: bytes, m: int) -> int:
+    """A uniform int in [0, m), read from the blocks of key.
+
+    The first m.bit_length() + 64 bits (in whole bytes) of the next unread
+    blocks are an int y, and the draw is y mod m unless y lies in the top
+    incomplete multiple of m, a chance below 2^-64; then y is read again
+    from the blocks after it.  So the law is exactly uniform.
+    """
+    size = (m.bit_length() + 71) // 8
+    span = 1 << 8 * size
+    cut = span - span % m
+    j = 0
+    while True:
+        data = _block(key, j)
+        j += 1
+        while len(data) < size:
+            data += _block(key, j)
+            j += 1
+        y = int.from_bytes(data[:size], "little")
+        if y < cut:
+            return y % m
+
+
+def _signed_root(x: int, residue: int, config: FieldConfig) -> int:
+    """The square root of the unit square x mod p^N that is residue mod p."""
+    root = hensel_sqrt(x, config)
+    return root if root % config.p == residue else config.modulus - root
+
+
+def _element_of(
+    config: FieldConfig, classification: Classification, v_target: int, x: int
+) -> TorusElement:
+    """The element that the digits x in [0, (p-1) p^(N-v-1)) draw, for
+    v = v_target: one to one onto the elements of the class with v(b) = v
+    mod p^N, with one hensel_sqrt call.  Write x = low + (p-1) rest.
+
+    Far: t = 1 + low runs over F_p^x, and the conic's rational
+    parametrisation (1 + eps t^2, 2t)/(1 - eps t^2) maps it onto the p - 1
+    residue points (a0, b0) with b0 != 0.  The torus is etale over the
+    coordinate that is a unit there, so rest lifts that coordinate and the
+    other is the root that reduces to the point: b = b0 + p rest when
+    a0 != 0, else (only when p = 3 mod 4) a = p rest.
+    Near and anti-near: b = p^v (1 + low + p rest), p^v times a unit mod
+    p^(N-v), and a is the root = +1 or -1 mod p.
+    """
+    p, eps, modulus = config.p, config.eps, config.modulus
+    rest, low = divmod(x, p - 1)
+    if classification is Classification.FAR:
+        t = low + 1
+        d = pow(1 - eps * t * t, -1, p)
+        a0, b0 = (1 + eps * t * t) * d % p, 2 * t * d % p
+        if a0:
+            b = b0 + p * rest
+            a = _signed_root(eps * b * b + 1, a0, config)
+        else:
+            a = p * rest
+            b = _signed_root((a * a - 1) * pow(eps, -1, modulus), b0, config)
+    else:
+        b = p**v_target * (1 + low + p * rest)
+        residue = 1 if classification is Classification.NEAR else p - 1
+        a = _signed_root(eps * b * b + 1, residue, config)
+    gamma = TorusElement(config, a, b)
+    if gamma.classification is not classification:
+        raise AssertionError(f"digits {x} drew an element of class"
+                             f" {gamma.classification.value}, not {classification.value}")
+    return gamma
+
+
 def sample_regular(
     config: FieldConfig,
     classification: Classification,
     v_target: int,
-    seed: "int | str | random.Random",
+    seed: "int | str",
 ) -> TorusElement:
     """Draw a pseudo-random regular element of the requested class.
 
-    b is p^{v_target} times a random unit; a is the Hensel square root of
-    1 + eps*b^2 with its sign forced by the class (random for far, where
-    the sign carries no information).  Near/anti-near draws always
-    succeed; far draws are accepted only when 1 + eps*b^2 is a square,
-    which happens for a positive fraction of units that can drop to ~1/8
-    at p = 3, hence the generous retry budget.  A rejected draw raises
-    nothing: hensel_sqrt answers None and the next draw follows.  The unit's
-    digits are the draws of randrange(1, p) and randrange(p^(N-v-1)), taken
-    from getrandbits by randrange's rule on CPython 3.10-3.13.
+    The draw hashes its key str(seed) with blake2b and reads from the
+    digest one uniform x in [0, (p-1) p^(N-v-1)), v = v_target (_uniform);
+    _element_of maps x one to one onto the elements of the class with
+    v(b) = v mod p^N.  So every draw succeeds, makes one hensel_sqrt call,
+    and is exactly uniform on its class of T(Z/p^N), which is Haar.
     """
     if classification is Classification.FAR:
         if v_target != 0:
@@ -209,34 +276,6 @@ def sample_regular(
             raise ValueError("near elements need v(b) >= 1")
     if v_target >= config.N - 2:
         raise ValueError(f"v_target={v_target} leaves too little precision (N={config.N})")
-
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    getrandbits = rng.getrandbits
-    p, eps, modulus = config.p, config.eps, config.modulus
-    shift, high = p**v_target, p ** (config.N - v_target - 1)
-    low_bits, high_bits = (p - 1).bit_length(), high.bit_length()
-    for _ in range(_SAMPLING_BUDGET):
-        # unit by construction: nonzero low digit plus arbitrary higher digits;
-        # each digit below n is bit_length(n) bits, redrawn while >= n
-        low = getrandbits(low_bits)
-        while low >= p - 1:
-            low = getrandbits(low_bits)
-        rest = getrandbits(high_bits)
-        while rest >= high:
-            rest = getrandbits(high_bits)
-        b = shift * (1 + low + p * rest) % modulus
-        a = hensel_sqrt(eps * b * b + 1, config)
-        if a is None:
-            continue
-        # for v(b) >= 1 hensel_sqrt lifts the smaller root of 1, so a = 1 mod p:
-        # near draws keep a, anti-near draws negate it, far draws flip a coin
-        if classification is Classification.ANTI_NEAR or (
-            classification is Classification.FAR and getrandbits(1)
-        ):
-            a = -a % modulus
-        gamma = TorusElement(config, a, b)
-        if gamma.classification is classification:
-            return gamma
-    raise SamplingBudgetExceeded(
-        f"no {classification.value} element with v(b)={v_target} in {_SAMPLING_BUDGET} draws"
-    )
+    p = config.p
+    x = _uniform(str(seed).encode(), (p - 1) * p ** (config.N - v_target - 1))
+    return _element_of(config, classification, v_target, x)

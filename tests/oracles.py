@@ -34,20 +34,13 @@ from sl2endo.endoscopy import (
     FALSIFY_CHECKS,
     REPORT_FIELDS,
     VerificationReport,
-    budget_exceeded_reports,
     rhs_endoscopic,
 )
-from sl2endo.errors import (
-    NotNear,
-    PrecisionExhausted,
-    SamplingBudgetExceeded,
-    Undetermined,
-    ZeroInput,
-)
+from sl2endo.errors import NotNear, PrecisionExhausted, Undetermined, ZeroInput
 from sl2endo.localfield import FieldConfig
 from sl2endo.packets import KLEIN4, virtual_coeffs
 from sl2endo.residue import CharacterLevel, NormOneGroup, norm_one_group, quadratic_level
-from sl2endo.torus import _SAMPLING_BUDGET, Classification, TorusElement, cayley_inverse
+from sl2endo.torus import Classification, TorusElement, cayley_inverse
 
 
 # The residue-field square machinery as it was before the square-root
@@ -106,6 +99,14 @@ def _tonelli_shanks(a: int, p: int) -> "int | None":
 
 class NotASquare(Exception):
     """The reference square roots' answer for an element with no square root."""
+
+
+# The rejection samplers below give up after this many draws, as src's did.
+_SAMPLING_BUDGET = 256
+
+
+class SamplingBudgetExceeded(Exception):
+    """Rejection sampling did not find an admissible element within budget."""
 
 
 # The norm-one group's construction as it was before it read the square-root
@@ -469,6 +470,71 @@ def randrange_sample_regular(
     )
 
 
+# The integer sampler as it was while it drew both digits of the unit from
+# getrandbits by randrange's rule, before each draw read one keyed blake2b
+# digest, kept verbatim but for its root, which it takes from the package's
+# hensel_sqrt (localfield.hensel_sqrt), as the reference of the pinned streams
+# that it wrote (tests/test_cli.py) and of the older samplers above.
+
+def getrandbits_sample_regular(
+    config: FieldConfig,
+    classification: Classification,
+    v_target: int,
+    seed: "int | str | random.Random",
+) -> TorusElement:
+    """Draw a pseudo-random regular element of the requested class.
+
+    b is p^{v_target} times a random unit; a is the Hensel square root of
+    1 + eps*b^2 with its sign forced by the class (random for far, where
+    the sign carries no information).  Near/anti-near draws always
+    succeed; far draws are accepted only when 1 + eps*b^2 is a square,
+    which happens for a positive fraction of units that can drop to ~1/8
+    at p = 3, hence the generous retry budget.  A rejected draw raises
+    nothing: hensel_sqrt answers None and the next draw follows.  The unit's
+    digits are the draws of randrange(1, p) and randrange(p^(N-v-1)), taken
+    from getrandbits by randrange's rule on CPython 3.10-3.13.
+    """
+    if classification is Classification.FAR:
+        if v_target != 0:
+            raise ValueError("far elements have v(b) = 0")
+    else:
+        if v_target < 1:
+            raise ValueError("near elements need v(b) >= 1")
+    if v_target >= config.N - 2:
+        raise ValueError(f"v_target={v_target} leaves too little precision (N={config.N})")
+
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    getrandbits = rng.getrandbits
+    p, eps, modulus = config.p, config.eps, config.modulus
+    shift, high = p**v_target, p ** (config.N - v_target - 1)
+    low_bits, high_bits = (p - 1).bit_length(), high.bit_length()
+    for _ in range(_SAMPLING_BUDGET):
+        # unit by construction: nonzero low digit plus arbitrary higher digits;
+        # each digit below n is bit_length(n) bits, redrawn while >= n
+        low = getrandbits(low_bits)
+        while low >= p - 1:
+            low = getrandbits(low_bits)
+        rest = getrandbits(high_bits)
+        while rest >= high:
+            rest = getrandbits(high_bits)
+        b = shift * (1 + low + p * rest) % modulus
+        a = localfield.hensel_sqrt(eps * b * b + 1, config)
+        if a is None:
+            continue
+        # for v(b) >= 1 hensel_sqrt lifts the smaller root of 1, so a = 1 mod p:
+        # near draws keep a, anti-near draws negate it, far draws flip a coin
+        if classification is Classification.ANTI_NEAR or (
+            classification is Classification.FAR and getrandbits(1)
+        ):
+            a = -a % modulus
+        gamma = TorusElement(config, a, b)
+        if gamma.classification is classification:
+            return gamma
+    raise SamplingBudgetExceeded(
+        f"no {classification.value} element with v(b)={v_target} in {_SAMPLING_BUDGET} draws"
+    )
+
+
 # The report constructor and the two report builders as they were while
 # reports were built with an unevaluated verdict and then filled in, and
 # verify_identity settled the precision and anti-near skips from the
@@ -687,12 +753,13 @@ def _json_value(value: "CycNumber | None") -> str:
 
 
 # The three draw loops as they were before the one element source
-# (cli._draws), kept verbatim with their schedule as the reference for it:
-# verify and falsify drew one element per string key and built their own
-# budget records, and the property battery drew from one shared generator
-# and let SamplingBudgetExceeded escape.  They read this module's names, so
-# sample_regular, verify_identity and falsify_adss152 are the reference
-# copies above until a test puts cli's (or an injected sampler) in their place.
+# (cli._draws), kept verbatim with their schedule as the reference for it,
+# less the records of a draw over the sampling budget, which went with the
+# budget: verify and falsify drew one element per string key, and the
+# property battery drew from one shared generator.  They read this module's
+# names, so sample_regular, verify_identity and falsify_adss152 are the
+# reference copies above until a test puts cli's (or an injected sampler) in
+# their place.
 
 def _sample_plan(
     samples: int, sample_class: str, near_vals
@@ -722,12 +789,8 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
                     f"{sweep.seed}|{p}|{packet.kind}|{packet.level.k}"
                     f"|{sweep.s}|{cls.value}|{v}|{i}"
                 )
-                try:
-                    gamma = sample_regular(config, cls, v, seed=key)
-                except SamplingBudgetExceeded:
-                    [report] = budget_exceeded_reports(config, packet, cls, [sweep.s])
-                else:
-                    report = verify_identity(packet, sweep.s, gamma)
+                gamma = sample_regular(config, cls, v, seed=key)
+                report = verify_identity(packet, sweep.s, gamma)
                 emitter.emit(report)
                 verdicts[report.verdict] += 1
     emitter.close()
@@ -743,28 +806,19 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     verdicts = Counter()
-    n_budget = 0
     near_vals = sweep.near_valuations
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
         packet = PacketSpec.nonregular(config)
         for i, (cls, v) in enumerate(_sample_plan(sweep.samples, "near", near_vals)):
             key = f"{sweep.seed}|{p}|falsify|{v}|{i}"
-            try:
-                gamma = sample_regular(config, cls, v, seed=key)
-            except SamplingBudgetExceeded:
-                n_budget += 1
-                for report in budget_exceeded_reports(config, packet, cls, FALSIFY_CHECKS):
-                    emitter.emit(report)
-                continue
+            gamma = sample_regular(config, cls, v, seed=key)
             for report in falsify_adss152(packet, gamma):
                 emitter.emit(report)
                 verdicts[report.verdict] += 1
     emitter.close()
     n_total = verdicts.total()
     n_unexpected = n_total - verdicts["unequal"]
-    if n_budget:
-        err.write(f"warning: {n_budget} sample(s) skipped (sampling budget exceeded)\n")
     err.write(
         f"falsify: {n_total} checks, {n_total - n_unexpected} unequal as expected,"
         f" {n_unexpected} unexpectedly equal\n"

@@ -6,7 +6,6 @@ line.  The sweeps run on the fixed configuration p in {3, 5, 7, 11, 13},
 N = 8, with deterministic seeds.
 """
 
-import random
 import time
 
 from sl2endo import checks
@@ -28,15 +27,16 @@ def _passed(number, name, detail=""):
     print(f"ACCEPTANCE {number} PASS: {name}{suffix}")
 
 
-def split_samples(config, count, rng):
-    """count elements, alternating far and near with valuations cycling 1..3."""
+def split_samples(config, count, key):
+    """count elements, alternating far and near with valuations cycling 1..3;
+    draw i is keyed key|i."""
     out = []
     for i in range(count):
         if i % 2 == 0:
-            out.append(sample_regular(config, Classification.FAR, 0, rng))
+            out.append(sample_regular(config, Classification.FAR, 0, f"{key}|{i}"))
         else:
             v = NEAR_VALUATIONS[(i // 2) % len(NEAR_VALUATIONS)]
-            out.append(sample_regular(config, Classification.NEAR, v, rng))
+            out.append(sample_regular(config, Classification.NEAR, v, f"{key}|{i}"))
     return out
 
 
@@ -46,8 +46,8 @@ def test_criterion_01_quadratic_packet_identity():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         packet = PacketSpec.nonregular(config)
-        rng = random.Random(f"acc1:{p}")
-        for gamma in split_samples(config, 200, rng):
+        key = f"acc1:{p}"
+        for gamma in split_samples(config, 200, key):
             report = verify_identity(packet, "s1", gamma)
             assert report.verdict == "equal", report.to_record()
             closed_form = CycNumber.from_int(-2 * f_direct(gamma) * psi0(gamma))
@@ -63,8 +63,8 @@ def test_criterion_02_regular_packet_identity():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         group = norm_one_group(config)
-        rng = random.Random(f"acc2:{p}")
-        gammas = split_samples(config, 200, rng)
+        key = f"acc2:{p}"
+        gammas = split_samples(config, 200, key)
         for level in regular_levels(config):
             packet = PacketSpec.regular(config, level.k)
             for gamma in gammas:
@@ -86,8 +86,8 @@ def test_criterion_03_transfer_factor_equals_minus_f():
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        rng = random.Random(f"acc3:{p}")
-        gammas = split_samples(config, 200, rng)
+        key = f"acc3:{p}"
+        gammas = split_samples(config, 200, key)
         assert checks.transfer_factor_equals_minus_f(config, gammas)
         total += len(gammas)
     assert total == 1000
@@ -99,10 +99,10 @@ def test_criterion_04_adss152_falsification():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
         packet = PacketSpec.nonregular(config)
-        rng = random.Random(f"acc4:{p}")
+        key = f"acc4:{p}"
         for i in range(100):
             v = NEAR_VALUATIONS[i % len(NEAR_VALUATIONS)]
-            gamma = sample_regular(config, Classification.NEAR, v, rng)
+            gamma = sample_regular(config, Classification.NEAR, v, f"{key}|{i}")
             f = f_direct(gamma)
             rep1, rep2 = falsify_adss152(packet, gamma)
             assert rep1.verdict == "unequal"
@@ -120,8 +120,8 @@ def test_criterion_05_f_equivalence_and_discriminants():
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        rng = random.Random(f"acc5:{p}")
-        gammas = split_samples(config, 60, rng)
+        key = f"acc5:{p}"
+        gammas = split_samples(config, 60, key)
         assert checks.f_and_discriminant_identities(config, gammas)
         total += len(gammas)
     _passed(5, "f routes and discriminant identities", f"{total} elements, 0 failures")
@@ -130,8 +130,8 @@ def test_criterion_05_f_equivalence_and_discriminants():
 def test_criterion_06_psi0_dual_route():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        rng = random.Random(f"acc6:{p}")
-        gammas = [sample_regular(config, Classification.FAR, 0, rng) for _ in range(50)]
+        key = f"acc6:{p}"
+        gammas = [sample_regular(config, Classification.FAR, 0, f"{key}|{i}") for i in range(50)]
         assert checks.psi0_dual_route_and_uniqueness(config, gammas)
     _passed(6, "quadratic character dual route and uniqueness", f"primes {PRIMES}")
 
@@ -140,9 +140,10 @@ def test_criterion_07_orbital_cayley_consistency():
     total = 0
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        rng = random.Random(f"acc7:{p}")
+        key = f"acc7:{p}"
         gammas = [
-            sample_regular(config, Classification.NEAR, NEAR_VALUATIONS[i % len(NEAR_VALUATIONS)], rng)
+            sample_regular(config, Classification.NEAR, NEAR_VALUATIONS[i % len(NEAR_VALUATIONS)],
+                           f"{key}|{i}")
             for i in range(200)
         ]
         assert checks.orbital_cayley_consistency(config, gammas)
@@ -153,8 +154,8 @@ def test_criterion_07_orbital_cayley_consistency():
 def test_criterion_08_inner_form_stability():
     for p in PRIMES:
         config = FieldConfig(p, PRECISION)
-        rng = random.Random(f"acc8:{p}")
-        assert checks.inner_form_stability(config, split_samples(config, 60, rng))
+        key = f"acc8:{p}"
+        assert checks.inner_form_stability(config, split_samples(config, 60, key))
     _passed(8, "stability across inner forms", f"primes {PRIMES}")
 
 

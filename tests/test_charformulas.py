@@ -1,7 +1,6 @@
 """Tests for the character-evaluation engine."""
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
@@ -547,13 +546,13 @@ class TestKottwitzStable:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_equal_everywhere(self, p):
-        rng = random.Random(f"kw{p}")
+        key = f"kw{p}"
         cfg = FieldConfig(p)
         packet = PacketSpec.nonregular(cfg)
         for i in range(10):
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
-            g = sample_regular(cfg, cls, v, rng)
+            g = sample_regular(cfg, cls, v, f"{key}|{i}")
             side0, side1 = theta_virtual(packet, "1", g), inner_form_side(g)
             assert side0 == side1
             if cls is Classification.NEAR:

@@ -29,7 +29,7 @@ from sl2endo.cli import (
 )
 from sl2endo.cyclotomic import CycNumber, linear_combination, root_of_unity
 from sl2endo.endoscopy import REPORT_FIELDS
-from sl2endo.errors import PrecisionExhausted, SamplingBudgetExceeded
+from sl2endo.errors import PrecisionExhausted
 from sl2endo.localfield import FieldConfig
 from sl2endo.torus import Classification
 
@@ -77,31 +77,32 @@ def pins_by_name(entries):
     return pins
 
 
-# Digests of streams written by earlier implementations (the verify and
-# falsify streams by the Fraction-coefficient core, the table by the
-# O(p^2) norm-one group, the properties stream by the battery written
-# out in the CLI before the checks registry): a change of representation or algorithm must
+# Digests of streams written by earlier implementations (the table by the
+# O(p^2) norm-one group, the properties stream by the battery written out in
+# the CLI before the checks registry; the stderr summaries by the
+# Fraction-coefficient core): a change of representation or algorithm must
 # leave every stream byte-identical (acceptance criterion 10 across
-# versions).  Each entry is (name, argv, stdout sha256, stderr sha256); every
-# sweep exits 0.
+# versions).  The verify and falsify streams changed once, with the draws
+# (GETRANDBITS_STREAMS below), and their stderr summaries did not.  Each entry
+# is (name, argv, stdout sha256, stderr sha256); every sweep exits 0.
 PINNED_SWEEPS = pins_by_name((
     (
         "regular-p101",
         ["verify", "--packet", "regular", "--primes", "101", "--samples", "4", "--seed", "5"],
-        "ac79706b0c3ed08febcc853d02fc88fc37d475d4de3d43f5d91a8b55f9a0f438",
+        "dfa096770cd5b72e3e02557d5e2665e878a20e56ceb17efed08f83644da47ec7",
         "cce6c3f1be7f60edffe53271f50962c3e8d17f498f7f5139d7c191f462df8bbe",
     ),
     (
         "nonregular-s1",
         ["verify", "--packet", "nonregular", "--s", "s1", "--primes", "3,5,7,11,13",
          "--samples", "40", "--seed", "5"],
-        "9bdd03765ecc47c219f72a4101789c429d113ffd9c4ff55899088b1230bdbaeb",
+        "3f0555461d4a3afc208632ab307280fdeb140915f307c1860a9d3b96f8f9049f",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
     (
         "falsify",
         ["falsify", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
-        "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
+        "0fe2a77e40995da2cda865fd9a6f0b6d305f589c29a1842a49c8e5ef484f43d7",
         "b4febaa50d830fa57ffd096d8d4e69425681a8d31761388929d24f5305662e8b",
     ),
     (
@@ -123,14 +124,14 @@ PINNED_SWEEPS = pins_by_name((
         "regular-p13-table-format",
         # pins the padded table report format
         ["verify", "--packet", "regular", "--primes", "13", "--format", "table"],
-        "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
+        "32a3ee63be28c952b736c5b317a2920a5f84ccdd688f59739ba9af53aab7b344",
         "00129bbabbcc2bf02e69e48fa44e172e772d49556a8b3ef9f2cab3b27abee7ab",
     ),
     (
         "nonregular-stable",
         # pins the stable comparison: theta5, psi0 and the inner-form side
         ["verify", "--s", "1", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
-        "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
+        "ab07b64831060081da966529aca777b63b178ba00eb3e6edec5a43fadaadf0a6",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
     (
@@ -138,7 +139,7 @@ PINNED_SWEEPS = pins_by_name((
         # the s2 skips at every acceptance prime: 100 far records keep lhs with a
         # null rhs, and 100 near records are undetermined
         ["verify", "--s", "s2", "--primes", "3,5,7,11,13", "--samples", "40", "--seed", "5"],
-        "7dcd20e56760d5bb1e9c58213f96ffda0151e36e93e156afd0020f5600b20a33",
+        "b87c1543083e3da3634831f8a04dcdf7163eae89b8d3bbcdcb05719a12d859f5",
         "695ec3073b2b38b3286ed8d976de49e9a2d5277ca532c3d9e5b1b34e50f52537",
     ),
     (
@@ -146,14 +147,14 @@ PINNED_SWEEPS = pins_by_name((
         # pins a stream at N = 12: the residues, v(b) up to 9 and the Cayley transform
         ["falsify", "--primes", "3,5,7", "--precision", "12", "--near-valuations", "1:9",
          "--samples", "30", "--seed", "5"],
-        "453dfa15dca1065399b16cb3fcc36ea1b1416221b5db6d81129d628560740e54",
+        "2d24ce92b752b0994b322bb5345bd839f48e8d37203b696a12a28bcf9f2581c2",
         "f9c6b817dec03033ab1cd9d041c1fee1b5b6569854eae2b180dc9799374ae936",
     ),
     (
         "nonregular-s2-skips",
         # pins the undetermined and no-comparison skips
         ["verify", "--s", "s2", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
-        "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
+        "18c7b72603756c6e409e84ab5c81ad14e0c26df8f3604e2c1626b8568c6e3d45",
         "c43afd296bea46a473587bfa2c1d5b098232c15c6dd1613c5e9e4a6e8b088284",
     ),
     (
@@ -161,14 +162,14 @@ PINNED_SWEEPS = pins_by_name((
         # pins s = s3: 60 far records keep lhs with a null rhs (no endoscopic
         # comparison), and 60 near records are undetermined
         ["verify", "--s", "s3", "--primes", "3,5,7", "--samples", "40", "--seed", "5"],
-        "a6b451810306e094c531b27f63dbbdd79eea6a8f84eac081321ba4cdb6ef594d",
+        "5b7aa18440f348e061af4de9aa4f304aec8835b20569df5143f6afa12c29de2d",
         "c43afd296bea46a473587bfa2c1d5b098232c15c6dd1613c5e9e4a6e8b088284",
     ),
     (
         "nonregular-csv-format",
         # pins the csv format with both sides decided
         ["verify", "--format", "csv", "--seed", "5"],
-        "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
+        "e863574092bd5730fce814b87c8f8043373693c76bd17227cfa2d63098064ca6",
         "2e9bb5553e530b8667b77f848ef8e757daca66b22847020f97c232967d67c0b6",
     ),
     (
@@ -177,14 +178,14 @@ PINNED_SWEEPS = pins_by_name((
         # rows have lhs and rhs empty
         ["verify", "--s", "s2", "--format", "csv", "--primes", "3,5,7", "--samples", "20",
          "--seed", "5"],
-        "4584c45bd70d2ab089d2e08758c314d75c63123003f264a53d12a4156ce32269",
+        "f14646a6f7795e2575ee28ad5e21b452a88f13ce7ddfee82d05cf07849db4728",
         "34194cf32a6b5103b18ce264e3ecc2708df065fee91a87130291bff351b6c101",
     ),
     (
         "far-p3",
-        # pins the rejection-heavy sampling path: about 87 % of far draws at p = 3 are rejected
+        # pins far draws at p = 3, where every far residue point has a = 0 mod p
         ["verify", "--primes", "3", "--class", "far", "--samples", "200", "--seed", "5"],
-        "fb863b5feba5e739797334a60a095b329a2c4a90b8c98886ad50add53669774b",
+        "eb7a2065a062c0fc26f6ee7dec8ebf4b2a79705cb6adcc30877c164d53c4f2e7",
         "f1a715c8778059259ebcdbc0f051a3dc798f86c465132d2aecfc3f125238ad75",
     ),
     (
@@ -192,7 +193,7 @@ PINNED_SWEEPS = pins_by_name((
         # pins jsonl at conductor 1010, where the runs of zero coefficients are long
         ["verify", "--packet", "regular", "--primes", "1009", "--level", "1",
          "--samples", "7", "--seed", "5"],
-        "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
+        "479d239ded09155f6559526aa078ac63c51c26991654d75a42cb5cf540461a7f",
         "6e3e4d2bdd2c1302accca20d7e86d531ff009dccd246e5ecea8cb040baf288ca",
     ),
     (
@@ -200,7 +201,7 @@ PINNED_SWEEPS = pins_by_name((
         # pins a near range other than the default 1:3: 120 equal records
         ["verify", "--near-valuations", "2:5", "--primes", "3,5,7", "--samples", "40",
          "--seed", "5"],
-        "94461e155ab1fa1bd0889b5c7f4a62f5cbee1f157cbb9fb0825fe8510361c4dd",
+        "ee207c930e3ed0a4222c4001af81d0e4c630b2cd3ba88aebd6e3cc3763ecb5fb",
         "2b210f1884534fce8fca27d14ea2ef6614c6372978789b596f49aea8bbb2c213",
     ),
     (
@@ -208,20 +209,20 @@ PINNED_SWEEPS = pins_by_name((
         # pins a one-valuation near range, lo alone: 400 unequal records
         ["falsify", "--near-valuations", "4", "--primes", "3,5,7,11,13", "--samples", "40",
          "--seed", "5"],
-        "f83f5ddcea6547e2d9b8d2f1a932daefeb3f5af133637a14795cc40f2a0371a5",
+        "d09dbe99b04e095d87568e545abc3bf863f9d3265ba11f01d5f0be5e76c48c89",
         "b4febaa50d830fa57ffd096d8d4e69425681a8d31761388929d24f5305662e8b",
     ),
     (
         "falsify-csv-format",
         # pins the falsify csv format: 120 unequal records
         ["falsify", "--format", "csv", "--primes", "3,5,7", "--samples", "20", "--seed", "5"],
-        "bc58f0c2ec10ccdf6b8ada01782357a6f9c6f85ab24674f67394f9f8e82c9639",
+        "4baf634d5c5d3815b8ff0788858f102e152f305ec12f2843fd5ebbdf5a3ea219",
         "7ffd939e6ac44e1906adf571cc48b54cbc6f959634c215305327c2d784bea695",
     ),
     (
         "falsify-table-format",
         ["falsify", "--format", "table", "--primes", "3,5,7", "--samples", "20", "--seed", "5"],
-        "2d741289198884e5a6d1fc710a6105feefa6cf2641e9c669965a08e8542e6099",
+        "bb4f26115c384e024bbd93b1d33a8fd2755bb0cd5a89b7e65577f4f08b932aea",
         "7ffd939e6ac44e1906adf571cc48b54cbc6f959634c215305327c2d784bea695",
     ),
     (
@@ -239,6 +240,47 @@ PINNED_SWEEPS = pins_by_name((
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 ))
+
+
+# The stdout digests of the pinned sweeps whose streams the getrandbits sampler
+# (oracles.getrandbits_sample_regular) wrote before each draw read a keyed
+# blake2b digest; the other pins did not change with the draws.
+GETRANDBITS_STREAMS = {
+    "regular-p101":
+        "ac79706b0c3ed08febcc853d02fc88fc37d475d4de3d43f5d91a8b55f9a0f438",
+    "nonregular-s1":
+        "9bdd03765ecc47c219f72a4101789c429d113ffd9c4ff55899088b1230bdbaeb",
+    "falsify":
+        "387ad8b4c7d2bb92bc86dd4a9f022519b6279f01f29d896ec8f5eafe294a310a",
+    "regular-p13-table-format":
+        "d2d735c4ea0980bdd00e06d9b26c33518e69de3e74364bdf1f4810c52b1172f8",
+    "nonregular-stable":
+        "5813292c89944d280515ee5b9540993560115d0d5ce1c6aff50610a269d0b154",
+    "nonregular-s2-skips-p13":
+        "7dcd20e56760d5bb1e9c58213f96ffda0151e36e93e156afd0020f5600b20a33",
+    "falsify-precision-12":
+        "453dfa15dca1065399b16cb3fcc36ea1b1416221b5db6d81129d628560740e54",
+    "nonregular-s2-skips":
+        "b60d78c7cf6ea0f0b044bae0951a1fc8a023cdda2dcbbff45ef89ef391fb7368",
+    "nonregular-s3-skips":
+        "a6b451810306e094c531b27f63dbbdd79eea6a8f84eac081321ba4cdb6ef594d",
+    "nonregular-csv-format":
+        "e914cf628ecc13bfc85182572466ca90bdf9d8a07e8fe6422fe9bcd253341922",
+    "nonregular-s2-csv":
+        "4584c45bd70d2ab089d2e08758c314d75c63123003f264a53d12a4156ce32269",
+    "far-p3":
+        "fb863b5feba5e739797334a60a095b329a2c4a90b8c98886ad50add53669774b",
+    "regular-p1009":
+        "e69c7719ab86387940c1fd5fb6117db0869f5a19c01f6f98639d1f1da3dbdcf2",
+    "verify-near-valuations-2-5":
+        "94461e155ab1fa1bd0889b5c7f4a62f5cbee1f157cbb9fb0825fe8510361c4dd",
+    "falsify-near-valuation-4":
+        "f83f5ddcea6547e2d9b8d2f1a932daefeb3f5af133637a14795cc40f2a0371a5",
+    "falsify-csv-format":
+        "bc58f0c2ec10ccdf6b8ada01782357a6f9c6f85ab24674f67394f9f8e82c9639",
+    "falsify-table-format":
+        "2d741289198884e5a6d1fc710a6105feefa6cf2641e9c669965a08e8542e6099",
+}
 
 
 class TestVerifyMode:
@@ -298,14 +340,14 @@ class TestVerifyMode:
             assert sorted(rec.keys()) == sorted(REPORT_FIELDS)
 
     def test_draws_call_no_randrange(self, monkeypatch):
-        # the sampler takes both digits from getrandbits, by randrange's rule
+        # each draw reads a keyed blake2b digest: no random.Random is built
         argv = ["verify", "--primes", "3,5,7", "--samples", "40", "--seed", "3"]
         expected = run_cli(argv)
 
         def refused(self, *args, **kwargs):
-            raise AssertionError("randrange called")
+            raise AssertionError("random.Random built")
 
-        monkeypatch.setattr(random.Random, "randrange", refused)
+        monkeypatch.setattr(random.Random, "__init__", refused)
         assert run_cli(argv) == expected
         assert expected[0] == 0 and expected[1]
 
@@ -319,66 +361,6 @@ class TestFalsifyMode:
         assert len(recs) == 20  # two reports per sample
         assert all(rec["verdict"] == "unequal" for rec in recs)
         assert "20 unequal as expected" in err
-
-    def test_budget_exceeded_samples_are_counted(self, monkeypatch):
-        import sl2endo.cli as cli_mod
-
-        real = cli_mod.sample_regular
-
-        def flaky(config, cls, v, seed):
-            if seed.endswith(("|1", "|4")):  # sample indices 1 and 4
-                raise SamplingBudgetExceeded(seed)
-            return real(config, cls, v, seed=seed)
-
-        monkeypatch.setattr(cli_mod, "sample_regular", flaky)
-        sweep = SweepConfig(mode="falsify", primes=[3], samples=6, seed=11)
-        code, out, err = run_capture(sweep)
-        assert code == 0
-        recs = [json.loads(line) for line in out.splitlines()]
-        assert len(recs) == 12  # two reports for each of the 6 draws
-        skipped = [recs[i] for i in (2, 3, 8, 9)]
-        assert [rec["s"] for rec in skipped] == ["s1", "theta1+theta2"] * 2
-        for rec in skipped:
-            assert rec["verdict"] == "skipped(sampling budget exceeded)"
-            assert (rec["p"], rec["packet"], rec["classification"]) == (3, "nonregular", "near")
-            assert [rec[k] for k in ("a", "b", "valuation_b", "lhs", "rhs")] == [None] * 5
-        assert {rec["verdict"] for i, rec in enumerate(recs) if i not in (2, 3, 8, 9)} == {
-            "unequal"
-        }
-        assert err.splitlines() == [
-            "warning: 2 sample(s) skipped (sampling budget exceeded)",
-            "falsify: 8 checks, 8 unequal as expected, 0 unexpectedly equal",
-        ]
-
-    def test_all_draws_over_budget_exits_zero(self, monkeypatch):
-        # no verdict at all is no unexpected verdict: exit 0, as verify does
-        import sl2endo.cli as cli_mod
-
-        def always_over_budget(config, cls, v, seed):
-            raise SamplingBudgetExceeded(seed)
-
-        monkeypatch.setattr(cli_mod, "sample_regular", always_over_budget)
-        code, out, err = run_cli(["falsify", "--primes", "3", "--samples", "3"])
-        assert code == 0
-        recs = [json.loads(line) for line in out.splitlines()]
-        assert len(recs) == 6
-        assert {rec["verdict"] for rec in recs} == {"skipped(sampling budget exceeded)"}
-        assert err.splitlines() == [
-            "warning: 3 sample(s) skipped (sampling budget exceeded)",
-            "falsify: 0 checks, 0 unequal as expected, 0 unexpectedly equal",
-        ]
-        code, out, err = run_cli(["verify", "--primes", "3", "--samples", "3"])
-        assert code == 0
-        recs = [json.loads(line) for line in out.splitlines()]
-        # the requested classes of draws 0, 1, 2 under --class both
-        assert [rec["classification"] for rec in recs] == ["far", "near", "far"]
-        assert {rec["verdict"] for rec in recs} == {"skipped(sampling budget exceeded)"}
-        assert all(rec["a"] is None and rec["valuation_b"] is None for rec in recs)
-        assert err.splitlines() == [
-            "warning: 3 check(s) skipped",
-            "verify: 0 equal, 0 unequal, 3 skipped",
-        ]
-
 
 class TestPropertiesMode:
     def test_battery_passes(self):
@@ -410,29 +392,6 @@ class TestPropertiesMode:
         assert code == 0
         recs = [json.loads(line) for line in out.splitlines()]
         assert len(recs) == 6 and all(rec["ok"] for rec in recs)
-
-    def test_budget_exceeded_draws_are_left_out(self, monkeypatch):
-        # the battery leaves a draw over the sampling budget out, and its details
-        # count what is left; no record or stderr line is added
-        import sl2endo.cli as cli_mod
-
-        real = cli_mod.sample_regular
-
-        def flaky(config, cls, v, seed):
-            if seed.endswith("|2"):  # the third of the 10 draws, a far one
-                raise SamplingBudgetExceeded("injected")
-            return real(config, cls, v, seed=seed)
-
-        monkeypatch.setattr(cli_mod, "sample_regular", flaky)
-        code, out, err = run_cli(["properties", "--primes", "3", "--samples", "4"])
-        assert code == 0
-        recs = [json.loads(line) for line in out.splitlines()]
-        assert all(rec["ok"] for rec in recs)
-        assert [rec["detail"] for rec in recs] == [
-            "9 elements", "9 elements", "4 far elements", "5 near elements", "9 elements",
-            "exact matrix checks",
-        ]
-        assert err == "properties: 0 failure(s)\n"
 
     @pytest.mark.parametrize("precision", [4, 5, 6, 7])
     def test_low_precisions_exit_zero(self, precision):
@@ -481,6 +440,46 @@ class TestDeterminism:
         code, _, err = run_cli(argv)
         assert code == 0
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+    @pytest.mark.parametrize("name", PINNED_SWEEPS)
+    def test_old_stream_digest_of_the_getrandbits_sampler(self, monkeypatch, name):
+        # the sampler that wrote the streams before each draw read a keyed
+        # blake2b digest, put back into cli, writes them again
+        import sl2endo.cli as cli_mod
+
+        argv, digest, _ = PINNED_SWEEPS[name]
+        monkeypatch.setattr(cli_mod, "sample_regular", oracles.getrandbits_sample_regular)
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GETRANDBITS_STREAMS.get(name, digest)
+
+    @staticmethod
+    def verdict_counts(argv, out):
+        """How many records of each (packet, s, class, verdict) a verify or
+        falsify stream holds; the lines of any other stream."""
+        if argv[0] not in ("verify", "falsify"):
+            return Counter(out.splitlines())
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "jsonl"
+        if fmt == "jsonl":
+            rows = [json.loads(line) for line in out.splitlines()]
+        else:
+            rows = (csv.DictReader(io.StringIO(out)) if fmt == "csv"
+                    else TestFormats.table_cells(out))
+        return Counter((row["packet"], row["s"], row["classification"], row["verdict"])
+                       for row in rows)
+
+    @pytest.mark.parametrize("name", PINNED_SWEEPS)
+    def test_verdict_counts_as_the_getrandbits_sampler(self, monkeypatch, name):
+        # the new draws decide what the old ones decided, class by class
+        import sl2endo.cli as cli_mod
+
+        argv = PINNED_SWEEPS[name][0]
+        new = run_cli(argv)
+        monkeypatch.setattr(cli_mod, "sample_regular", oracles.getrandbits_sample_regular)
+        old = run_cli(argv)
+        assert new[0] == old[0] == 0 and new[2] == old[2]
+        counts = self.verdict_counts(argv, new[1])
+        assert counts == self.verdict_counts(argv, old[1]) and counts
 
     def test_a_pin_name_listed_twice_raises(self):
         with pytest.raises(ValueError, match="'twice' is listed twice"):
@@ -612,11 +611,12 @@ class TestSamplePlan:
     @staticmethod
     def source_plan(calls, precision, samples, sample_class, near_vals):
         """The (class, v(b)) of every sampler call the source itself makes at p = 3,
-        each call answered by the stub sampler in place; no element is made."""
+        each call answered by the recording sampler in place, and checked to be
+        the class and v(b) of the element it drew."""
         calls.clear()
         draws = _draws(FieldConfig(3, precision), samples, sample_class, near_vals,
                        lambda cls, v, i: str(i))
-        assert [(cls, gamma) for cls, gamma in draws] == [(cls, None) for cls, _ in calls]
+        assert [(gamma.classification, gamma.valuation_b) for gamma in draws] == calls
         return calls
 
     @staticmethod
@@ -660,14 +660,14 @@ class TestSamplePlan:
 
     @staticmethod
     def drawn(monkeypatch):
-        """Record the (class, v(b)) of every sampler call; each draw then fails."""
+        """Record the (class, v(b)) of every sampler call, then draw the element."""
         import sl2endo.cli as cli_mod
 
         calls = []
 
-        def record(config, cls, v, seed):
+        def record(config, cls, v, seed, _sample=cli_mod.sample_regular):
             calls.append((cls, v))
-            raise SamplingBudgetExceeded(str(seed))
+            return _sample(config, cls, v, seed)
 
         monkeypatch.setattr(cli_mod, "sample_regular", record)
         return calls
@@ -703,9 +703,7 @@ class TestSamplePlan:
     def test_property_battery(self, monkeypatch, precision):
         import sl2endo.cli as cli_mod
 
-        calls = []
-        monkeypatch.setattr(cli_mod, "sample_regular",
-                            lambda config, cls, v, rng: calls.append((cls, v)))
+        calls = self.drawn(monkeypatch)
         monkeypatch.setattr(cli_mod.checks, "PROPERTIES", ())
         config = FieldConfig(3, precision)
         for samples in self.SAMPLES:
@@ -726,7 +724,8 @@ class TestSamplePlan:
         calls = self.drawn(monkeypatch)
         draws = _draws(FieldConfig(3, 8), 10**12, "both", range(1, 4), lambda cls, v, i: str(i))
         near, far = Classification.NEAR, Classification.FAR
-        assert [cls for cls, _ in itertools.islice(draws, 7)] == [cls for cls, _ in calls]
+        drawn = [(gamma.classification, gamma.valuation_b) for gamma in itertools.islice(draws, 7)]
+        assert drawn == calls
         assert calls == [
             (far, 0), (near, 1), (far, 0), (near, 2), (far, 0), (near, 3), (far, 0),
         ]
@@ -734,10 +733,9 @@ class TestSamplePlan:
 
 class TestOneElementSource:
     """The runners on the one element source against the three draw loops they
-    replaced (tests/oracles.py), with one injected sampler that fails fixed draws:
-    the same stdout, stderr, exit code and sampler calls."""
+    replaced (tests/oracles.py), with one injected sampler: the same stdout,
+    stderr, exit code and sampler calls."""
 
-    FAILING = {1, 3}  # sampler calls answered with SamplingBudgetExceeded
     PRIMES = {"small": "3,5,7,11,13", "p101": "101", "p1009": "1009"}
     # name -> (flags, samples at small, p101 and p1009)
     SWEEPS = {
@@ -751,19 +749,18 @@ class TestOneElementSource:
     }
 
     @staticmethod
-    def sweep(monkeypatch, argv, parent, failing):
+    def sweep(monkeypatch, argv, parent):
         """(exit code, stdout, stderr, sampler calls) of one sweep, by the parent's
-        loops or the element source; every sampler call is (class, v(b), seed)."""
+        loops or the element source; every sampler call is (class, v(b), seed).
+        The injected sampler is the getrandbits one (oracles), which also takes
+        the shared generator that the parent battery drew from."""
         import sl2endo.cli as cli_mod
-        from sl2endo import torus
 
         calls = []
 
         def injected(config, cls, v, seed):
             calls.append((cls, v, seed))
-            if len(calls) - 1 in failing:
-                raise SamplingBudgetExceeded(f"injected at call {len(calls) - 1}")
-            return torus.sample_regular(config, cls, v, seed)
+            return oracles.getrandbits_sample_regular(config, cls, v, seed)
 
         with monkeypatch.context() as patch:
             for target in (cli_mod, oracles):
@@ -783,12 +780,10 @@ class TestOneElementSource:
         size = samples[list(self.PRIMES).index(primes)]
         argv = [*flags, "--primes", self.PRIMES[primes], "--samples", str(size), "--seed", "3"]
         properties = flags[0] == "properties"
-        # the parent battery let a failed draw escape (exit 2), so it runs without one
-        failing = set() if properties else self.FAILING
-        *new, new_calls = self.sweep(monkeypatch, argv, False, failing)
-        *old, old_calls = self.sweep(monkeypatch, argv, True, failing)
+        *new, new_calls = self.sweep(monkeypatch, argv, False)
+        *old, old_calls = self.sweep(monkeypatch, argv, True)
         assert new == old and new[0] == 0
-        assert len(new_calls) == len(old_calls) > max(self.FAILING)
+        assert len(new_calls) == len(old_calls) >= size
         if properties:  # the parent drew from one shared generator, so no key to compare
             new_calls = [call[:2] for call in new_calls]
             old_calls = [call[:2] for call in old_calls]
@@ -1167,28 +1162,6 @@ class TestFormats:
         assert (near["classification"], near["lhs"], near["rhs"]) == ("near", "", "")
         assert near["a"] and near["b"] and near["valuation_b"] == "1"
 
-    def test_table_budget_exceeded_row_is_blank(self, monkeypatch):
-        import sl2endo.cli as cli_mod
-
-        def always_over_budget(config, cls, v, seed):
-            raise SamplingBudgetExceeded(seed)
-
-        monkeypatch.setattr(cli_mod, "sample_regular", always_over_budget)
-        for mode in ("verify", "falsify"):
-            argv = [mode, "--primes", "3", "--samples", "2", "--format"]
-            code, out, _ = run_cli(argv + ["table"])
-            assert code == 0
-            assert "None" not in out
-            rows = self.table_cells(out)
-            assert len(rows) == (2 if mode == "verify" else 4)
-            for row in rows:
-                assert [row[k] for k in ("a", "b", "valuation_b", "lhs", "rhs")] == [""] * 5
-                assert (row["p"], row["verdict"]) == ("3", "skipped(sampling budget exceeded)")
-            # csv writes the same cells from the same rule
-            code, out, _ = run_cli(argv + ["csv"])
-            assert code == 0
-            assert list(csv.DictReader(io.StringIO(out))) == rows
-
     def test_sweep_from_args_roundtrip(self):
         args = build_parser().parse_args(
             ["verify", "--primes", "3,7", "--samples", "9", "--near-valuations", "2:3"]
@@ -1215,13 +1188,6 @@ class TestVerdictTally:
     def test_tally_is_the_written_stream(self, monkeypatch, mode, fmt):
         import sl2endo.cli as cli_mod
 
-        real = cli_mod.sample_regular
-
-        def flaky(config, cls, v, seed):
-            if seed.endswith(("|1", "|4")):  # sample indices 1 and 4
-                raise SamplingBudgetExceeded(seed)
-            return real(config, cls, v, seed=seed)
-
         emitters = []
 
         class Recording(cli_mod.Emitter):
@@ -1229,29 +1195,27 @@ class TestVerdictTally:
                 super().__init__(*args)
                 emitters.append(self)
 
-        monkeypatch.setattr(cli_mod, "sample_regular", flaky)
         monkeypatch.setattr(cli_mod, "Emitter", Recording)
+        # verify at s2: far records with no comparison and undetermined near ones
+        flags = ["--s", "s2"] if mode == "verify" else []
         code, out, err = run_cli(
-            [mode, "--primes", "3,5", "--samples", "6", "--seed", "11", "--format", fmt]
+            [mode, *flags, "--primes", "3,5", "--samples", "6", "--seed", "11", "--format", fmt]
         )
         assert code == 0
         [emitter] = emitters
         verdicts = self.stream_verdicts(fmt, out)
         assert emitter.verdicts == verdicts
-        budget = verdicts["skipped(sampling budget exceeded)"]
-        assert budget == (4 if mode == "verify" else 8)  # two draws at each prime
         if mode == "verify":
             skipped = sum(n for v, n in verdicts.items() if v.startswith("skipped"))
+            assert len(verdicts) == 2 and skipped == 12
             assert err.splitlines() == [
                 f"warning: {skipped} check(s) skipped",
                 f"verify: {verdicts['equal']} equal, 0 unequal, {skipped} skipped",
             ]
         else:
-            checks = verdicts.total() - budget
+            assert verdicts == {"unequal": 24}
             assert err.splitlines() == [
-                f"warning: {budget // 2} sample(s) skipped (sampling budget exceeded)",
-                f"falsify: {checks} checks, {verdicts['unequal']} unequal as expected,"
-                f" {checks - verdicts['unequal']} unexpectedly equal",
+                "falsify: 24 checks, 24 unequal as expected, 0 unexpectedly equal",
             ]
 
 

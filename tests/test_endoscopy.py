@@ -1,7 +1,6 @@
 """Tests for transfer factors, the two-term right-hand side, and the verifier."""
 
 import json
-import random
 from collections import Counter
 
 import pytest
@@ -22,7 +21,6 @@ from sl2endo.endoscopy import (
     REPORT_FIELDS,
     SKIP_VERDICTS,
     VerificationReport,
-    budget_exceeded_reports,
     epsilon_factor,
     falsify_adss152,
     kappa_term,
@@ -104,11 +102,11 @@ class TestConstituents:
     @pytest.mark.parametrize("p", PRIMES)
     def test_transfer_equals_minus_f(self, p):
         cfg = FieldConfig(p)
-        rng = random.Random(f"tf{p}")
+        key = f"tf{p}"
         for i in range(40):
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
-            g = sample_regular(cfg, cls, v, rng)
+            g = sample_regular(cfg, cls, v, f"{key}|{i}")
             assert transfer_factor(g) == -f_direct(g)
 
 
@@ -159,11 +157,11 @@ class TestRhsEndoscopic:
     def test_nonregular_closed_form(self, p):
         cfg = FieldConfig(p)
         packet = PacketSpec.nonregular(cfg)
-        rng = random.Random(f"rhs{p}")
+        key = f"rhs{p}"
         for i in range(20):
             cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
             v = 0 if cls is Classification.FAR else 1 + i % 3
-            g = sample_regular(cfg, cls, v, rng)
+            g = sample_regular(cfg, cls, v, f"{key}|{i}")
             closed = CycNumber.from_int(-2 * f_direct(g) * psi0(g))
             assert rhs_endoscopic(packet, g) == closed
 
@@ -171,13 +169,13 @@ class TestRhsEndoscopic:
     def test_regular_closed_form(self, p):
         cfg = FieldConfig(p)
         group = norm_one_group(cfg)
-        rng = random.Random(f"rhsreg{p}")
+        key = f"rhsreg{p}"
         for lv in regular_levels(cfg):
             packet = PacketSpec.regular(cfg, lv.k)
             for i in range(6):
                 cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
                 v = 0 if cls is Classification.FAR else 1 + i % 2
-                g = sample_regular(cfg, cls, v, rng)
+                g = sample_regular(cfg, cls, v, f"{key}|{lv.k}|{i}")
                 psi_g = group.character_value(lv, group.reduce(g))
                 psi_inv = group.character_value(lv, group.reduce(invert(g)))
                 closed = (psi_g + psi_inv).scale(-f_direct(g))
@@ -268,7 +266,7 @@ class TestVerifyIdentity:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sweep_all_equal(self, p):
         cfg = FieldConfig(p)
-        rng = random.Random(f"sweep{p}")
+        key = f"sweep{p}"
         packets = [PacketSpec.nonregular(cfg)] + [
             PacketSpec.regular(cfg, lv.k) for lv in regular_levels(cfg)
         ]
@@ -276,7 +274,7 @@ class TestVerifyIdentity:
             for i in range(8):
                 cls = Classification.FAR if i % 2 == 0 else Classification.NEAR
                 v = 0 if cls is Classification.FAR else 1 + i % 3
-                g = sample_regular(cfg, cls, v, rng)
+                g = sample_regular(cfg, cls, v, f"{key}|{pk.level.k}|{i}")
                 assert verify_identity(pk, "s1", g).verdict == "equal"
 
     def test_report_record_schema(self):
@@ -334,7 +332,6 @@ class TestJsonLine:
             verify_identity(nonregular, "s2", near),  # undetermined: both null
             verify_identity(nonregular, "s1", anti_near(p)),
             verify_identity(nonregular, "s1", element(cfg, 1, 0)),  # precision exhausted
-            *budget_exceeded_reports(cfg, nonregular, Classification.FAR, ["s1", "s2"]),
             *falsify_adss152(nonregular, near),
         ]
         verdicts = {r.verdict.partition("(")[0] for r in reports}
@@ -434,9 +431,9 @@ class TestFalsify:
     def test_always_unequal(self, p):
         cfg = FieldConfig(p)
         packet = PacketSpec.nonregular(cfg)
-        rng = random.Random(f"fal{p}")
+        key = f"fal{p}"
         for i in range(15):
-            g = sample_regular(cfg, Classification.NEAR, 1 + i % 3, rng)
+            g = sample_regular(cfg, Classification.NEAR, 1 + i % 3, f"{key}|{i}")
             rep1, rep2 = falsify_adss152(packet, g)
             assert rep1.verdict == "unequal"
             assert rep2.verdict == "unequal"

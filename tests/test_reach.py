@@ -50,8 +50,6 @@ UNREACHED = {
     "cyclotomic.CycNumber.promote": "patched by name in bench/spans.py",
     "cyclotomic.CycNumber.__rsub__": "patched by name in bench/spans.py",
     "endoscopy.VerificationReport.to_record": "patched by name in bench/spans.py",
-    "endoscopy.budget_exceeded_reports": "a draw over the 256-draw sampling budget,"
-    " which tests inject",
     "torus.element": "the public reducing constructor",
 }
 

@@ -1,17 +1,14 @@
 """Tests for torus elements: classification, f, discriminants, Cayley, sampling."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2endo.errors import (
-    NotNear,
-    PrecisionExhausted,
-    SamplingBudgetExceeded,
-    Sl2EndoError,
-)
+from sl2endo import torus
+from sl2endo.errors import NotNear, PrecisionExhausted
 from sl2endo.localfield import FieldConfig, hensel_sqrt, sgn_eps, valuation
 from sl2endo.torus import (
     Classification,
@@ -51,13 +48,13 @@ def in_first_filtration(gamma):
 
 
 def mixed_samples(cfg, n, tag=""):
-    rng = random.Random(f"torus-{cfg.p}-{tag}")
     out = []
     for i in range(n):
+        key = f"torus-{cfg.p}-{tag}|{i}"
         if i % 2 == 0:
-            out.append(sample_regular(cfg, Classification.FAR, 0, rng))
+            out.append(sample_regular(cfg, Classification.FAR, 0, key))
         else:
-            out.append(sample_regular(cfg, Classification.NEAR, 1 + i % 3, rng))
+            out.append(sample_regular(cfg, Classification.NEAR, 1 + i % 3, key))
     return out
 
 
@@ -235,9 +232,8 @@ class TestF:
     @pytest.mark.parametrize("p", PRIMES)
     def test_far_always_one(self, p):
         cfg = FieldConfig(p)
-        rng = random.Random(f"far-{p}")
-        for _ in range(20):
-            g = sample_regular(cfg, Classification.FAR, 0, rng)
+        for i in range(20):
+            g = sample_regular(cfg, Classification.FAR, 0, f"far-{p}|{i}")
             assert f_direct(g) == 1
 
 
@@ -405,44 +401,106 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_regular(cfg, Classification.FAR, 1, seed=0)
 
-    def test_budget_exhaustion(self, monkeypatch):
-        import sl2endo.torus as torus_mod
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_refuses_what_the_getrandbits_sampler_refused(self, N):
+        # the same (class, v(b)) refused with the same message; every other one drawn
+        cfg = FieldConfig(5, N)
+        for cls in Classification:
+            for v in range(N):
+                new, old = (sampled(fn, cfg, cls, v, "key")
+                            for fn in (sample_regular, oracles.getrandbits_sample_regular))
+                if old[0] is ValueError:
+                    assert new == old
+                else:
+                    assert new[2] is TorusVariant.UNRAMIFIED
 
-        draws = []
+    def test_key_is_the_seed_as_text(self):
+        cfg = FieldConfig(7)
+        assert sample_regular(cfg, Classification.FAR, 0, 5) == sample_regular(
+            cfg, Classification.FAR, 0, "5")
+        assert sample_regular(cfg, Classification.FAR, 0, 5) != sample_regular(
+            cfg, Classification.FAR, 0, 6)
 
-        def no_root(x, config):
-            draws.append(x)
-            return None
+    def test_one_hensel_sqrt_per_draw(self, monkeypatch):
+        # the rejection sampler made about 9 calls per far draw here
+        roots = []
 
-        # every draw is rejected, so the sampler gives up after its fixed budget
-        monkeypatch.setattr(torus_mod, "hensel_sqrt", no_root)
-        with pytest.raises(SamplingBudgetExceeded, match=r"v\(b\)=0 in 256 draws$"):
-            sample_regular(FieldConfig(3), Classification.FAR, 0, seed=0)
-        assert len(draws) == 256
-
-    def test_rejected_draws_raise_nothing(self, monkeypatch):
-        import sl2endo.torus as torus_mod
-
-        made, roots = [], []
-
-        def counting_init(self, *args, _init=Sl2EndoError.__init__):
-            made.append(type(self).__name__)
-            _init(self, *args)
-
-        # every package exception (PrecisionExhausted among them) inherits this __init__
-        monkeypatch.setattr(Sl2EndoError, "__init__", counting_init)
-
-        def counting_sqrt(x, config, _sqrt=torus_mod.hensel_sqrt):
+        def counting_sqrt(x, config, _sqrt=torus.hensel_sqrt):
             roots.append(_sqrt(x, config))
             return roots[-1]
 
-        monkeypatch.setattr(torus_mod, "hensel_sqrt", counting_sqrt)
-        cfg, rng = FieldConfig(3), random.Random("far-draws")
-        for _ in range(200):
-            sample_regular(cfg, Classification.FAR, 0, rng)
-        # 1 + 2b^2 = 0 mod 3 for every unit b, so far draws at p = 3 are mostly rejected
-        assert roots.count(None) > 200
-        assert made == []
+        monkeypatch.setattr(torus, "hensel_sqrt", counting_sqrt)
+        cfg = FieldConfig(3, 4)
+        for i in range(1000):
+            sample_regular(cfg, Classification.FAR, 0, f"far-draws|{i}")
+        assert len(roots) == 1000 and None not in roots
+
+    def test_class_check_is_an_invariant_error(self, monkeypatch):
+        # a root of the wrong sign makes a norm-one element of the other class
+        def wrong_sign(x, residue, config, _root=torus._signed_root):
+            return config.modulus - _root(x, residue, config)
+
+        monkeypatch.setattr(torus, "_signed_root", wrong_sign)
+        with pytest.raises(AssertionError, match="drew an element of class anti-near, not near$"):
+            sample_regular(FieldConfig(5), Classification.NEAR, 1, seed=0)
+
+
+class TestExactLaw:
+    """The digits x in [0, (p-1) p^(N-v-1)) map one to one onto the elements of
+    their class with v(b) = v mod p^N, so a uniform x draws a uniform element;
+    and the digit reader reads a uniform x.  Checked by enumeration, with no
+    statistics."""
+
+    CASES = [(Classification.FAR, 0), (Classification.NEAR, 1), (Classification.ANTI_NEAR, 1)]
+
+    @staticmethod
+    def torus_points(cfg):
+        """Every element of T(Z/p^N) with b != 0, by the square roots mod p^N."""
+        modulus, roots = cfg.modulus, {}
+        for a in range(modulus):
+            roots.setdefault(a * a % modulus, []).append(a)
+        return [TorusElement(cfg, a, b) for b in range(1, modulus)
+                for a in roots.get((1 + cfg.eps * b * b) % modulus, [])]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])  # p = 3 and 7 reach the a = 0 mod p branch
+    def test_digits_hit_each_element_of_the_class_equally(self, p):
+        cfg = FieldConfig(p, 4)
+        points = self.torus_points(cfg)
+        assert len(points) == (p + 1) * p**3 - 2  # all but (+-1, 0)
+        for cls, v in self.CASES:
+            m = (p - 1) * p ** (cfg.N - v - 1)
+            hits = Counter(torus._element_of(cfg, cls, v, x) for x in range(m))
+            klass = {g for g in points if g.classification is cls and g.valuation_b == v}
+            assert set(hits) == klass
+            assert len(set(hits.values())) == 1
+        if p % 4 == 3:  # some far element has a = 0 mod p
+            assert any(g.a % p == 0 for g in points)
+
+    def test_redraw_above_the_cut(self, monkeypatch):
+        # a first block whose bytes are all 0xff lies above the cut, so the
+        # draw is read again from the next block
+        key, m = b"redraw", (7 - 1) * 7**5
+        size = (m.bit_length() + 71) // 8
+        assert (1 << 8 * size) % m  # the range has an incomplete top multiple
+        real = torus._block
+        blocks = []
+
+        def injected(key, j):
+            blocks.append(j)
+            return b"\xff" * 64 if j == 0 else real(key, j)
+
+        monkeypatch.setattr(torus, "_block", injected)
+        x = torus._uniform(key, m)
+        assert blocks == [0, 1]
+        assert x == int.from_bytes(real(key, 1)[:size], "little") % m
+
+    def test_a_range_wider_than_a_block_reads_the_next_blocks(self):
+        # 600 digits at p = 3 need 127 bytes: blocks 0 and 1, with no redraw
+        key, m = b"wide", 2 * 3**600
+        size = (m.bit_length() + 71) // 8
+        assert 64 < size <= 128
+        data = torus._block(key, 0) + torus._block(key, 1)
+        assert torus._uniform(key, m) == int.from_bytes(data[:size], "little") % m
 
 
 def sampled(sample, config, classification, v, seed):
@@ -455,8 +513,9 @@ def sampled(sample, config, classification, v, seed):
 
 
 class TestSamplerAgainstReference:
-    """sample_regular against the sampler whose rejected draws raised (oracles):
-    the same elements, the same exceptions and the same random stream."""
+    """The getrandbits sampler that wrote the old pinned streams against the
+    sampler whose rejected draws raised (both in oracles): the same elements,
+    the same exceptions and the same random stream."""
 
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009, 65537])
@@ -467,14 +526,12 @@ class TestSamplerAgainstReference:
         for cls in Classification:
             for v in range(N):  # every allowed v(b), and the refused ones
                 for seed in (*range(4), *(f"{cls.value}|{v}|{i}" for i in range(4))):
-                    assert sampled(sample_regular, cfg, cls, v, seed) == sampled(
-                        oracles.sample_regular, cfg, cls, v, seed
+                    assert sampled(oracles.getrandbits_sample_regular, cfg, cls, v, seed) == (
+                        sampled(oracles.sample_regular, cfg, cls, v, seed)
                     ), seed
                 for _ in range(16):
-                    outcomes = [
-                        sampled(fn, cfg, cls, v, rng)
-                        for fn, rng in zip((sample_regular, oracles.sample_regular), shared)
-                    ]
+                    samplers = (oracles.getrandbits_sample_regular, oracles.sample_regular)
+                    outcomes = [sampled(fn, cfg, cls, v, rng) for fn, rng in zip(samplers, shared)]
                     assert outcomes[0] == outcomes[1]
                     assert shared[0].getstate() == shared[1].getstate()
 
@@ -486,8 +543,9 @@ def drawn(sample, config, classification, v, seed):
 
 
 class TestExactDraws:
-    """sample_regular against the sampler that drew its digits through randrange
-    (oracles): the same (a, b, class), key by key and along one shared generator."""
+    """The getrandbits sampler against the sampler that drew its digits through
+    randrange (both in oracles): the same (a, b, class), key by key and along
+    one shared generator."""
 
     CASES = [(Classification.FAR, 0)] + [
         (cls, v) for cls in (Classification.NEAR, Classification.ANTI_NEAR) for v in (1, 2, 3)
@@ -501,11 +559,11 @@ class TestExactDraws:
         for cls, v in self.CASES:
             for i in range(500):
                 key = f"exact|{cls.value}|{v}|{i}"
-                assert drawn(sample_regular, cfg, cls, v, key) == drawn(
+                assert drawn(oracles.getrandbits_sample_regular, cfg, cls, v, key) == drawn(
                     oracles.randrange_sample_regular, cfg, cls, v, key
                 ), key
             for _ in range(100):
-                assert drawn(sample_regular, cfg, cls, v, shared[0]) == drawn(
+                assert drawn(oracles.getrandbits_sample_regular, cfg, cls, v, shared[0]) == drawn(
                     oracles.randrange_sample_regular, cfg, cls, v, shared[1]
                 )
             assert shared[0].getstate() == shared[1].getstate()
