@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import checks
 from .charformulas import PacketSpec, psi0_on_residue_point
 from .endoscopy import REPORT_FIELDS, VerificationReport, falsify_adss152, verify_identity
-from .localfield import FieldConfig
+from .localfield import FieldConfig, field_config
 from .packets import KLEIN4, Z2, virtual_coeffs
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
 from .torus import Classification, TorusElement, sample_regular
@@ -101,7 +101,7 @@ class SweepConfig:
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or getattr(
             sys.int_info, "default_max_str_digits", 4300)
         for p in self.primes:
-            config = FieldConfig(p, self.precision)  # fail fast on bad primes/precision
+            field_config(p, self.precision)  # fail fast on bad primes/precision
             if self.precision > _max_precision(p, digits):
                 raise ValueError(
                     f"--precision {self.precision} is too large for p={p}: residues mod"
@@ -109,7 +109,8 @@ class SweepConfig:
                     f" so N <= {_max_precision(p, digits)}"
                 )
             if self.mode == "verify" and self.level is not None:
-                _packets_for(config, self)  # not regular at p: fail before any output
+                # not regular at p: fail before any output
+                _packets(p, self.precision, self.packet, self.level)
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,12 +143,17 @@ def _draws(
         yield sample_regular(config, cls, v, seed_of(cls, v, i))
 
 
-def _packets_for(config: FieldConfig, sweep: SweepConfig) -> list[PacketSpec]:
-    if sweep.packet == "nonregular":
-        return [PacketSpec.nonregular(config)]
-    if sweep.level is not None:
-        return [PacketSpec.regular(config, sweep.level)]
-    return [PacketSpec(level) for level in regular_levels(config)]
+@functools.lru_cache(maxsize=None)
+def _packets(p: int, precision: int, packet: str, level: "int | None") -> tuple[PacketSpec, ...]:
+    """The packets a sweep checks at p, built once per process and shared by
+    validate and the runners: the four-member packet, the one at --level, or
+    every regular level."""
+    config = field_config(p, precision)
+    if packet == "nonregular":
+        return (PacketSpec.nonregular(config),)
+    if level is not None:
+        return (PacketSpec.regular(config, level),)
+    return tuple(PacketSpec(lv) for lv in regular_levels(config))
 
 
 class Emitter:
@@ -193,8 +199,8 @@ class Emitter:
 def run_verify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     for p in sweep.primes:
-        config = FieldConfig(p, sweep.precision)
-        for packet in _packets_for(config, sweep):
+        config = field_config(p, sweep.precision)
+        for packet in _packets(p, sweep.precision, sweep.packet, sweep.level):
             key = f"{sweep.seed}|{p}|{packet.kind}|{packet.level.k}|{sweep.s}"
             draws = _draws(config, sweep.samples, sweep.sample_class, sweep.near_valuations,
                            lambda cls, v, i: f"{key}|{cls.value}|{v}|{i}")
@@ -214,8 +220,8 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
 def run_falsify(sweep: SweepConfig, out, err) -> int:
     emitter = Emitter(sweep.fmt, out)
     for p in sweep.primes:
-        config = FieldConfig(p, sweep.precision)
-        packet = PacketSpec.nonregular(config)
+        config = field_config(p, sweep.precision)
+        (packet,) = _packets(p, sweep.precision, "nonregular", None)
         draws = _draws(config, sweep.samples, "near", sweep.near_valuations,
                        lambda cls, v, i: f"{sweep.seed}|{p}|falsify|{v}|{i}")
         for gamma in draws:
@@ -246,7 +252,7 @@ def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str
 def run_properties(sweep: SweepConfig, out, err) -> int:
     failures = 0
     for p in sweep.primes:
-        config = FieldConfig(p, sweep.precision)
+        config = field_config(p, sweep.precision)
         for name, ok, detail in _property_battery(config, sweep):
             record = {"p": p, "property": name, "ok": ok, "detail": detail}
             if sweep.fmt == "jsonl":
@@ -262,7 +268,7 @@ def run_properties(sweep: SweepConfig, out, err) -> int:
 
 def run_table(sweep: SweepConfig, out, err) -> int:
     for p in sweep.primes:
-        config = FieldConfig(p, sweep.precision)
+        config = field_config(p, sweep.precision)
         group = norm_one_group(config)
         lv = (
             quadratic_level(config)

@@ -14,7 +14,9 @@ of Phi_m.  Scalars must be integers: any other number raises TypeError
 
 Phi_m and its reducer are memoised per conductor, and root_of_unity(m, k)
 per (conductor, exponent mod m), each filled on first use; the values are
-immutable and shared.
+immutable and shared.  At an even conductor x^{m/2} = -1, so a root of
+exponent k >= m/2 is the negation of the root of k - m/2, and reduction
+only walks exponents below m/2.
 
 Integers live at conductor 1 and embed into every conductor unchanged
 (an integer is at most a constant term); values at two different
@@ -22,14 +24,15 @@ conductors above 1 do not mix, and combining them raises
 ConductorMismatch; _conductor is that rule, for every operation.  The one
 sum is linear_combination, one pass and one result: rational integers (a
 lone term at index 0, at any conductor) are summed as Python ints, any
-other operands in one accumulator by index.  +, -, unary - and scale are
-each one call of it.
+other operands by merging their index-sorted terms.  +, -, unary - and
+scale are each one call of it.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -235,8 +238,8 @@ def linear_combination(terms) -> CycNumber:
     ConductorMismatch (_conductor).  A zero coefficient or value adds
     nothing, and a lone surviving term with coefficient 1 keeps its terms.
     When every surviving value is a rational integer (its one term has
-    index 0) the sum is taken in Python ints; otherwise one accumulator
-    sums the terms by index.
+    index 0) the sum is taken in Python ints; otherwise the scaled terms
+    of the operands are merged by index, one operand at a time (_merged).
     """
     m, live = 1, []
     for c, v in terms:
@@ -255,12 +258,36 @@ def linear_combination(terms) -> CycNumber:
         total += c * v.num[0][1]
     else:
         return CycNumber(m, ((0, total),) if total else ())
-    acc = {}
-    get = acc.get
+    acc = ()
     for c, v in live:
-        for i, x in v.num:
-            acc[i] = get(i, 0) + c * x
-    return CycNumber(m, tuple(sorted([t for t in acc.items() if t[1]])))
+        terms = v.num if c == 1 else [(i, c * x) for i, x in v.num]
+        acc = _merged(acc, terms) if acc else terms
+    return CycNumber(m, tuple(acc))
+
+
+def _merged(a, b) -> list:
+    """The index-sorted terms of a + b, for index-sorted term sequences a and
+    b, with the zero sums dropped.  The shorter is walked term by term; each
+    run of the longer below the next index is found by bisection and copied
+    whole, so adding a few terms to a long value costs a few bisections."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, i, n = [], 0, len(a)
+    for t in b:
+        j = t[0]
+        if i < n and a[i][0] < j:
+            k = bisect_left(a, (j,), i + 1)  # (j,) sorts before every (j, c)
+            out += a[i:k]
+            i = k
+        if i < n and a[i][0] == j:
+            s = a[i][1] + t[1]
+            if s:
+                out.append((j, s))
+            i += 1
+        else:
+            out.append(t)
+    out += a[i:]
+    return out
 
 
 def root_of_unity(m: int, k: int) -> CycNumber:
@@ -272,7 +299,10 @@ def root_of_unity(m: int, k: int) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def _root(m: int, k: int) -> CycNumber:
-    """The class of x^k, for 0 <= k < m."""
+    """The class of x^k, for 0 <= k < m.  For even m, x^{m/2} = -1 (zeta_m^{m/2}
+    is the primitive square root of unity), so x^k = -x^{k - m/2} above m/2."""
+    if m % 2 == 0 and k >= m // 2:
+        return linear_combination(((-1, _root(m, k - m // 2)),))
     coeffs = [0] * (k + 1)
     coeffs[k] = 1
     return CycNumber(m, _reduce(coeffs, m))

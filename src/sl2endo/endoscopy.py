@@ -30,7 +30,7 @@ from .charformulas import (
 )
 from .cyclotomic import CycNumber, euler_phi, linear_combination
 from .errors import AntiNearUnsupported, NotNear, PrecisionExhausted, Undetermined
-from .localfield import FieldConfig, sgn_eps
+from .localfield import FieldConfig, field_config, sgn_eps
 from .packets import KLEIN4, virtual_coeffs
 from .residue import norm_one_group
 from .torus import Classification, TorusElement, cayley_inverse, invert
@@ -47,7 +47,7 @@ def epsilon_factor(p: int) -> int:
     (a level-one additive character is understood), once per prime: it does
     not depend on the precision N.
     """
-    config = FieldConfig(p)
+    config = field_config(p, FieldConfig.N)
     return sgn_eps(config.pi, config)  # of order <= 2, the character is its own inverse
 
 
@@ -99,8 +99,8 @@ class VerificationReport:
     packet: str
     level: int
     s: str
-    a: "int | None"
-    b: "int | None"
+    a: int
+    b: int
     valuation_b: "int | None"
     classification: str
     lhs: "CycNumber | None"
@@ -122,10 +122,9 @@ class VerificationReport:
             rhs_json = lhs_json
         else:
             rhs_json = _json_value(rhs)
-        a, b, vb = self.a, self.b, self.valuation_b
+        vb = self.valuation_b
         return (
-            f'{{"N": {self.N}, "a": {"null" if a is None else a},'
-            f' "b": {"null" if b is None else b},'
+            f'{{"N": {self.N}, "a": {self.a}, "b": {self.b},'
             f' "classification": {encode_basestring_ascii(self.classification)},'
             f' "eps": {self.eps}, "level": {self.level}, "lhs": {lhs_json}, "p": {self.p},'
             f' "packet": {encode_basestring_ascii(self.packet)}, "rhs": {rhs_json},'
@@ -143,11 +142,13 @@ _ZERO = '"0", '
 # The renderings _json_value has written, by (conductor, terms): a value
 # already written is reused.  The memo is filled until it holds _MEMO_BUDGET
 # bytes and then stops growing; nothing is evicted.  A rendering is dense in
-# phi(m), about 2.6 MB at conductor 1,048,574, so it is bounded by bytes, not
-# by entries.  1 MiB holds every distinct value of a p <= 13 sweep (about
-# 10 KB) and 290 of the 505 far values at p = 1009 (1.75 MB for all), while
-# adding at most 4 % to the 26 MiB that a p = 1009 sweep peaks at.
-_MEMO_BUDGET = 1 << 20
+# phi(m), so it is bounded by bytes, not by entries: 2 MiB holds every
+# distinct value of a p <= 13 sweep (about 10 KB) and of a level sweep at
+# p = 1009 (its 510 far and near values, about 1.7 MiB), while
+# adding at most 8 % to the 26 MiB that a p = 1009 sweep peaks at.  It is
+# less than the one 2.6 MB rendering at conductor 1,048,574, which is
+# therefore written but never kept.
+_MEMO_BUDGET = 2 << 20
 # Bytes a key's term costs: a pair tuple and two int objects.
 _TERM_BYTES = sys.getsizeof((0, 0)) + 2 * sys.getsizeof(1 << 30)
 _memo: dict[tuple[int, tuple], str] = {}

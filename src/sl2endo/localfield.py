@@ -122,6 +122,12 @@ class FieldConfig:
         return self.p**self.N
 
 
+# The configuration of each (p, N), built once per process: a sweep's
+# validation and its runner share it, and so does the epsilon factor at the
+# default N, so a sweep at that N runs the trial division of p once.
+field_config = lru_cache(maxsize=None)(FieldConfig)
+
+
 def _split(x: int, config: FieldConfig) -> tuple[int, int]:
     """(v, u) with x = p^v * u mod p^N and u a unit, for x read as a residue.
 

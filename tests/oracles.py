@@ -6,6 +6,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from sl2endo.charformulas import (
     KOTTWITZ_SIGN_ANISOTROPIC,
@@ -22,10 +23,11 @@ from sl2endo.charformulas import (
 )
 from sl2endo import checks, endoscopy, localfield
 from sl2endo.checks import _far
-from sl2endo.cli import Emitter, SweepConfig, _packets_for
+from sl2endo.cli import Emitter, SweepConfig, _packets
 from sl2endo.cyclotomic import (
     CycNumber,
     _conductor,
+    _reducer,
     euler_phi,
     linear_combination,
     prime_divisors,
@@ -782,7 +784,7 @@ def run_verify(sweep: SweepConfig, out, err) -> int:
     near_vals = sweep.near_valuations
     for p in sweep.primes:
         config = FieldConfig(p, sweep.precision)
-        for packet in _packets_for(config, sweep):
+        for packet in _packets(p, sweep.precision, sweep.packet, sweep.level):
             plan = _sample_plan(sweep.samples, sweep.sample_class, near_vals)
             for i, (cls, v) in enumerate(plan):
                 key = (
@@ -840,7 +842,8 @@ def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str
 
 # linear_combination as it was while every operand list went through the one
 # dict accumulator, before rational integers were summed as Python ints, kept
-# verbatim as the reference for the integer path.
+# verbatim as the reference for the integer path and for the merge of sorted
+# terms that replaced the accumulator.
 
 def accumulator_linear_combination(terms) -> CycNumber:
     """sum of c*v over the (integer c, CycNumber v) pairs of terms, in one pass.
@@ -881,3 +884,27 @@ def is_odd_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+# The root table's reduction as it was while every exponent was reduced as a
+# monomial, x^k walked down from k to deg Phi_m, before even conductors used
+# x^{m/2} = -1; kept verbatim (the table's name aside, and uncached) as the
+# reference for cyclotomic.root_of_unity.
+
+def _reduce(c: list[int], m: int) -> tuple[tuple[int, int], ...]:
+    """Remainder of c (ascending, reduced in place) modulo the monic Phi_m,
+    as its nonzero (index, coefficient) pairs."""
+    deg, terms = _reducer(m)
+    for i in range(len(c) - 1, deg - 1, -1):
+        top = c[i]
+        if top:
+            for offset, pj in terms:
+                c[i + offset] -= top * pj
+    return tuple((i, c[i]) for i in compress(range(deg), c))
+
+
+def monomial_root(m: int, k: int) -> CycNumber:
+    """The class of x^k, for 0 <= k < m."""
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    return CycNumber(m, _reduce(coeffs, m))

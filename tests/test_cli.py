@@ -23,7 +23,7 @@ import pytest
 
 import oracles
 import sl2endo
-from sl2endo import endoscopy
+from sl2endo import endoscopy, localfield
 from sl2endo.cli import (
     SAMPLE_CLASSES, SweepConfig, _draws, build_parser, main, run, sweep_from_args,
 )
@@ -536,6 +536,28 @@ class TestValueMemo:
         assert sum(map(sys.getsizeof, memo.values())) <= endoscopy._memo_bytes
         assert endoscopy._memo_bytes <= endoscopy._MEMO_BUDGET
 
+    def test_keeps_every_value_of_a_level_sweep_at_p1009(self, monkeypatch):
+        # every far residue point of level 1 (the digits 0..p-2 draw each once)
+        # and the near shells v(b) = 1..3: each distinct value is kept in budget
+        from sl2endo.charformulas import PacketSpec
+        from sl2endo.endoscopy import verify_identity
+        from sl2endo.torus import _element_of
+
+        oracles.cold_memo(monkeypatch)
+        config = FieldConfig(1009)
+        packet = PacketSpec.regular(config, 1)
+        draws = [(Classification.FAR, 0)] + [(Classification.NEAR, v) for v in (1, 2, 3)]
+        values = set()
+        for cls, v in draws:
+            for x in range(config.p - 1):
+                report = verify_identity(packet, "s1", _element_of(config, cls, v, x))
+                assert report.verdict == "equal"
+                report.to_json()
+                values |= {(side.m, side.num) for side in (report.lhs, report.rhs)}
+        assert len(values) > 500
+        assert values <= set(endoscopy._memo)
+        assert endoscopy._memo_bytes <= endoscopy._MEMO_BUDGET
+
     @pytest.mark.parametrize("argv", [
         ["falsify", "--primes", "3,5,7", "--samples", "20"],
         ["verify", "--packet", "regular", "--primes", "1009", "--level", "1", "--samples", "50",
@@ -576,7 +598,9 @@ class TestProcessWideTables:
     @pytest.mark.parametrize("name", ["nonregular-s1", "regular-p1009", "falsify-precision-12"])
     def test_pinned_sweeps_cold_and_warm(self, monkeypatch, name):
         caches = self.caches()
-        assert {"residue._groups", "endoscopy.epsilon_factor"} <= set(caches)
+        assert {
+            "residue._groups", "endoscopy.epsilon_factor", "localfield.field_config", "cli._packets",
+        } <= set(caches)
         for cache in caches.values():
             cache.cache_clear()
         oracles.cold_memo(monkeypatch)
@@ -588,6 +612,25 @@ class TestProcessWideTables:
             assert hashlib.sha256(err.encode()).hexdigest() == err_digest
             # the second round finds every table filled
             assert all(cache.cache_info().currsize for cache in caches.values())
+
+    def test_two_runs_of_a_sweep_build_its_configuration_once(self, monkeypatch):
+        # validate, the runner and the epsilon factor share one FieldConfig of
+        # (p, N) per process, so the trial division of p runs once in two runs
+        for cache in self.caches().values():
+            cache.cache_clear()
+        divided = Counter()
+        divide = localfield.prime_divisors
+
+        def counting(n):
+            divided[n] += 1
+            return divide(n)
+
+        monkeypatch.setattr(localfield, "prime_divisors", counting)
+        argv = ["verify", "--packet", "regular", "--level", "1", "--primes", "101,1009",
+                "--samples", "7", "--class", "both"]
+        results = [run_cli(argv) for _ in range(2)]
+        assert results[0] == results[1] and results[0][0] == 0
+        assert divided == Counter({101: 1, 1009: 1})
 
     def test_the_only_module_level_containers(self):
         # every other process-wide table is a functools cache, reset by cache_clear
@@ -949,8 +992,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("level", [None, 1])
     def test_validate_builds_a_packet_only_for_a_given_level(self, monkeypatch, level):
         # without --level the sweep's q-1 regular packets are built by the sweep, not by validate
+        import sl2endo.cli as cli_mod
         from sl2endo.charformulas import PacketSpec
 
+        cli_mod._packets.cache_clear()  # a packet built before is not built again
         calls = []
         build = PacketSpec.regular
 

@@ -22,7 +22,7 @@ from sl2endo.cyclotomic import (
 )
 from sl2endo.errors import ConductorMismatch
 
-from oracles import accumulator_linear_combination, coefficient_strings
+from oracles import accumulator_linear_combination, coefficient_strings, monomial_root
 
 
 def poly_mul(a, b):
@@ -428,6 +428,29 @@ class TestRootTable:
         assert root_of_unity(1010, 7) is root_of_unity(1010, 1017)
         assert root_of_unity(1010, -3) is root_of_unity(1010, 1007)
 
+    @pytest.mark.parametrize("m", [4, 12, 14, 30, 36, 50, 98, 102, 402, 1010, 10008])
+    def test_half_turn_matches_monomial_reduction(self, m):
+        # below m/2 the table reduces x^k itself; from m/2 on it negates x^(k - m/2)
+        for k in range(m):
+            value = root_of_unity(m, k)
+            assert (value.m, value.num) == (m, monomial_root(m, k).num), (m, k)
+
+    def test_only_exponents_below_half_are_reduced(self, monkeypatch):
+        import sl2endo.cyclotomic as cyc
+
+        reduced = []
+        reduce = cyc._reduce
+
+        def recording(c, m):
+            reduced.append(len(c) - 1)
+            return reduce(c, m)
+
+        monkeypatch.setattr(cyc, "_reduce", recording)
+        cyc._root.cache_clear()
+        for k in range(1010):
+            root_of_unity(1010, k)
+        assert reduced == list(range(505))
+
 
 class TestSparseCanonicalForm:
     def test_zero_is_empty_over_one(self):
@@ -721,6 +744,77 @@ class TestIntegerPath:
     def test_lone_unit_constant_is_kept(self):
         seven = CycNumber.from_int(7, 14)
         assert linear_combination([(1, seven), (3, CycNumber.zero())]) is seven
+
+
+def far_value(m, k):
+    """-(z^k + z^-k), the far value of a regular level: at conductor 1010 it
+    has 1 to 243 terms."""
+    return linear_combination(((-1, root_of_unity(m, k)), (-1, root_of_unity(m, -k))))
+
+
+FAR_243 = far_value(1010, 3)  # one of the four far values at 1010 with 243 terms
+LONG_EXPONENTS = [k for k in range(1010) if len(root_of_unity(1010, k).num) > 100]
+
+
+@st.composite
+def merge_terms(draw):
+    """(c, v) pairs at conductor 14 or 1010, the roots and far values there
+    with the long ones (160 to 243 terms) drawn often, now and then an
+    integer, and now and then the negation of an operand already drawn, so
+    that sums cancel in part or in whole."""
+    m = draw(st.sampled_from([14, 1010]))
+    exponents = st.integers(0, m - 1)
+    if m == 1010:
+        exponents = st.one_of(exponents, st.sampled_from(LONG_EXPONENTS))
+    values = st.one_of(
+        exponents.map(lambda k: root_of_unity(m, k)),
+        exponents.map(lambda k: far_value(m, k)),
+        integers.map(CycNumber.from_int),
+    )
+    coeffs = st.one_of(st.sampled_from([1, -1]), integers, st.integers(-(10**20), 10**20))
+    terms = draw(st.lists(st.tuples(coeffs, values), max_size=6))
+    for c, v in list(terms):
+        if draw(st.booleans()):
+            terms.append((-c, v))
+    return draw(st.permutations(terms))
+
+
+class TestMerge:
+    """linear_combination, which merges the operands' index-sorted terms,
+    against the dict accumulator it replaced: the same conductor and terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=merge_terms())
+    def test_matches_accumulator(self, terms):
+        new, old = differential(lambda: terms)
+        assert new == old
+
+    @pytest.mark.parametrize(
+        "make_terms",
+        [
+            lambda: [(-1, FAR_243), (-1, root_of_unity(1010, 5))],
+            lambda: [(1, root_of_unity(1010, 5)), (2, FAR_243)],
+            lambda: [(1, FAR_243), (-1, far_value(1010, 2))],
+            lambda: [(3, far_value(1010, 2)), (-1, FAR_243), (1, root_of_unity(1010, 402))],
+            lambda: [(1, FAR_243), (-1, FAR_243)],
+            lambda: [(2, FAR_243), (1, root_of_unity(1010, 5)), (-2, FAR_243),
+                     (-1, root_of_unity(1010, 5))],
+            lambda: [(1, root_of_unity(1010, 3)), (1, root_of_unity(1010, 1007)),
+                     (1, FAR_243)],
+            lambda: [(1, root_of_unity(14, k)) for k in range(14)],
+        ],
+        ids=["long-plus-short", "short-plus-long", "both-long", "three-long",
+             "long-cancelling", "all-cancelling", "cancelling-to-zero-by-parts",
+             "all-roots-at-14"],
+    )
+    def test_edge_cases(self, make_terms):
+        new, old = differential(make_terms)
+        assert new == old
+
+    def test_the_long_operands(self):
+        assert len(FAR_243.num) == 243 and len(far_value(1010, 2).num) == 242
+        assert linear_combination([(1, root_of_unity(1010, 3)), (1, root_of_unity(1010, 1007)),
+                                   (1, FAR_243)]).is_zero
 
 
 @st.composite

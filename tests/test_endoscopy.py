@@ -296,8 +296,8 @@ def assert_record_is_reference(report):
     assert list(record) == list(reference)
 
 
-def report_with(lhs, rhs, verdict="equal", a=7, b=-3):
-    return VerificationReport(3, 8, 2, "nonregular", 2, "s1", a, b, 1, "near", lhs, rhs, verdict)
+def report_with(lhs, rhs, verdict="equal", a=7, b=-3, vb=1):
+    return VerificationReport(3, 8, 2, "nonregular", 2, "s1", a, b, vb, "near", lhs, rhs, verdict)
 
 
 @st.composite
@@ -351,13 +351,15 @@ class TestJsonLine:
 
     @settings(max_examples=120, deadline=None)
     @given(lhs=sparse_values(), rhs=st.none() | sparse_values() | st.sampled_from(["lhs", "copy"]),
-           verdict=st.text(max_size=12), a=st.none() | st.integers(-(10**40), 10**40))
-    def test_random_sparse_values(self, lhs, rhs, verdict, a):
+           verdict=st.text(max_size=12), a=st.integers(-(10**40), 10**40),
+           vb=st.none() | st.integers(0, 40))
+    def test_random_sparse_values(self, lhs, rhs, verdict, a, vb):
+        # a and b are always ints; valuation_b is null for an "unknown" element
         if rhs == "lhs":
             rhs = lhs
         elif rhs == "copy":
             rhs = CycNumber(lhs.m, tuple(list(lhs.num)))
-        report = report_with(lhs, rhs, verdict, a=a, b=a)
+        report = report_with(lhs, rhs, verdict, a=a, b=a, vb=vb)
         assert report.to_json() == reference_line(report)
         assert_record_is_reference(report)
 
