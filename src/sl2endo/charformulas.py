@@ -24,8 +24,7 @@ component group's character table in ``packets``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._values import FrozenValue, store
 from .cyclotomic import CycNumber, linear_combination
 from .errors import AntiNearUnsupported, NonRegularLevel, NotFar, NotNear, Undetermined
 from .localfield import FieldConfig, legendre, sgn_pi, valuation
@@ -50,8 +49,7 @@ KOTTWITZ_SIGN_SPLIT = 1
 KOTTWITZ_SIGN_ANISOTROPIC = -1
 
 
-@dataclass(frozen=True)
-class PacketSpec:
+class PacketSpec(FrozenValue):
     """A depth-zero supercuspidal packet, named by its torus character level.
 
     Regular levels give the two-member packet; the quadratic level gives
@@ -60,13 +58,13 @@ class PacketSpec:
     comes first in both member vectors (the fixed genericity convention).
     """
 
-    level: CharacterLevel
-    kind: str = field(init=False)
+    _fields = ("level", "kind")
 
-    def __post_init__(self) -> None:
-        if self.level.k == 0:
-            raise NonRegularLevel(f"the trivial level mod {self.level.modulus} names no packet")
-        object.__setattr__(self, "kind", "regular" if self.level.is_regular else "nonregular")
+    def __init__(self, level: CharacterLevel) -> None:
+        if level.k == 0:
+            raise NonRegularLevel(f"the trivial level mod {level.modulus} names no packet")
+        store(self, "level", level)
+        store(self, "kind", "regular" if level.is_regular else "nonregular")
 
     @staticmethod
     def regular(config: FieldConfig, k: int) -> "PacketSpec":

@@ -7,10 +7,18 @@ checks in ``PROPERTIES`` order; the acceptance suite calls the same
 functions for criteria 3 and 5-9.  The independent routes (two to f, two
 to psi0, the orbital integral against the near sums, the inner form
 against the stable sum) are compared here, never merged.
+
+The structure tables' data lives here too, since nothing else reads it:
+the quaternion group, the pull-back of the Klein-four group to the simply
+connected dual, of which only the character table is used, and the
+parameter images, handled as exact 2x2 matrices over cyclotomic numbers
+considered modulo nonzero scalars.  The testable content of the
+centralizer statements is pure commutation.
 """
 
 from __future__ import annotations
 
+from ._values import FrozenValue, store
 from .charformulas import (
     PacketSpec,
     inner_form_side,
@@ -23,21 +31,11 @@ from .charformulas import (
     theta_nonregular_near_sums,
     theta_virtual,
 )
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _lift, root_of_unity
 from .endoscopy import related_elements, transfer_factor
+from .errors import NonRegularLevel
 from .localfield import FieldConfig, valuation
-from .packets import (
-    KLEIN4,
-    NONREGULAR_IMAGE,
-    PROJ_S1,
-    PROJ_S2,
-    PROJ_S3,
-    Q8,
-    Z2,
-    centralizes,
-    regular_image_generators,
-    row_orthogonality,
-)
+from .packets import KLEIN4, Z2, ComponentGroup
 from .residue import CharacterLevel, norm_one_group, quadratic_level, regular_levels
 from .torus import (
     Classification,
@@ -50,6 +48,102 @@ from .torus import (
     weyl_DG,
     weyl_D_lie,
 )
+
+
+# Quaternion group by conjugacy class: four linear characters and the
+# 2-dimensional representation.
+Q8 = ComponentGroup(
+    "Q8",
+    ("1", "-1", "i", "j", "k"),
+    (1, 1, 2, 2, 2),
+    (
+        (1, 1, 1, 1, 1),
+        (1, 1, 1, -1, -1),
+        (1, 1, -1, 1, -1),
+        (1, 1, -1, -1, 1),
+        (2, -2, 0, 0, 0),
+    ),
+)
+
+
+def row_orthogonality(group: ComponentGroup) -> bool:
+    """Check sum_s size(s) * chi_i(s) * chi_j(s) = |S| * delta_ij exactly."""
+    for i, row_i in enumerate(group.table):
+        for j, row_j in enumerate(group.table):
+            total = sum(
+                size * x * y for size, x, y in zip(group.class_sizes, row_i, row_j)
+            )
+            if total != (group.order if i == j else 0):
+                return False
+    return True
+
+
+class ProjMatrix(FrozenValue):
+    """A 2x2 matrix over cyclotomic numbers, considered modulo scalars."""
+
+    _fields = ("entries",)
+
+    def __init__(
+        self, entries: tuple[tuple[CycNumber, CycNumber], tuple[CycNumber, CycNumber]]
+    ) -> None:
+        store(self, "entries", entries)
+        if self.det().is_zero:
+            raise ValueError("projective matrix must be invertible")
+
+    @staticmethod
+    def from_int_rows(rows) -> "ProjMatrix":
+        return ProjMatrix(tuple(tuple(_lift(x) for x in row) for row in rows))
+
+    def det(self) -> CycNumber:
+        e = self.entries
+        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+
+    def __matmul__(self, other: "ProjMatrix") -> "ProjMatrix":
+        a, b = self.entries, other.entries
+        return ProjMatrix(
+            tuple(
+                tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1))
+                for i in (0, 1)
+            )
+        )
+
+    def __eq__(self, other) -> bool:
+        """Equality in PGL_2: the entry vectors are parallel."""
+        if not isinstance(other, ProjMatrix):
+            return NotImplemented
+        x, y = self.entries[0] + self.entries[1], other.entries[0] + other.entries[1]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if x[i] * y[j] != x[j] * y[i]:
+                    return False
+        return True
+
+
+PROJ_IDENTITY = ProjMatrix.from_int_rows(((1, 0), (0, 1)))
+PROJ_S1 = ProjMatrix.from_int_rows(((1, 0), (0, -1)))
+PROJ_S2 = ProjMatrix.from_int_rows(((0, 1), (-1, 0)))
+PROJ_S3 = ProjMatrix.from_int_rows(((0, 1), (1, 0)))
+# Image of the biquadratic parameter mod scalars: {1, s1, s2, s1*s2}.
+NONREGULAR_IMAGE = (PROJ_IDENTITY, PROJ_S1, PROJ_S2, PROJ_S1 @ PROJ_S2)
+
+
+def regular_image_generators(level: CharacterLevel) -> tuple[ProjMatrix, ProjMatrix]:
+    """Generators of the image of a regular parameter mod scalars.
+
+    The inertia part acts through diag(zeta^k, 1) and Frobenius through the
+    coordinate swap.
+    """
+    if not level.is_regular:
+        raise NonRegularLevel(f"level {level.k} mod {level.modulus} is not regular")
+    zeta_k = root_of_unity(level.modulus, level.k)
+    one = CycNumber.one(level.modulus)
+    zero = CycNumber.zero(level.modulus)
+    diag = ProjMatrix(((zeta_k, zero), (zero, one)))
+    return (diag, PROJ_S3)
+
+
+def centralizes(x: ProjMatrix, gens) -> bool:
+    return all(x @ g == g @ x for g in gens)
 
 
 def _far(gammas) -> list:

@@ -16,16 +16,13 @@ Identical (config, seed) pairs produce byte-identical report streams.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
-import signal
 import sys
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from . import checks
+from ._values import Value
 from .charformulas import PacketSpec, psi0_on_residue_point
 from .endoscopy import REPORT_FIELDS, VerificationReport, falsify_adss152, verify_identity
 from .localfield import FieldConfig, field_config
@@ -45,10 +42,12 @@ FORMATS = {
 }
 
 
-@dataclass
-class SweepConfig:
-    mode: str
-    primes: list[int]
+class SweepConfig(Value):
+    """One sweep: the mode and its primes, and every option, each a class
+    attribute that holds its default until __init__ is given a value."""
+
+    _fields = ("mode", "primes", "precision", "samples", "seed", "packet", "level", "s",
+               "sample_class", "near_valuations", "fmt", "out")
     precision: int = FieldConfig.N
     samples: int = 20
     seed: int = 0
@@ -59,6 +58,16 @@ class SweepConfig:
     near_valuations: range = range(1, 4)
     fmt: str = "jsonl"
     out: "str | None" = None
+
+    def __init__(self, mode: str, primes: list[int], **options) -> None:
+        self.mode = mode
+        self.primes = primes
+        for name, value in options.items():
+            if name not in self._fields[2:]:
+                raise TypeError(
+                    f"SweepConfig.__init__() got an unexpected keyword argument {name!r}"
+                )
+            setattr(self, name, value)
 
     def validate(self) -> None:
         if self.mode not in RUNNERS:
@@ -166,6 +175,8 @@ class Emitter:
         self.verdicts: Counter[str] = Counter()  # verdict -> records written
         self.rows: list[list[str]] = []  # table cells, padded at close
         if fmt == "csv":
+            import csv  # deferred: only a csv stream writes with it
+
             self.writer = csv.writer(stream, lineterminator="\n")
             self.writer.writerow(REPORT_FIELDS)
 
@@ -239,6 +250,8 @@ def run_falsify(sweep: SweepConfig, out, err) -> int:
 
 def _property_battery(config: FieldConfig, sweep: SweepConfig) -> list[tuple[str, bool, str]]:
     """Per-prime algebraic identity checks; each entry is (name, ok, detail)."""
+    from . import checks  # deferred: only the property battery reads it
+
     near_vals = range(1, min(3, (config.N - 1) // 2) + 1)  # v(D_G) = 2v < N
     key = f"{sweep.seed}|{config.p}|properties"
     gammas = list(_draws(config, max(10, sweep.samples), "both", near_vals,
@@ -401,6 +414,8 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    import signal  # deferred: only the console entry point sets a handler
+
     if hasattr(signal, "SIGPIPE"):
         # a reader that closes stdout early ends the process quietly, as it ends cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

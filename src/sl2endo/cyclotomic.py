@@ -33,10 +33,10 @@ from __future__ import annotations
 import numbers
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
+from ._values import FrozenValue, store
 from .errors import ConductorMismatch
 
 
@@ -126,16 +126,18 @@ def _lift(x: "CycNumber | int") -> "CycNumber":
     return x if isinstance(x, CycNumber) else CycNumber.from_int(x)
 
 
-@dataclass(frozen=True, eq=False)
-class CycNumber:
+class CycNumber(FrozenValue):
     """An element of Z[zeta_m] in the reduced power basis.
 
     num holds the (index, coefficient) pairs of the nonzero integer
     coefficients, sorted by index, so zero is ().
     """
 
-    m: int
-    num: tuple[tuple[int, int], ...]
+    _fields = ("m", "num")
+
+    def __init__(self, m: int, num: tuple[tuple[int, int], ...]) -> None:
+        store(self, "m", m)
+        store(self, "num", num)
 
     @staticmethod
     def from_int(n, m: int = 1) -> "CycNumber":

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
+from ._values import Value
 from .charformulas import (
     PacketSpec,
     adss152_theta,
@@ -89,23 +89,28 @@ def rhs_endoscopic(packet: PacketSpec, gamma: TorusElement) -> CycNumber:
     )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Structured outcome of one identity check (exact values throughout)."""
 
-    p: int
-    N: int
-    eps: int
-    packet: str
-    level: int
-    s: str
-    a: int
-    b: int
-    valuation_b: "int | None"
-    classification: str
-    lhs: "CycNumber | None"
-    rhs: "CycNumber | None"
-    verdict: str
+    _fields = ("p", "N", "eps", "packet", "level", "s", "a", "b", "valuation_b",
+               "classification", "lhs", "rhs", "verdict")
+
+    def __init__(self, p: int, N: int, eps: int, packet: str, level: int, s: str, a: int,
+                 b: int, valuation_b: "int | None", classification: str,
+                 lhs: "CycNumber | None", rhs: "CycNumber | None", verdict: str) -> None:
+        self.p = p
+        self.N = N
+        self.eps = eps
+        self.packet = packet
+        self.level = level
+        self.s = s
+        self.a = a
+        self.b = b
+        self.valuation_b = valuation_b
+        self.classification = classification
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict
 
     def to_record(self) -> dict:
         """The jsonl line of this report parsed, with its keys in schema order."""
@@ -135,7 +140,7 @@ class VerificationReport:
 
 
 # The report schema: the fields of VerificationReport, in declaration order.
-REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
+REPORT_FIELDS = VerificationReport._fields
 
 _ZERO = '"0", '
 

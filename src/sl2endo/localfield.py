@@ -22,9 +22,9 @@ so everything residue-field-sized is an honest small integer.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
 
+from ._values import FrozenValue, store
 from .cyclotomic import prime_divisors
 from .errors import PrecisionExhausted, ZeroInput
 
@@ -40,8 +40,8 @@ def is_odd_prime(n: int) -> bool:
 
 class cached_fact:
     """functools.cached_property without its lock: the method's value is
-    computed on first read and stored in the instance's __dict__ (a frozen
-    dataclass's too), where later reads find it.  An exception is raised on
+    computed on first read and stored in the instance's __dict__ (a
+    FrozenValue's too), where later reads find it.  An exception is raised on
     every read and nothing is stored.  Python 3.11's cached_property takes
     an RLock on every first read, more than the fact itself costs for a
     torus element; 3.12's is this descriptor."""
@@ -85,8 +85,7 @@ def legendre(u: int, p: int) -> int:
     return 1 if _square_roots(p)[u % p] else -1
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(FrozenValue):
     """The base field Q_p at working precision N, with fixed square-class data.
 
     eps, the canonical non-square unit, is the smallest positive nonresidue
@@ -94,16 +93,18 @@ class FieldConfig:
     elements.
     """
 
-    p: int
-    N: int = 8
+    _fields = ("p", "N")
+    N = 8  # the default precision
 
-    def __post_init__(self) -> None:
-        if self.p >= PRIME_BOUND:
-            raise ValueError(f"p must be below 2^20 = {PRIME_BOUND}, got {self.p}")
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.N < 4:
-            raise ValueError(f"precision N must be >= 4, got {self.N}")
+    def __init__(self, p: int, N: int = N) -> None:
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p must be below 2^20 = {PRIME_BOUND}, got {p}")
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if N < 4:
+            raise ValueError(f"precision N must be >= 4, got {N}")
+        store(self, "p", p)
+        store(self, "N", N)
 
     @property
     def q(self) -> int:

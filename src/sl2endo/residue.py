@@ -11,21 +11,20 @@ pair of ints (a, b).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
+from ._values import FrozenValue, store
 from .cyclotomic import CycNumber, prime_divisors, root_of_unity
 from .localfield import FieldConfig, _square_roots
 
 
-@dataclass(frozen=True)
-class CharacterLevel:
+class CharacterLevel(FrozenValue):
     """A depth-zero character of the torus, named by its exponent mod q+1."""
 
-    k: int
-    modulus: int
+    _fields = ("k", "modulus")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % self.modulus)
+    def __init__(self, k: int, modulus: int) -> None:
+        store(self, "k", k % modulus)
+        store(self, "modulus", modulus)
 
     @property
     def is_quadratic(self) -> bool:

@@ -18,9 +18,9 @@ carries no character formula, so evaluation on it fails loudly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from hashlib import blake2b
 
+from ._values import FrozenValue, store
 from .errors import NotNear
 from .localfield import FieldConfig, cached_fact, hensel_sqrt, sgn_eps, valuation
 
@@ -36,22 +36,22 @@ class Classification(enum.Enum):
     FAR = "far"
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(FrozenValue):
     """The avatar a + b*sqrt(eps), a and b residues mod p^N; element() reduces ints."""
 
-    config: FieldConfig
-    a: int
-    b: int
-    variant: TorusVariant = TorusVariant.UNRAMIFIED
+    _fields = ("config", "a", "b", "variant")
 
-    def __post_init__(self) -> None:
-        cfg, a, b = self.config, self.a, self.b
-        modulus = cfg.modulus
+    def __init__(self, config: FieldConfig, a: int, b: int,
+                 variant: TorusVariant = TorusVariant.UNRAMIFIED) -> None:
+        modulus = config.modulus
         if not (0 <= a < modulus and 0 <= b < modulus):
-            raise ValueError(f"({a}, {b}) are not residues mod {cfg.p}^{cfg.N}")
-        if (a * a - cfg.eps * b * b) % modulus != 1:
+            raise ValueError(f"({a}, {b}) are not residues mod {config.p}^{config.N}")
+        if (a * a - config.eps * b * b) % modulus != 1:
             raise ValueError(f"({a}, {b}) is not norm-one at precision")
+        store(self, "config", config)
+        store(self, "a", a)
+        store(self, "b", b)
+        store(self, "variant", variant)
 
     @cached_fact
     def valuation_b(self) -> int:
@@ -81,18 +81,18 @@ class TorusElement:
         raise AssertionError("norm-one element with b in (p) must have a = +-1 mod p")
 
 
-@dataclass(frozen=True)
-class LieElement:
+class LieElement(FrozenValue):
     """Trace-zero torus Lie algebra element with off-diagonal avatar y, a residue mod p^N."""
 
-    config: FieldConfig
-    y: int
-    variant: TorusVariant = TorusVariant.UNRAMIFIED
+    _fields = ("config", "y", "variant")
 
-    def __post_init__(self) -> None:
-        cfg = self.config
-        if not 0 <= self.y < cfg.modulus:
-            raise ValueError(f"{self.y} is not a residue mod {cfg.p}^{cfg.N}")
+    def __init__(self, config: FieldConfig, y: int,
+                 variant: TorusVariant = TorusVariant.UNRAMIFIED) -> None:
+        if not 0 <= y < config.modulus:
+            raise ValueError(f"{y} is not a residue mod {config.p}^{config.N}")
+        store(self, "config", config)
+        store(self, "y", y)
+        store(self, "variant", variant)
 
 
 def element(config: FieldConfig, a: int, b: int,

@@ -16,7 +16,6 @@ import signal
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -744,10 +743,11 @@ class TestSamplePlan:
 
     @pytest.mark.parametrize("precision", range(4, 14))
     def test_property_battery(self, monkeypatch, precision):
+        import sl2endo.checks as checks_mod
         import sl2endo.cli as cli_mod
 
         calls = self.drawn(monkeypatch)
-        monkeypatch.setattr(cli_mod.checks, "PROPERTIES", ())
+        monkeypatch.setattr(checks_mod, "PROPERTIES", ())
         config = FieldConfig(3, precision)
         for samples in self.SAMPLES:
             sweep = SweepConfig(mode="properties", primes=[3], precision=precision,
@@ -1057,7 +1057,8 @@ class TestUsageErrors:
         sweep = SweepConfig("verify", [3, 5], samples=4, out=str(target))
         code, out, err = run_capture(sweep)
         assert (code, out) == (0, "")
-        assert (code, target.read_bytes().decode(), err) == run_capture(replace(sweep, out=None))
+        unsaved = SweepConfig("verify", [3, 5], samples=4)
+        assert (code, target.read_bytes().decode(), err) == run_capture(unsaved)
 
     def test_leaked_internal_error_exits_2(self, monkeypatch):
         # any exception a sweep leaks exits 2 on one stderr line, never 1 (a bad verdict)
@@ -1298,6 +1299,18 @@ def test_every_mode_runs_on_the_standard_library_alone(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_the_parser_loads_no_module_that_verify_and_falsify_do_not_run():
+    # dataclasses (with inspect, ast and dis), csv, signal and the property
+    # checks cost start-up time in every process; csv, signal and checks load
+    # in the modes that use them, which the csv, SIGPIPE and properties tests run
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2endo.__file__).resolve().parents[1]))
+    probe = ("import sys, sl2endo.cli; sl2endo.cli.build_parser(); print(sorted("
+             "{'dataclasses', 'inspect', 'csv', 'signal', 'sl2endo.checks'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_every_traced_method_is_in_its_class_dict():
